@@ -1,14 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 2 usage, 3 io, 4 crypto-auth, 5 format, 6 divergence.
-All output files are written to a temp name and renamed on success, so
-no error path leaves a partial file behind.
+Every output file is written by errors.atomic_write, directly or through
+the library's save/write functions: a temp name in the target directory
+renamed on success, so no error path leaves a partial file behind.
 """
 
 import argparse
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     LatentSealError,
     MTooLargeError,
     ShapeMismatchError,
+    atomic_write,
 )
 from .metrics import QualityReport, SsimParams
 
@@ -42,19 +42,6 @@ _EXIT_CODES = [
 ]
 
 
-def _atomic_write(path, data: bytes) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_keygen(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.seed is None:
@@ -63,28 +50,15 @@ def cmd_keygen(args) -> int:
         kp = ecies.keygen(rng.bytes(32))
     sym = henon.random_sym_key(rng)
     prefix = Path(args.out_prefix)
-    _atomic_write(prefix.with_suffix(".priv"), (kp.private_scalar.to_bytes(32, "big").hex() + "\n").encode())
-    _atomic_write(prefix.with_suffix(".pub"), (kp.public_bytes.hex() + "\n").encode())
-    buf = f"{sym.x0!r} {sym.y0!r}\n{sym.params.a!r} {sym.params.b!r}\n{sym.burn_in}\n"
-    _atomic_write(prefix.with_suffix(".sym"), buf.encode())
+    ecies.save_private_key(kp, prefix.with_suffix(".priv"))
+    ecies.save_public_key(kp, prefix.with_suffix(".pub"))
+    henon.save_sym_key(sym, prefix.with_suffix(".sym"))
     print(f"wrote {prefix}.priv {prefix}.pub {prefix}.sym")
     return EXIT_OK
 
 
-def _atomic_save_model(model, path) -> None:
-    fd, tmp = tempfile.mkstemp(dir=Path(path).parent or Path("."))
-    os.close(fd)
-    try:
-        codec.save_model(model, tmp)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_make_model(args) -> int:
-    _atomic_save_model(codec.dct_model(args.m), args.out)
+    codec.save_model(codec.dct_model(args.m), args.out)
     print(f"wrote dct model (m={args.m}) to {args.out}")
     return EXIT_OK
 
@@ -108,7 +82,7 @@ def cmd_train(args) -> int:
         model, trace = result.model, result.ae_losses
     else:
         model, trace = train.train_autoencoder(dataset, config)
-    _atomic_save_model(model, args.out)
+    codec.save_model(model, args.out)
     final = trace[-1] if trace else float("nan")
     print(f"trained {args.epochs} epochs, final loss {final:.6g}, wrote {args.out}")
     return EXIT_OK
@@ -120,7 +94,7 @@ def cmd_encrypt(args) -> int:
     sym = henon.load_sym_key(args.sym)
     pub = ecies.load_public_key(args.pub)
     payload, seconds = pipeline.compress_encrypt(img, model, sym, pub)
-    _atomic_write(args.out, payload.serialize())
+    atomic_write(args.out, payload.serialize())
     print(f"encrypt_s={seconds:.6g}")
     return EXIT_OK
 
@@ -135,8 +109,7 @@ def cmd_decrypt(args) -> int:
     sym = henon.load_sym_key(args.sym)
     priv = ecies.load_private_key(args.priv)
     img, seconds = pipeline.decrypt_reconstruct(payload, model, sym, priv)
-    raster = b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]) + img.tobytes()
-    _atomic_write(args.out, raster)
+    images.write_image(img, args.out)
     print(f"decrypt_s={seconds:.6g}")
     return EXIT_OK
 
@@ -158,7 +131,7 @@ def cmd_evaluate(args) -> int:
         except LatentSealError as e:
             failures += 1
             print(f"error: {path}: {e}", file=sys.stderr)
-    _atomic_write(args.out, ("\n".join(rows) + "\n").encode())
+    atomic_write(args.out, ("\n".join(rows) + "\n").encode())
     print(f"wrote {len(rows) - 1} rows to {args.out}")
     return EXIT_IO if failures else EXIT_OK
 
@@ -168,7 +141,7 @@ def cmd_henon_plot(args) -> int:
     points = henon.henon_trajectory(sym, args.n)
     lines = ["x,y"]
     lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in points)
-    _atomic_write(args.out, ("\n".join(lines) + "\n").encode())
+    atomic_write(args.out, ("\n".join(lines) + "\n").encode())
     print(f"wrote {len(points)} points to {args.out}")
     return EXIT_OK
 

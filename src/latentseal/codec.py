@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .errors import IoError, MTooLargeError, ShapeMismatchError
+from .errors import IoError, MTooLargeError, ShapeMismatchError, atomic_write
 
 MODEL_MAGIC = b"LSCM"
 MODEL_VERSION = 1
@@ -120,20 +120,20 @@ def dct_model(m: int) -> CodecModel:
     return CodecModel(kind="dct", m=m)
 
 
-def _forward_encoder(model: CodecModel, x: np.ndarray) -> np.ndarray:
-    h = x
-    for layer in model.encoder[:-1]:
-        h = np.tanh(layer.W @ h + layer.b)
-    last = model.encoder[-1]
-    return last.W @ h + last.b
+def forward(layers: list[Layer], X: np.ndarray, out_activation) -> list[np.ndarray]:
+    """MLP pass over the rows of X (or one vector): tanh hidden layers, then
+    out_activation on the last layer, or no activation if it is None.
 
-
-def _forward_decoder(model: CodecModel, z: np.ndarray) -> np.ndarray:
-    h = z
-    for layer in model.decoder[:-1]:
-        h = np.tanh(layer.W @ h + layer.b)
-    last = model.decoder[-1]
-    return sigmoid(last.W @ h + last.b)
+    Returns every post-activation value, input first, for backprop.
+    """
+    acts = [X]
+    for i, layer in enumerate(layers):
+        z = acts[-1] @ layer.W.T + layer.b
+        if i < len(layers) - 1:
+            acts.append(np.tanh(z))
+        else:
+            acts.append(z if out_activation is None else out_activation(z))
+    return acts
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -154,7 +154,7 @@ def neural_encode(model: CodecModel, img: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"image has {x.size} pixels, model expects {model.input_size}"
         )
-    z = _forward_encoder(model, x)
+    z = forward(model.encoder, x, None)[-1]
     return z.astype(np.float32).astype(np.float64)
 
 
@@ -164,7 +164,7 @@ def neural_decode(model: CodecModel, v: np.ndarray, width: int, height: int) -> 
     v = np.asarray(v, dtype=np.float64)
     if v.size != model.m:
         raise ShapeMismatchError(f"latent size {v.size}, model expects {model.m}")
-    out = _forward_decoder(model, v) * 255.0
+    out = forward(model.decoder, v, sigmoid)[-1] * 255.0
     if out.size != width * height:
         raise ShapeMismatchError(
             f"decoder emits {out.size} pixels, header says {width * height}"
@@ -172,13 +172,13 @@ def neural_decode(model: CodecModel, v: np.ndarray, width: int, height: int) -> 
     return quantize(out.reshape(height, width))
 
 
-def _write_layers(f, layers: list[Layer]) -> None:
-    f.write(struct.pack("<I", len(layers)))
+def _layers_bytes(layers: list[Layer]) -> bytes:
+    parts = [struct.pack("<I", len(layers))]
     for layer in layers:
-        n_out, n_in = layer.W.shape
-        f.write(struct.pack("<II", n_out, n_in))
-        f.write(layer.W.astype("<f8").tobytes())
-        f.write(layer.b.astype("<f8").tobytes())
+        parts.append(struct.pack("<II", *layer.W.shape))
+        parts.append(layer.W.astype("<f8").tobytes())
+        parts.append(layer.b.astype("<f8").tobytes())
+    return b"".join(parts)
 
 
 def _read_layers(f) -> list[Layer]:
@@ -193,12 +193,10 @@ def _read_layers(f) -> list[Layer]:
 
 
 def save_model(model: CodecModel, path) -> None:
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<BBI", MODEL_VERSION, model.codec_id, model.m))
-        if model.kind == "neural":
-            _write_layers(f, model.encoder)
-            _write_layers(f, model.decoder)
+    data = MODEL_MAGIC + struct.pack("<BBI", MODEL_VERSION, model.codec_id, model.m)
+    if model.kind == "neural":
+        data += _layers_bytes(model.encoder) + _layers_bytes(model.decoder)
+    atomic_write(path, data)
 
 
 def load_model(path) -> CodecModel:

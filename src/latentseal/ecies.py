@@ -20,7 +20,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-from .errors import AuthFailureError, InvalidPointError, IoError
+from .errors import AuthFailureError, InvalidPointError, IoError, atomic_write
 
 CURVE = ec.SECP256R1()
 CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
@@ -125,13 +125,11 @@ def ecies_decrypt(ct: EciesCiphertext, private_scalar: int, aad: bytes = b"") ->
 
 
 def save_private_key(kp: EciesKeypair, path) -> None:
-    with open(path, "w") as f:
-        f.write(kp.private_scalar.to_bytes(32, "big").hex() + "\n")
+    atomic_write(path, (kp.private_scalar.to_bytes(32, "big").hex() + "\n").encode())
 
 
 def save_public_key(kp: EciesKeypair, path) -> None:
-    with open(path, "w") as f:
-        f.write(kp.public_bytes.hex() + "\n")
+    atomic_write(path, (kp.public_bytes.hex() + "\n").encode())
 
 
 def load_private_key(path) -> int:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all latentseal modules."""
+"""Exception hierarchy shared by all latentseal modules, and the one file writer."""
+
+import os
+import tempfile
 
 
 class LatentSealError(Exception):
@@ -55,3 +58,23 @@ class FrameTooLargeError(LatentSealError):
 
 class IoError(LatentSealError):
     """File could not be read, parsed, or written."""
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Write data to path through a temp file in the same directory and a rename.
+
+    On any failure neither a partial file nor the temp file is left
+    behind, and the OSError is raised as IoError.
+    """
+    path = os.fspath(path)
+    tmp = None
+    try:
+        directory, name = os.path.split(path)
+        fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".")
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except OSError as e:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+        raise IoError(str(e)) from e

@@ -5,6 +5,10 @@ a = 1.4, b = 0.3.  A symmetric key is an initial point (x0, y0) plus
 the map parameters and a burn-in count; the emitted pseudo-random
 sequence is the x-component of the post-burn-in orbit, and the keyed
 permutation is the stable argsort of that sequence.
+
+The orbit is iterated in plain Python in a fixed evaluation order of
+64-bit IEEE operations, so sequences and permutations are bitwise
+reproducible.
 """
 
 import math
@@ -13,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
-from .errors import DivergenceError, IoError, LengthMismatchError
+from .errors import DivergenceError, IoError, LengthMismatchError, atomic_write
 
 CLASSICAL_A = 1.4
 CLASSICAL_B = 0.3
@@ -68,6 +71,22 @@ def henon_step(state: HenonState, params: HenonParams) -> HenonState:
     return HenonState(xn, yn)
 
 
+def _orbit(key: SymKey, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y components of the n orbit points after the key's burn-in."""
+    a, b, burn_in, guard = key.params.a, key.params.b, key.burn_in, GUARD
+    xs = np.empty(n, dtype=np.float64)
+    ys = np.empty(n, dtype=np.float64)
+    x, y = key.x0, key.y0
+    for i in range(burn_in + n):
+        x, y = 1.0 - a * x * x + y, b * x
+        if abs(x) > guard or abs(y) > guard:
+            raise DivergenceError(f"orbit escaped guard at step {i}")
+        if i >= burn_in:
+            xs[i - burn_in] = x
+            ys[i - burn_in] = y
+    return xs, ys
+
+
 def henon_sequence(key: SymKey, n: int) -> np.ndarray:
     """x-components of n orbit points after the key's burn-in.
 
@@ -76,24 +95,14 @@ def henon_sequence(key: SymKey, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    xs, _, diverged = _kernels.henon_orbit(
-        key.x0, key.y0, key.params.a, key.params.b, key.burn_in, n, GUARD
-    )
-    if diverged >= 0:
-        raise DivergenceError(f"orbit escaped guard at step {diverged}")
-    return xs
+    return _orbit(key, n)[0]
 
 
 def henon_trajectory(key: SymKey, n: int) -> np.ndarray:
     """(n, 2) array of post-burn-in (x, y) points, for trajectory export."""
     if n == 0:
         return np.empty((0, 2), dtype=np.float64)
-    xs, ys, diverged = _kernels.henon_orbit(
-        key.x0, key.y0, key.params.a, key.params.b, key.burn_in, n, GUARD
-    )
-    if diverged >= 0:
-        raise DivergenceError(f"orbit escaped guard at step {diverged}")
-    return np.column_stack([xs, ys])
+    return np.column_stack(_orbit(key, n))
 
 
 def permutation_from_sequence(seq: np.ndarray) -> np.ndarray:
@@ -130,10 +139,8 @@ def deshuffle(v: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def save_sym_key(key: SymKey, path) -> None:
     """Text format: 'x0 y0' / optional 'a b' / optional burn_in."""
-    with open(path, "w") as f:
-        f.write(f"{key.x0!r} {key.y0!r}\n")
-        f.write(f"{key.params.a!r} {key.params.b!r}\n")
-        f.write(f"{key.burn_in}\n")
+    text = f"{key.x0!r} {key.y0!r}\n{key.params.a!r} {key.params.b!r}\n{key.burn_in}\n"
+    atomic_write(path, text.encode())
 
 
 def load_sym_key(path) -> SymKey:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError
+from .errors import IoError, atomic_write
 
 
 def _read_tokens(data: bytes, count: int):
@@ -64,12 +64,7 @@ def write_image(img: np.ndarray, path) -> None:
     if img.ndim != 2 or img.dtype != np.uint8:
         raise IoError(f"can only write 2-D uint8 images, got {img.shape} {img.dtype}")
     h, w = img.shape
-    try:
-        with open(path, "wb") as f:
-            f.write(b"P5\n%d %d\n255\n" % (w, h))
-            f.write(img.tobytes())
-    except OSError as e:
-        raise IoError(str(e)) from e
+    atomic_write(path, b"P5\n%d %d\n255\n" % (w, h) + img.tobytes())
 
 
 def smooth_gradient(size: int) -> np.ndarray:

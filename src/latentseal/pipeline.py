@@ -21,6 +21,11 @@ from .metrics import QualityReport, SsimParams, mse, psnr, ssim, timed
 PAYLOAD_MAGIC = b"LSP1"
 PAYLOAD_VERSION = 1
 HEADER_LEN = 12  # magic(4) version(1) codec_id(1) m(2) width(2) height(2)
+_HEADER_FIELDS = "<BBHHH"
+
+
+def _pack_header(version: int, codec_id: int, m: int, width: int, height: int) -> bytes:
+    return PAYLOAD_MAGIC + struct.pack(_HEADER_FIELDS, version, codec_id, m, width, height)
 
 
 @dataclass(frozen=True)
@@ -33,9 +38,7 @@ class EncryptedPayload:
     ciphertext: EciesCiphertext
 
     def header_bytes(self) -> bytes:
-        return PAYLOAD_MAGIC + struct.pack(
-            "<BBHHH", self.version, self.codec_id, self.m, self.width, self.height
-        )
+        return _pack_header(self.version, self.codec_id, self.m, self.width, self.height)
 
     def serialize(self) -> bytes:
         return self.header_bytes() + self.ciphertext.serialize()
@@ -44,7 +47,7 @@ class EncryptedPayload:
     def parse(cls, data: bytes) -> "EncryptedPayload":
         if len(data) < HEADER_LEN or data[:4] != PAYLOAD_MAGIC:
             raise BadHeaderError("missing payload magic")
-        version, codec_id, m, width, height = struct.unpack("<BBHHH", data[4:HEADER_LEN])
+        version, codec_id, m, width, height = struct.unpack(_HEADER_FIELDS, data[4:HEADER_LEN])
         if version != PAYLOAD_VERSION:
             raise BadHeaderError(f"unsupported payload version {version}")
         body = data[HEADER_LEN:]
@@ -61,7 +64,7 @@ def _serialize_latent(v: np.ndarray) -> bytes:
     return np.asarray(v, dtype="<f4").tobytes()
 
 
-def _deserialize_latent(data: bytes, m: int) -> np.ndarray:
+def _deserialize_latent(data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype="<f4").astype(np.float64)
 
 
@@ -79,9 +82,7 @@ def compress_encrypt(
         perm = permutation_for_key(sym, len(latent))
         shuffled = shuffle(latent, perm)
         h, w = img.shape
-        header = PAYLOAD_MAGIC + struct.pack(
-            "<BBHHH", PAYLOAD_VERSION, codec.codec_id, len(latent), w, h
-        )
+        header = _pack_header(PAYLOAD_VERSION, codec.codec_id, len(latent), w, h)
         # header rides as AEAD associated data, so any header tampering
         # that survives parsing still fails authentication
         ct = ecies_encrypt(_serialize_latent(shuffled), pub, eph_seed, aad=header)
@@ -105,7 +106,7 @@ def decrypt_reconstruct(
 
     def run() -> np.ndarray:
         plain = ecies_decrypt(payload.ciphertext, priv, aad=payload.header_bytes())
-        shuffled = _deserialize_latent(plain, payload.m)
+        shuffled = _deserialize_latent(plain)
         perm = permutation_for_key(sym, payload.m)
         latent = deshuffle(shuffled, perm)
         return codec.decode(latent, payload.width, payload.height)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import CodecModel, Layer, check_image, sigmoid
+from .codec import CodecModel, Layer, check_image, forward, sigmoid
 from .errors import EmptyBatchError, NonFiniteLossError
 
 PROB_CLAMP = 1e-12
@@ -80,60 +80,54 @@ def _dataset_matrix(dataset: list[np.ndarray]) -> np.ndarray:
 
 
 def _forward(model: CodecModel, X: np.ndarray):
-    """Batch forward pass keeping post-activation values for backprop."""
-    acts = [X]
-    h = X
-    chain = model.encoder + model.decoder
-    for i, layer in enumerate(chain):
-        z = h @ layer.W.T + layer.b
-        if i == len(model.encoder) - 1:
-            h = z  # linear bottleneck
-        elif i == len(chain) - 1:
-            h = sigmoid(z)
-        else:
-            h = np.tanh(z)
-        acts.append(h)
-    return acts
+    """Autoencoder pass keeping post-activation values for backprop."""
+    acts = forward(model.encoder, X, None)  # linear bottleneck
+    return acts + forward(model.decoder, acts[-1], sigmoid)[1:]
 
 
-def _backward(model: CodecModel, acts: list[np.ndarray], d_out: np.ndarray):
-    """Gradients of a scalar loss given d loss / d output activation."""
-    chain = model.encoder + model.decoder
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(chain)
-    da = d_out
-    for i in range(len(chain) - 1, -1, -1):
-        a = acts[i + 1]
-        if i == len(chain) - 1:
-            dz = da * a * (1.0 - a)  # sigmoid output
-        elif i == len(model.encoder) - 1:
-            dz = da  # linear bottleneck
-        else:
-            dz = da * (1.0 - a * a)  # tanh
+def _backward(layers: list[Layer], acts: list[np.ndarray], dz: np.ndarray, linear: int = -1):
+    """Gradients of a scalar loss, given its gradient w.r.t. the last
+    layer's pre-activation.  Hidden layers are tanh except the one at
+    index `linear`, which has no activation.
+
+    Returns the per-layer (dW, db) and the gradient w.r.t. the input.
+    """
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
         grads[i] = (dz.T @ acts[i], dz.sum(axis=0))
-        da = dz @ chain[i].W
-    return grads, da
+        dz = dz @ layers[i].W
+        if i > 0 and i - 1 != linear:
+            dz = dz * (1.0 - acts[i] * acts[i])  # tanh
+    return grads, dz
 
 
-def loss_and_gradients(model: CodecModel, X: np.ndarray):
-    """Reconstruction loss and its analytic gradients.
+def _reconstruction(model: CodecModel, X: np.ndarray):
+    """Forward pass, loss, and d loss / d output.
 
     The loss is the squared pixel error summed per image and averaged
     over the batch; the per-pixel sum keeps gradient magnitudes usable
     at small learning rates.
     """
     acts = _forward(model, X)
-    out = acts[-1]
-    diff = out - X
+    diff = acts[-1] - X
     loss = float(np.mean(np.sum(diff * diff, axis=1)))
-    d_out = 2.0 * diff / X.shape[0]
-    grads, _ = _backward(model, acts, d_out)
-    return loss, grads
+    return acts, loss, 2.0 * diff / X.shape[0]
+
+
+def _autoencoder_grads(model: CodecModel, acts: list[np.ndarray], d_out: np.ndarray):
+    out = acts[-1]
+    dz = d_out * out * (1.0 - out)  # sigmoid output
+    return _backward(model.encoder + model.decoder, acts, dz, len(model.encoder) - 1)[0]
+
+
+def loss_and_gradients(model: CodecModel, X: np.ndarray):
+    """Reconstruction loss and its analytic gradients."""
+    acts, loss, d_out = _reconstruction(model, X)
+    return loss, _autoencoder_grads(model, acts, d_out)
 
 
 def reconstruction_loss(model: CodecModel, dataset: list[np.ndarray]) -> float:
-    X = _dataset_matrix(dataset)
-    out = _forward(model, X)[-1]
-    return float(np.mean(np.sum((out - X) ** 2, axis=1)))
+    return _reconstruction(model, _dataset_matrix(dataset))[1]
 
 
 def _apply_sgd(chain: list[Layer], grads, lr: float, sign: float = -1.0) -> None:
@@ -158,70 +152,39 @@ def _run_epoch(model, X, config, rng, adversary=None) -> float:
     losses = []
     for start in range(0, X.shape[0], config.batch_size):
         batch = X[order[start : start + config.batch_size]]
-        acts = _forward(model, batch)
-        diff = acts[-1] - batch
-        loss = float(np.mean(np.sum(diff * diff, axis=1)))
+        acts, loss, d_out = _reconstruction(model, batch)
         if not np.isfinite(loss):
             raise NonFiniteLossError(f"loss diverged to {loss}; lower the learning rate")
-        d_out = 2.0 * diff / batch.shape[0]
         if adversary is not None and config.lam != 0.0:
             d_out = d_out + config.lam * _generator_term_grad(adversary, acts[-1])
-        grads, _ = _backward(model, acts, d_out)
-        _apply_sgd(model.encoder + model.decoder, grads, config.lr)
+        _apply_sgd(model.encoder + model.decoder, _autoencoder_grads(model, acts, d_out), config.lr)
         losses.append(loss)
     return float(np.mean(losses))
 
 
-def _disc_forward(disc: list[Layer], X: np.ndarray):
-    acts = [X]
-    h = X
-    for i, layer in enumerate(disc):
-        z = h @ layer.W.T + layer.b
-        h = sigmoid(z) if i == len(disc) - 1 else np.tanh(z)
-        acts.append(h)
-    return acts
-
-
 def disc_probabilities(disc: list[Layer], images: np.ndarray) -> np.ndarray:
-    return _disc_forward(disc, images)[-1].ravel()
-
-
-def _disc_backward(disc: list[Layer], acts, dz_out):
-    grads = [None] * len(disc)
-    dz = dz_out
-    for i in range(len(disc) - 1, -1, -1):
-        grads[i] = (dz.T @ acts[i], dz.sum(axis=0))
-        da = dz @ disc[i].W
-        if i > 0:
-            a = acts[i]
-            dz = da * (1.0 - a * a)
-        else:
-            dz = da
-    return grads, dz
+    return forward(disc, images, sigmoid)[-1].ravel()
 
 
 def _generator_term_grad(disc: list[Layer], fake: np.ndarray) -> np.ndarray:
     """d mean(log(1 - D(fake))) / d fake, for the saturating generator term."""
-    acts = _disc_forward(disc, fake)
+    acts = forward(disc, fake, sigmoid)
     p = acts[-1]
     # d/dz log(1 - sigmoid(z)) = -sigmoid(z)
-    dz_out = -p / p.shape[0]
-    _, d_input = _disc_backward(disc, acts, dz_out)
-    return d_input
+    return _backward(disc, acts, -p / p.shape[0])[1]
 
 
 def _disc_step(disc: list[Layer], real: np.ndarray, fake: np.ndarray, lr: float) -> float:
     """One ascent step on the minimax value; returns the objective."""
-    acts_r = _disc_forward(disc, real)
-    acts_f = _disc_forward(disc, fake)
+    acts_r = forward(disc, real, sigmoid)
+    acts_f = forward(disc, fake, sigmoid)
     p_r, p_f = acts_r[-1], acts_f[-1]
     value = gan_objective(p_r.ravel(), p_f.ravel())
     # d/dz log sigmoid(z) = 1 - p ; d/dz log(1 - sigmoid(z)) = -p
-    grads_r, _ = _disc_backward(disc, acts_r, (1.0 - p_r) / p_r.shape[0])
-    grads_f, _ = _disc_backward(disc, acts_f, -p_f / p_f.shape[0])
-    for layer, (dWr, dbr), (dWf, dbf) in zip(disc, grads_r, grads_f):
-        layer.W += lr * (dWr + dWf)
-        layer.b += lr * (dbr + dbf)
+    grads_r, _ = _backward(disc, acts_r, (1.0 - p_r) / p_r.shape[0])
+    grads_f, _ = _backward(disc, acts_f, -p_f / p_f.shape[0])
+    grads = [(dWr + dWf, dbr + dbf) for (dWr, dbr), (dWf, dbf) in zip(grads_r, grads_f)]
+    _apply_sgd(disc, grads, lr, sign=1.0)
     return value
 
 

@@ -10,7 +10,7 @@ import struct
 import time
 from pathlib import Path
 
-from .errors import BadHeaderError, FrameTooLargeError, IoError
+from .errors import BadHeaderError, FrameTooLargeError, IoError, atomic_write
 from .pipeline import PAYLOAD_MAGIC
 
 FRAME_CAP = 16 * 1024 * 1024
@@ -77,11 +77,5 @@ def send_file(path, host: str, port: int, throttle: float | None = None) -> None
 
 def recv_file(port: int, out_path, host: str = "", timeout: float | None = 30.0) -> int:
     data = recv_bytes(port, host, timeout)
-    out = Path(out_path)
-    tmp = out.with_name(out.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        tmp.rename(out)
-    except OSError as e:
-        raise IoError(str(e)) from e
+    atomic_write(out_path, data)
     return len(data)

@@ -59,6 +59,27 @@ def test_divergence_guard():
         henon.henon_sequence(henon.SymKey(3.0, 3.0, burn_in=0), 10)
 
 
+def test_divergence_index_reported():
+    # (3, 3) -> (-8.6, 0.9) -> x = 1 - 1.4 * 8.6**2 + 0.9 < -100: trips at step 1
+    with pytest.raises(DivergenceError, match=r"at step 1$"):
+        henon.henon_sequence(henon.SymKey(3.0, 3.0, burn_in=0), 10)
+    with pytest.raises(DivergenceError, match=r"at step 1$"):
+        henon.henon_trajectory(henon.SymKey(3.0, 3.0, burn_in=0), 10)
+
+
+def test_trajectory_matches_step_oracle():
+    key = henon.SymKey(0.1, 0.1, burn_in=500)
+    state = henon.HenonState(key.x0, key.y0)
+    points = []
+    for i in range(key.burn_in + 2000):
+        state = henon.henon_step(state, key.params)
+        if i >= key.burn_in:
+            points.append(state)
+    traj = henon.henon_trajectory(key, 2000)
+    assert np.array_equal(traj, np.array(points))
+    assert np.array_equal(henon.henon_sequence(key, 2000), traj[:, 0])
+
+
 def test_key_point_bounds():
     with pytest.raises(ValueError):
         henon.SymKey(200.0, 0.0)

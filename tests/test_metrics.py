@@ -104,6 +104,29 @@ def test_windowed_equals_global_at_full_side():
     )
 
 
+def _ssim_per_window(a, b, w, c1, c2):
+    """Test-only oracle: population moments of each w x w window via numpy."""
+    vals = []
+    for i in range(a.shape[0] - w + 1):
+        for j in range(a.shape[1] - w + 1):
+            pa, pb = a[i : i + w, j : j + w], b[i : i + w, j : j + w]
+            mu_a, mu_b = pa.mean(), pb.mean()
+            cov = ((pa - mu_a) * (pb - mu_b)).mean()
+            num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+            vals.append(num / ((mu_a**2 + mu_b**2 + c1) * (pa.var() + pb.var() + c2)))
+    return float(np.mean(vals))
+
+
+def test_windowed_ssim_matches_per_window_oracle():
+    rng = np.random.default_rng(1)
+    a = rng.random((24, 24))
+    b = rng.random((24, 24))
+    params = metrics.SsimParams(window=7)
+    got = metrics.ssim(a, b, params)
+    assert type(got) is float
+    assert abs(got - _ssim_per_window(a, b, 7, params.c1, params.c2)) < 1e-12
+
+
 def test_window_too_large():
     a = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(WindowTooLargeError):

@@ -39,7 +39,7 @@ def test_latent_integrity(keypair, sym_key):
         payload.ciphertext, keypair.private_scalar, aad=payload.header_bytes()
     )
     perm = henon.permutation_for_key(sym_key, 50)
-    recovered = henon.deshuffle(pipeline._deserialize_latent(plain, 50), perm)
+    recovered = henon.deshuffle(pipeline._deserialize_latent(plain), perm)
     assert np.array_equal(recovered, latent)
 
 
