@@ -5,6 +5,9 @@ keeps the first m zigzag coefficients of the orthonormal 2-D DCT of the
 normalized image.  The neural codec is a small fully-connected
 autoencoder (tanh hidden layers, sigmoid output) trained in train.py.
 
+The DCT is two numpy products with cached orthonormal DCT-II basis matrices,
+cut to the rows and columns the first m zigzag cells reach; no FFT package is used.
+
 Both encoders round their latent values to the nearest 32-bit float so
 the pipeline's 4-byte wire serialization is an exact round trip.
 """
@@ -14,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .errors import IoError, MTooLargeError, ShapeMismatchError, atomic_write
 
@@ -34,22 +36,36 @@ def check_image(img: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def zigzag_indices(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column index arrays visiting an H x W grid in zigzag order."""
-    order = []
-    for s in range(height + width - 1):
-        diag = [(i, s - i) for i in range(max(0, s - width + 1), min(s, height - 1) + 1)]
-        if s % 2 == 0:
-            diag.reverse()  # even anti-diagonals run bottom-left to top-right
-        order.extend(diag)
-    rows, cols = zip(*order)
-    return np.array(rows), np.array(cols)
+def zigzag_indices(height: int, width: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Row/column indices of the first m cells (all if None) of an H x W grid
+    in zigzag order; even anti-diagonals run bottom-left to top-right."""
+    m = height * width if m is None else m
+    diag = np.arange(height + width - 1)
+    lengths = np.minimum(diag, height - 1) - np.maximum(diag - width + 1, 0) + 1
+    last = int(np.searchsorted(lengths.cumsum(), m))  # last anti-diagonal the m cells reach
+    rows, cols = np.indices((min(height, last + 1), min(width, last + 1))).reshape(2, -1)
+    diag = rows + cols
+    order = np.argsort(diag * height + np.where(diag % 2 == 0, height - 1 - rows, rows))[:m]
+    rows, cols = rows[order], cols[order]
+    for a in (rows, cols):
+        a.setflags(write=False)
+    return rows, cols
+
+
+@lru_cache(maxsize=64)
+def _dct_basis(n: int, k: int) -> np.ndarray:
+    """First k rows of the n x n orthonormal DCT-II matrix."""
+    basis = np.cos(np.pi * np.outer(np.arange(k), 2 * np.arange(n) + 1) / (2 * n)) * np.sqrt(2.0 / n)
+    basis[0] = np.sqrt(1.0 / n)
+    basis.setflags(write=False)
+    return basis
 
 
 def dct2(img: np.ndarray) -> np.ndarray:
     """Full orthonormal 2-D DCT-II of the normalized image, float64."""
     img = check_image(img)
-    return dctn(img.astype(np.float64) / 255.0, norm="ortho")
+    h, w = img.shape
+    return _dct_basis(h, h) @ (img.astype(np.float64) / 255.0) @ _dct_basis(w, w).T
 
 
 def dct_encode(img: np.ndarray, m: int) -> np.ndarray:
@@ -57,9 +73,11 @@ def dct_encode(img: np.ndarray, m: int) -> np.ndarray:
     img = check_image(img)
     if m < 1 or m > img.size:
         raise MTooLargeError(f"m={m} out of range for {img.size}-pixel image")
-    rows, cols = zigzag_indices(*img.shape)
-    coeffs = dct2(img)[rows[:m], cols[:m]]
-    return coeffs.astype(np.float32).astype(np.float64)
+    h, w = img.shape
+    rows, cols = zigzag_indices(h, w, m)
+    x = img.astype(np.float64) / 255.0
+    coeffs = _dct_basis(h, rows.max() + 1) @ x @ _dct_basis(w, cols.max() + 1).T
+    return coeffs[rows, cols].astype(np.float32).astype(np.float64)
 
 
 def dct_decode_float(v: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -67,10 +85,10 @@ def dct_decode_float(v: np.ndarray, width: int, height: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.size > width * height:
         raise MTooLargeError(f"{v.size} coefficients exceed {width * height} pixels")
-    coeffs = np.zeros((height, width), dtype=np.float64)
-    rows, cols = zigzag_indices(height, width)
-    coeffs[rows[: v.size], cols[: v.size]] = v
-    return idctn(coeffs, norm="ortho") * 255.0
+    rows, cols = zigzag_indices(height, width, v.size)
+    coeffs = np.zeros((rows.max(initial=0) + 1, cols.max(initial=0) + 1), dtype=np.float64)
+    coeffs[rows, cols] = v
+    return _dct_basis(height, coeffs.shape[0]).T @ coeffs @ _dct_basis(width, coeffs.shape[1]) * 255.0
 
 
 def quantize(pixels: np.ndarray) -> np.ndarray:

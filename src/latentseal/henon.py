@@ -13,6 +13,7 @@ reproducible.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -115,8 +116,12 @@ def permutation_from_sequence(seq: np.ndarray) -> np.ndarray:
     return np.argsort(seq, kind="stable")
 
 
+@lru_cache(maxsize=128)
 def permutation_for_key(key: SymKey, m: int) -> np.ndarray:
-    return permutation_from_sequence(henon_sequence(key, m))
+    """Keyed permutation of length m, memoised; the array is read-only."""
+    perm = permutation_from_sequence(henon_sequence(key, m))
+    perm.setflags(write=False)
+    return perm
 
 
 def shuffle(v: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -45,6 +45,8 @@ def read_image(path) -> np.ndarray:
         width, height, maxval = int(w), int(h), int(maxval)
     except (IoError, ValueError) as e:
         raise IoError(f"bad PNM header in {path}") from e
+    if width < 1 or height < 1:
+        raise IoError(f"bad image size {width}x{height} in {path}")
     if maxval != 255:
         raise IoError(f"only maxval 255 supported, got {maxval} in {path}")
     channels = 1 if magic == b"P5" else 3

@@ -14,7 +14,7 @@ import numpy as np
 
 from .codec import CodecModel
 from .ecies import OVERHEAD, EciesCiphertext, ecies_decrypt, ecies_encrypt
-from .errors import BadHeaderError, ShapeMismatchError
+from .errors import BadHeaderError, MTooLargeError, ShapeMismatchError
 from .henon import SymKey, deshuffle, permutation_for_key, shuffle
 from .metrics import QualityReport, SsimParams, mse, psnr, ssim, timed
 
@@ -25,6 +25,10 @@ _HEADER_FIELDS = "<BBHHH"
 
 
 def _pack_header(version: int, codec_id: int, m: int, width: int, height: int) -> bytes:
+    if m > 0xFFFF:
+        raise MTooLargeError(f"m={m} does not fit the header's 16-bit field")
+    if width > 0xFFFF or height > 0xFFFF:
+        raise ShapeMismatchError(f"image {width}x{height} does not fit the header's 16-bit fields")
     return PAYLOAD_MAGIC + struct.pack(_HEADER_FIELDS, version, codec_id, m, width, height)
 
 

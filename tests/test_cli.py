@@ -135,6 +135,26 @@ def test_encrypt_missing_image(tmp_path, keys, dct_model_path):
     assert rc == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "height,width,m", [(256, 257, 65536), (4, 70000, 100), (70000, 4, 100)], ids=["m", "width", "height"]
+)
+def test_encrypt_header_field_overflow_exit_code(tmp_path, keys, height, width, m):
+    image = tmp_path / "big.pgm"
+    images.write_image(np.zeros((height, width), dtype=np.uint8), image)
+    model = tmp_path / "model.lscm"
+    assert run(["make-model", str(model), "--m", str(m)]) == EXIT_OK
+    out = tmp_path / "o.lsp"
+    rc = run([
+        "encrypt", str(image),
+        "--model", str(model),
+        "--sym", str(keys) + ".sym",
+        "--pub", str(keys) + ".pub",
+        "--out", str(out),
+    ])
+    assert rc == EXIT_FORMAT
+    assert not out.exists()
+
+
 def test_make_dataset_and_evaluate(tmp_path, keys, capsys):
     data_dir = tmp_path / "data"
     assert run(["make-dataset", str(data_dir), "--count", "4", "--size", "16", "--seed", "1"]) == EXIT_OK

@@ -110,3 +110,48 @@ def test_model_wrapper_and_file(tmp_path):
     codec.save_model(model, path)
     loaded = codec.load_model(path)
     assert loaded.kind == "dct" and loaded.m == 25
+
+
+def _zigzag_walk(height, width):
+    """Test-only oracle: every cell of the grid in zigzag order, one diagonal at a time."""
+    order = []
+    for s in range(height + width - 1):
+        diag = [(i, s - i) for i in range(max(0, s - width + 1), min(s, height - 1) + 1)]
+        if s % 2 == 0:
+            diag.reverse()  # even anti-diagonals run bottom-left to top-right
+        order.extend(diag)
+    return order
+
+
+def test_zigzag_prefix_matches_walk_oracle():
+    for h in range(1, 25):
+        for w in range(1, 25):
+            walk_rows, walk_cols = map(list, zip(*_zigzag_walk(h, w)))
+            rows, cols = codec.zigzag_indices(h, w)
+            assert rows.tolist() == walk_rows and cols.tolist() == walk_cols
+            for m in range(1, h * w + 1):
+                rows, cols = codec.zigzag_indices(h, w, m)
+                assert rows.tolist() == walk_rows[:m] and cols.tolist() == walk_cols[:m]
+
+
+def _dct_direct(img, cells):
+    """Test-only oracle: orthonormal DCT-II coefficients of img / 255 at the given
+    (row, col) cells, each by its defining double sum."""
+    h, w = img.shape
+    rows, cols = np.array(cells).T
+    cos_h = np.cos(np.pi * np.outer(rows, 2 * np.arange(h) + 1) / (2 * h))
+    cos_w = np.cos(np.pi * np.outer(cols, 2 * np.arange(w) + 1) / (2 * w))
+    sums = np.einsum("ki,ij,kj->k", cos_h, img / 255.0, cos_w)
+    return sums * np.sqrt(np.where(rows == 0, 1, 2) / h) * np.sqrt(np.where(cols == 0, 1, 2) / w)
+
+
+@pytest.mark.parametrize("shape", [(48, 80), (1, 37), (37, 1)])
+def test_dct_encode_matches_direct_formula(shape):
+    h, w = shape
+    img = np.random.default_rng(h * w).integers(0, 256, shape, dtype=np.uint8)
+    ref = _dct_direct(img, _zigzag_walk(h, w))
+    for m in (1, h * w // 2, h * w):
+        v = codec.dct_encode(img, m)
+        assert v.shape == (m,)
+        ulp = np.spacing(np.abs(ref[:m]).astype(np.float32)).astype(np.float64)
+        assert np.all(np.abs(v - ref[:m]) <= ulp + 1e-12)

@@ -107,6 +107,15 @@ def test_permutation_is_bijection(values):
     assert sorted(p) == list(range(len(values)))
 
 
+def test_permutation_for_key_memoised_read_only():
+    key = henon.SymKey(0.2, -0.1)
+    perm = henon.permutation_for_key(key, 64)
+    assert henon.permutation_for_key(henon.SymKey(0.2, -0.1), 64) is perm
+    assert np.array_equal(perm, henon.permutation_from_sequence(henon.henon_sequence(key, 64)))
+    with pytest.raises(ValueError):
+        perm[0] = perm[1]
+
+
 def test_shuffle_examples():
     v = np.array([10.0, 20.0, 30.0])
     p = np.array([1, 2, 0])

@@ -49,6 +49,14 @@ def test_rejects_truncated_and_garbage(tmp_path):
         images.read_image(tmp_path / "missing.pgm")
 
 
+@pytest.mark.parametrize("size", [b"-5 -5", b"0 4"])
+def test_rejects_non_positive_size(tmp_path, size):
+    path = tmp_path / "s.pgm"
+    path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(32))
+    with pytest.raises(IoError):
+        images.read_image(path)
+
+
 def test_make_dataset_reproducible(tmp_path):
     a = images.make_dataset(tmp_path / "a", 10, 16, seed=1)
     b = images.make_dataset(tmp_path / "b", 10, 16, seed=1)

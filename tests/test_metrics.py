@@ -105,16 +105,21 @@ def test_windowed_equals_global_at_full_side():
 
 
 def _ssim_per_window(a, b, w, c1, c2):
-    """Test-only oracle: population moments of each w x w window via numpy."""
+    """Test-only oracle: centred population moments of each w x w window, taken
+    from numpy window views a block of window rows at a time."""
+    va = np.lib.stride_tricks.sliding_window_view(np.asarray(a, dtype=np.float64), (w, w))
+    vb = np.lib.stride_tricks.sliding_window_view(np.asarray(b, dtype=np.float64), (w, w))
     vals = []
-    for i in range(a.shape[0] - w + 1):
-        for j in range(a.shape[1] - w + 1):
-            pa, pb = a[i : i + w, j : j + w], b[i : i + w, j : j + w]
-            mu_a, mu_b = pa.mean(), pb.mean()
-            cov = ((pa - mu_a) * (pb - mu_b)).mean()
-            num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-            vals.append(num / ((mu_a**2 + mu_b**2 + c1) * (pa.var() + pb.var() + c2)))
-    return float(np.mean(vals))
+    for i in range(0, va.shape[0], 64):
+        pa, pb = va[i : i + 64], vb[i : i + 64]
+        mu_a, mu_b = pa.mean(axis=(2, 3)), pb.mean(axis=(2, 3))
+        da, db = pa - mu_a[..., None, None], pb - mu_b[..., None, None]
+        var_a = np.einsum("ijkl,ijkl->ij", da, da) / (w * w)
+        var_b = np.einsum("ijkl,ijkl->ij", db, db) / (w * w)
+        cov = np.einsum("ijkl,ijkl->ij", da, db) / (w * w)
+        num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+        vals.append((num / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))).ravel())
+    return float(np.mean(np.concatenate(vals)))
 
 
 def test_windowed_ssim_matches_per_window_oracle():
@@ -124,6 +129,15 @@ def test_windowed_ssim_matches_per_window_oracle():
     params = metrics.SsimParams(window=7)
     got = metrics.ssim(a, b, params)
     assert type(got) is float
+    assert abs(got - _ssim_per_window(a, b, 7, params.c1, params.c2)) < 1e-12
+
+
+def test_windowed_ssim_large_image_matches_per_window_oracle():
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
+    b = (rng.integers(0, 2, (1024, 1024)) * 255).astype(np.uint8)
+    params = metrics.SsimParams(window=7)
+    got = metrics.ssim(a, b, params)
     assert abs(got - _ssim_per_window(a, b, 7, params.c1, params.c2)) < 1e-12
 
 

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +27,16 @@ def test_dependencies_match_imports():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.split(r"[\s\[<>=!~;]", dep)[0] for dep in project["dependencies"]}
     assert declared == _third_party_imports()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, latentseal.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
