@@ -12,6 +12,7 @@ Both encoders round their latent values to the nearest 32-bit float so
 the pipeline's 4-byte wire serialization is an exact round trip.
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -88,12 +89,22 @@ def dct_decode_float(v: np.ndarray, width: int, height: int) -> np.ndarray:
     rows, cols = zigzag_indices(height, width, v.size)
     coeffs = np.zeros((rows.max(initial=0) + 1, cols.max(initial=0) + 1), dtype=np.float64)
     coeffs[rows, cols] = v
-    return _dct_basis(height, coeffs.shape[0]).T @ coeffs @ _dct_basis(width, coeffs.shape[1]) * 255.0
+    out = _dct_basis(height, coeffs.shape[0]).T @ coeffs @ _dct_basis(width, coeffs.shape[1])
+    out *= 255.0
+    return out
 
 
 def quantize(pixels: np.ndarray) -> np.ndarray:
-    """Round half-to-even and clamp to the 8-bit range."""
-    return np.clip(np.rint(pixels), 0, 255).astype(np.uint8)
+    """Round half-to-even and clamp to the 8-bit range.
+
+    Rounds and clamps `pixels` in place, so it must be a float array the
+    caller owns; both callers, dct_decode and neural_decode, pass a fresh
+    one.  Working in place spares the two image-sized float temporaries
+    that rint and clip would otherwise allocate on every decode.
+    """
+    np.rint(pixels, out=pixels)
+    np.clip(pixels, 0, 255, out=pixels)
+    return pixels.astype(np.uint8)
 
 
 def dct_decode(v: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -182,7 +193,8 @@ def neural_decode(model: CodecModel, v: np.ndarray, width: int, height: int) -> 
     v = np.asarray(v, dtype=np.float64)
     if v.size != model.m:
         raise ShapeMismatchError(f"latent size {v.size}, model expects {model.m}")
-    out = forward(model.decoder, v, sigmoid)[-1] * 255.0
+    out = forward(model.decoder, v, sigmoid)[-1]
+    out *= 255.0
     if out.size != width * height:
         raise ShapeMismatchError(
             f"decoder emits {out.size} pixels, header says {width * height}"
@@ -199,11 +211,15 @@ def _layers_bytes(layers: list[Layer]) -> bytes:
     return b"".join(parts)
 
 
-def _read_layers(f) -> list[Layer]:
+def _read_layers(f, size: int) -> list[Layer]:
+    """Layers from f, a file of `size` bytes; a layer header that claims more
+    bytes than are left in the file is rejected before anything is read."""
     (count,) = struct.unpack("<I", f.read(4))
     layers = []
     for _ in range(count):
         n_out, n_in = struct.unpack("<II", f.read(8))
+        if 8 * n_out * (n_in + 1) > size - f.tell():
+            raise IoError(f"layer {n_out}x{n_in} exceeds the model file's remaining bytes")
         W = np.frombuffer(f.read(8 * n_out * n_in), dtype="<f8").reshape(n_out, n_in)
         b = np.frombuffer(f.read(8 * n_out), dtype="<f8")
         layers.append(Layer(W.copy(), b.copy()))
@@ -230,8 +246,9 @@ def load_model(path) -> CodecModel:
                 return dct_model(m)
             if kind_id != KIND_NEURAL:
                 raise IoError(f"unknown codec kind {kind_id}")
-            encoder = _read_layers(f)
-            decoder = _read_layers(f)
+            size = os.fstat(f.fileno()).st_size
+            encoder = _read_layers(f, size)
+            decoder = _read_layers(f, size)
     except (OSError, struct.error) as e:
         raise IoError(f"bad model file: {path}") from e
     model = CodecModel(kind="neural", m=m, encoder=encoder, decoder=decoder)

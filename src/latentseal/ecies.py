@@ -4,11 +4,22 @@ Ciphertext is the tuple {K, C, T}: a 33-byte compressed ephemeral
 public key, a ciphertext the same length as the plaintext, and a
 16-byte authentication tag.  Key and nonce are disjoint segments of
 HKDF-SHA-256 output keyed on the shared secret concatenated with K.
+
+Two bounded caches (128 entries each) hold per-key state that a stream of
+messages to or from the same party would otherwise rebuild every time:
+the loaded recipient point in ecies_encrypt, keyed by its 33 bytes, and
+the private-key object in ecies_decrypt and EciesKeypair.private_key,
+keyed by its scalar.  The ephemeral key is different for every message
+and the ephemeral point K in a ciphertext is chosen by whoever sent it,
+so neither ever enters a cache: caching them would buy nothing, and would
+let a sender flood out the entries worth keeping.  Exceptions are not
+cached, so an invalid point is rejected on every call.
 """
 
 import hashlib
 import secrets
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -53,7 +64,7 @@ class EciesKeypair:
 
     @property
     def private_key(self) -> ec.EllipticCurvePrivateKey:
-        return ec.derive_private_key(self.private_scalar, CURVE)
+        return _private_key(self.private_scalar)
 
 
 def _compress(pub: ec.EllipticCurvePublicKey) -> bytes:
@@ -67,8 +78,20 @@ def _load_point(data: bytes) -> ec.EllipticCurvePublicKey:
         raise InvalidPointError(str(e)) from e
 
 
-def keygen(seed: bytes | None = None) -> EciesKeypair:
-    """Generate a keypair; a 32-byte seed makes it deterministic.
+@lru_cache(maxsize=128)
+def _recipient_point(pub: bytes) -> ec.EllipticCurvePublicKey:
+    """_load_point for a recipient's long-term public key, memoised."""
+    return _load_point(pub)
+
+
+@lru_cache(maxsize=128)
+def _private_key(scalar: int) -> ec.EllipticCurvePrivateKey:
+    """Key object of a recipient's long-term private scalar, memoised."""
+    return ec.derive_private_key(scalar, CURVE)
+
+
+def _new_key(seed: bytes | None) -> tuple[int, ec.EllipticCurvePrivateKey]:
+    """Scalar from a 32-byte seed (fresh entropy if None) and its key object.
 
     Seeded mode rejection-samples: out-of-range candidates are replaced
     by their SHA-256 digest until a valid scalar appears.
@@ -81,9 +104,13 @@ def keygen(seed: bytes | None = None) -> EciesKeypair:
     while True:
         scalar = int.from_bytes(candidate, "big")
         if 1 <= scalar < CURVE_ORDER:
-            break
+            return scalar, ec.derive_private_key(scalar, CURVE)
         candidate = hashlib.sha256(candidate).digest()
-    priv = ec.derive_private_key(scalar, CURVE)
+
+
+def keygen(seed: bytes | None = None) -> EciesKeypair:
+    """Generate a keypair; a 32-byte seed makes it deterministic."""
+    scalar, priv = _new_key(seed)
     return EciesKeypair(scalar, _compress(priv.public_key()))
 
 
@@ -104,19 +131,19 @@ def ecies_encrypt(
     """
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
-    recipient = _load_point(pub)
-    eph = keygen(eph_seed)
-    shared = eph.private_key.exchange(ec.ECDH(), recipient)
-    key, nonce = _derive_key_nonce(shared, eph.public_bytes)
+    recipient = _recipient_point(bytes(pub))
+    _, eph = _new_key(eph_seed)
+    eph_pub = _compress(eph.public_key())
+    shared = eph.exchange(ec.ECDH(), recipient)
+    key, nonce = _derive_key_nonce(shared, eph_pub)
     sealed = AESGCM(key).encrypt(nonce, plaintext, aad or None)
-    return EciesCiphertext(eph.public_bytes, sealed[:-TAG_LEN], sealed[-TAG_LEN:])
+    return EciesCiphertext(eph_pub, sealed[:-TAG_LEN], sealed[-TAG_LEN:])
 
 
 def ecies_decrypt(ct: EciesCiphertext, private_scalar: int, aad: bytes = b"") -> bytes:
     """Open {K, C, T}; raises AuthFailureError on any tag mismatch."""
-    eph_pub = _load_point(ct.K)
-    priv = ec.derive_private_key(private_scalar, CURVE)
-    shared = priv.exchange(ec.ECDH(), eph_pub)
+    eph_pub = _load_point(ct.K)  # chosen by the sender: never cached
+    shared = _private_key(private_scalar).exchange(ec.ECDH(), eph_pub)
     key, nonce = _derive_key_nonce(shared, ct.K)
     try:
         return AESGCM(key).decrypt(nonce, ct.C + ct.T, aad or None)

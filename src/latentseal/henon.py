@@ -24,6 +24,7 @@ CLASSICAL_A = 1.4
 CLASSICAL_B = 0.3
 GUARD = 100.0
 DEFAULT_BURN_IN = 1000
+MAX_BURN_IN = 100_000  # bounds the orbit steps a key file makes every load run
 
 
 class HenonState(NamedTuple):
@@ -55,12 +56,23 @@ class SymKey:
             raise ValueError("key point must be finite")
         if abs(self.x0) > GUARD or abs(self.y0) > GUARD:
             raise ValueError("key point outside guarded region")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be non-negative")
+        if not 0 <= self.burn_in <= MAX_BURN_IN:
+            raise ValueError(f"burn_in must be in [0, {MAX_BURN_IN}]")
 
     def validate(self, m: int = 100) -> None:
-        """Check the orbit survives burn_in + m steps without diverging."""
-        henon_sequence(self, m)
+        """Check the orbit survives burn_in + m steps without diverging and
+        that the key is not weak: its first m orbit values must be distinct
+        and, for m >= 2, must not sort into the identity permutation, which
+        would leave every shuffled latent in place.  Raises ValueError for a
+        weak key.
+        """
+        seq = henon_sequence(self, m)
+        # not np.unique: its first call imports numpy.ma, a cost every cold CLI run would pay
+        ordered = np.sort(seq)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError(f"weak key: the first {m} orbit values repeat")
+        if m >= 2 and np.array_equal(ordered, seq):
+            raise ValueError(f"weak key: the length-{m} permutation is the identity")
 
 
 def henon_step(state: HenonState, params: HenonParams) -> HenonState:
@@ -162,15 +174,15 @@ def load_sym_key(path) -> SymKey:
             (float(t) for t in lines[1].split()) if len(lines) > 1 else (CLASSICAL_A, CLASSICAL_B)
         )
         burn_in = int(lines[2]) if len(lines) > 2 else DEFAULT_BURN_IN
-    except (ValueError, IndexError) as e:
-        raise IoError(f"malformed sym key file: {path}") from e
-    key = SymKey(x0, y0, HenonParams(a, b), burn_in)
-    key.validate()
+        key = SymKey(x0, y0, HenonParams(a, b), burn_in)
+        key.validate()
+    except ValueError as e:
+        raise IoError(f"malformed sym key file: {path}: {e}") from e
     return key
 
 
 def random_sym_key(rng: np.random.Generator) -> SymKey:
-    """Sample a key from the attractor basin, rejecting divergent orbits."""
+    """Sample a key from the attractor basin, rejecting divergent orbits and weak keys."""
     while True:
         key = SymKey(
             float(rng.uniform(-0.5, 0.5)),
@@ -179,5 +191,5 @@ def random_sym_key(rng: np.random.Generator) -> SymKey:
         try:
             key.validate()
             return key
-        except DivergenceError:
+        except (DivergenceError, ValueError):
             continue

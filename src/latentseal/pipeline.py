@@ -21,6 +21,7 @@ from .metrics import QualityReport, SsimParams, mse, psnr, ssim, timed
 PAYLOAD_MAGIC = b"LSP1"
 PAYLOAD_VERSION = 1
 HEADER_LEN = 12  # magic(4) version(1) codec_id(1) m(2) width(2) height(2)
+MAX_PIXELS = 1 << 24  # largest width * height a payload may declare; bounds the decoder's allocation
 _HEADER_FIELDS = "<BBHHH"
 
 
@@ -61,6 +62,8 @@ class EncryptedPayload:
             )
         if m < 1 or width < 1 or height < 1:
             raise BadHeaderError("degenerate payload dimensions")
+        if width * height > MAX_PIXELS:
+            raise BadHeaderError(f"payload declares {width}x{height}, over {MAX_PIXELS} pixels")
         return cls(version, codec_id, m, width, height, EciesCiphertext.parse(body))
 
 
@@ -106,6 +109,10 @@ def decrypt_reconstruct(
     if payload.codec_id != codec.codec_id:
         raise ShapeMismatchError(
             f"payload codec id {payload.codec_id} != model {codec.codec_id}"
+        )
+    if codec.kind == "neural" and payload.width * payload.height != codec.input_size:
+        raise ShapeMismatchError(
+            f"payload declares {payload.width}x{payload.height}, model decodes {codec.input_size} pixels"
         )
 
     def run() -> np.ndarray:

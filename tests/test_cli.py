@@ -216,6 +216,20 @@ def test_henon_plot_zero_points(tmp_path, keys):
     assert out.read_text() == "x,y\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["nan 0.1\n", "0.1 0.1\n1.4 0.3\n-1\n", "0.1 0.1\n1.4 0.3\n3000000\n", "0.1 0.1\n0.0 0.0\n1000\n"],
+    ids=["nan-point", "negative-burn-in", "burn-in-over-cap", "weak-key"],
+)
+def test_henon_plot_bad_sym_key_exit_code(tmp_path, text, capsys):
+    sym = tmp_path / "bad.sym"
+    sym.write_text(text)
+    out = tmp_path / "traj.csv"
+    assert run(["henon-plot", "--sym", str(sym), "--n", "10", "--out", str(out)]) == EXIT_IO
+    assert "bad.sym" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_and_use_neural_model(tmp_path, keys):
     data_dir = tmp_path / "data"
     run(["make-dataset", str(data_dir), "--count", "6", "--size", "8", "--seed", "3"])

@@ -155,3 +155,34 @@ def test_dct_encode_matches_direct_formula(shape):
         assert v.shape == (m,)
         ulp = np.spacing(np.abs(ref[:m]).astype(np.float32)).astype(np.float64)
         assert np.all(np.abs(v - ref[:m]) <= ulp + 1e-12)
+
+
+EDGE_PIXELS = [-300.0, -3.5, -1.5, -0.5, -0.0, 0.5, 1.5, 2.5, 127.5, 253.5, 254.5, 255.5, 256.5, 300.25, 1e9]
+
+
+def _copying_quantize(pixels):
+    """Quantisation as it was written before it worked in place."""
+    return np.clip(np.rint(pixels), 0, 255).astype(np.uint8)
+
+
+def test_quantize_matches_copying_oracle():
+    p = np.concatenate([EDGE_PIXELS, np.random.default_rng(8).uniform(-50, 300, 500)])
+    assert np.array_equal(codec.quantize(p.copy()), _copying_quantize(p))
+
+
+def test_dct_decode_matches_copying_quantize():
+    # on a 1x1 image the decoder emits v * 255 exactly, so every edge case is hit as written
+    for t in EDGE_PIXELS:
+        v = np.array([t / 255.0])
+        assert codec.dct_decode_float(v, 1, 1)[0, 0] == t
+        assert np.array_equal(codec.dct_decode(v, 1, 1), _copying_quantize(np.array([[t]])))
+    v = np.random.default_rng(9).normal(0.0, 3.0, 256)  # pixels well outside [0, 255]
+    assert np.array_equal(codec.dct_decode(v, 16, 16), _copying_quantize(codec.dct_decode_float(v, 16, 16)))
+
+
+def test_decode_leaves_latent_unmodified():
+    model = codec.dct_model(100)
+    v = model.encode(smooth_gradient(64))
+    kept = v.copy()
+    model.decode(v, 64, 64)
+    assert np.array_equal(v, kept)

@@ -129,3 +129,44 @@ def test_key_file_rejects_garbage(tmp_path):
         ecies.load_private_key(bad)
     with pytest.raises(IoError):
         ecies.load_public_key(bad)
+
+
+def test_wrong_key_still_fails_after_right_key_opened(keypair):
+    ct = ecies.ecies_encrypt(b"cached", keypair.public_bytes)
+    assert ecies.ecies_decrypt(ct, keypair.private_scalar) == b"cached"
+    other = ecies.keygen(bytes([8]) * 32)
+    with pytest.raises(AuthFailureError):
+        ecies.ecies_decrypt(ct, other.private_scalar)
+    assert ecies.ecies_decrypt(ct, keypair.private_scalar) == b"cached"
+
+
+def test_two_recipients_open_only_their_own():
+    alice, bob = ecies.keygen(bytes([1]) * 32), ecies.keygen(bytes([2]) * 32)
+    for _ in range(2):
+        to_alice = ecies.ecies_encrypt(b"for alice", alice.public_bytes)
+        to_bob = ecies.ecies_encrypt(b"for bob", bob.public_bytes)
+        assert ecies.ecies_decrypt(to_alice, alice.private_scalar) == b"for alice"
+        assert ecies.ecies_decrypt(to_bob, bob.private_scalar) == b"for bob"
+        with pytest.raises(AuthFailureError):
+            ecies.ecies_decrypt(to_alice, bob.private_scalar)
+        with pytest.raises(AuthFailureError):
+            ecies.ecies_decrypt(to_bob, alice.private_scalar)
+
+
+def test_invalid_recipient_point_rejected_every_call():
+    for _ in range(3):
+        with pytest.raises(InvalidPointError):
+            ecies.ecies_encrypt(b"x", b"\x02" + b"\xff" * 32)
+
+
+def test_per_key_caches_bounded_and_hold_no_ephemeral_state(keypair):
+    assert ecies._recipient_point.cache_info().maxsize == 128
+    assert ecies._private_key.cache_info().maxsize == 128
+    ecies._recipient_point.cache_clear()
+    ecies._private_key.cache_clear()
+    for i in range(5):
+        ct = ecies.ecies_encrypt(b"msg", keypair.public_bytes, eph_seed=bytes([i + 1]) * 32)
+        assert ecies.ecies_decrypt(ct, keypair.private_scalar) == b"msg"
+    # one long-term point and one long-term key; no ephemeral scalar or point K
+    assert ecies._recipient_point.cache_info().currsize == 1
+    assert ecies._private_key.cache_info().currsize == 1

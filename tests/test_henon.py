@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentseal import henon
-from latentseal.errors import DivergenceError, LengthMismatchError
+from latentseal.errors import DivergenceError, IoError, LengthMismatchError
 
 CLASSICAL = henon.HenonParams()
 
@@ -186,3 +186,24 @@ def test_random_sym_key_always_valid():
     rng = np.random.default_rng(5)
     for _ in range(20):
         henon.random_sym_key(rng).validate()
+
+
+def test_weak_keys_rejected(tmp_path):
+    # a fixed point: every orbit value is 1.0, and the stable argsort is the identity
+    flat = henon.SymKey(0.1, 0.1, henon.HenonParams(0.0, 0.0))
+    with pytest.raises(ValueError, match="repeat"):
+        flat.validate()
+    # distinct values, but strictly increasing: the shuffle moves nothing
+    rising = henon.SymKey(0.1, 0.0, henon.HenonParams(0.0, 1.0), burn_in=0)
+    with pytest.raises(ValueError, match="identity"):
+        rising.validate(20)
+    path = tmp_path / "weak.sym"
+    henon.save_sym_key(flat, path)
+    with pytest.raises(IoError):
+        henon.load_sym_key(path)
+
+
+def test_burn_in_capped():
+    henon.SymKey(0.1, 0.1, burn_in=henon.MAX_BURN_IN)
+    with pytest.raises(ValueError):
+        henon.SymKey(0.1, 0.1, burn_in=henon.MAX_BURN_IN + 1)

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from latentseal import codec, train
 from latentseal.codec import CodecModel, Layer
-from latentseal.errors import EmptyBatchError, NonFiniteLossError, ShapeMismatchError
+from latentseal.errors import EmptyBatchError, IoError, NonFiniteLossError, ShapeMismatchError
 
 
 def zero_model(n=16, m=4, hidden=8):
@@ -155,3 +157,27 @@ def test_neural_model_file_round_trip(tmp_path):
     assert np.array_equal(codec.neural_encode(loaded, img), codec.neural_encode(model, img))
     v = codec.neural_encode(model, img)
     assert np.array_equal(codec.neural_decode(loaded, v, 8, 8), codec.neural_decode(model, v, 8, 8))
+
+
+def test_neural_decode_matches_copying_quantize():
+    # zero weights make every pixel sigmoid(bias) * 255: 127.5 (a tie), 255, 0 and near-ties
+    model = zero_model()
+    model.decoder[-1].b[:] = [0.0, 40.0, -40.0, -800.0, 800.0, 1.0, -1.0, -5.0, 5.0, -6.3, 6.3, 0.01, 0, 0, 0, 0]
+    v = np.random.default_rng(4).standard_normal(4)
+    kept = v.copy()
+    pixels = codec.forward(model.decoder, v, codec.sigmoid)[-1] * 255.0
+    expected = np.clip(np.rint(pixels), 0, 255).astype(np.uint8).reshape(4, 4)
+    assert np.array_equal(codec.neural_decode(model, v, 4, 4), expected)
+    assert np.array_equal(v, kept)
+
+
+@pytest.mark.parametrize("n_out,n_in", [(0xFFFFFFFF, 0xFFFFFFFF), (1000, 1000), (1, 3)])
+def test_load_model_rejects_layer_larger_than_file(tmp_path, n_out, n_in):
+    # the header promises 8 * n_out * (n_in + 1) bytes; the file holds 16
+    path = tmp_path / "forged.lscm"
+    path.write_bytes(
+        codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, codec.KIND_NEURAL, 4)
+        + struct.pack("<I", 1) + struct.pack("<II", n_out, n_in) + bytes(16)
+    )
+    with pytest.raises(IoError):
+        codec.load_model(path)

@@ -29,14 +29,32 @@ def test_dependencies_match_imports():
     assert declared == _third_party_imports()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports latentseal from src."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, latentseal.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _fresh_python("import sys, latentseal.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_key_checks_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma is imported lazily, on first use, at a cost every cold CLI run would pay
+    prefix = str(tmp_path / "k")
+    code = (
+        "import sys\n"
+        "from latentseal import cli, henon\n"
+        f"assert cli.main(['keygen', {prefix!r}, '--seed', '1']) == 0\n"
+        f"henon.load_sym_key({prefix!r} + '.sym')\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert _fresh_python(code).endswith("False")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -138,3 +139,31 @@ def test_evaluate_lossy_psnr_matches_direct(keypair, sym_key):
     report = pipeline.evaluate(img, model, sym_key, keypair.public_bytes, keypair.private_scalar)
     direct = model.decode(model.encode(img), 64, 64)
     assert report.mse == pytest.approx(float(np.mean((direct.astype(float) - img) ** 2)))
+
+
+def _forged_blob(width, height, m=4):
+    header = pipeline._pack_header(pipeline.PAYLOAD_VERSION, 0, m, width, height)
+    return header + bytes(4 * m + ecies.OVERHEAD)
+
+
+def test_parse_rejects_declared_size_over_cap():
+    # parse only: decoding a 65535 x 65535 header would allocate about 32 GiB
+    with pytest.raises(BadHeaderError):
+        pipeline.EncryptedPayload.parse(_forged_blob(65535, 65535))
+    with pytest.raises(BadHeaderError):
+        pipeline.EncryptedPayload.parse(_forged_blob(4097, 4096))
+    assert pipeline.EncryptedPayload.parse(_forged_blob(4096, 4096)).width == 4096
+
+
+def test_neural_payload_size_checked_before_open(keypair, sym_key):
+    img = np.random.default_rng(2).integers(0, 256, (4, 4), dtype=np.uint8)
+    enc = [codec.Layer(np.zeros((4, 16)), np.zeros(4))]
+    dec = [codec.Layer(np.zeros((16, 4)), np.zeros(16))]
+    model = codec.CodecModel(kind="neural", m=4, encoder=enc, decoder=dec)
+    payload, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes)
+    forged = dataclasses.replace(payload, width=8, height=8)
+    # a size mismatch, not the authentication failure the open would raise
+    with pytest.raises(ShapeMismatchError):
+        pipeline.decrypt_reconstruct(forged, model, sym_key, keypair.private_scalar)
+    out, _ = pipeline.decrypt_reconstruct(payload, model, sym_key, keypair.private_scalar)
+    assert out.shape == (4, 4)
