@@ -7,6 +7,7 @@ renamed on success, so no error path leaves a partial file behind.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -167,7 +168,13 @@ def cmd_make_dataset(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves it unchanged, and the subcommands look up the library
+    functions they call at call time, so one parser serves every call.
+    """
     parser = argparse.ArgumentParser(prog="latentseal")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -53,13 +53,26 @@ def zigzag_indices(height: int, width: int, m: int | None = None) -> tuple[np.nd
     return rows, cols
 
 
-@lru_cache(maxsize=64)
+BASIS_CACHE_BYTES = 1 << 20  # larger bases are rebuilt on every call
+
+
 def _dct_basis(n: int, k: int) -> np.ndarray:
-    """First k rows of the n x n orthonormal DCT-II matrix."""
+    """First k rows of the n x n orthonormal DCT-II matrix, read-only.
+
+    Bases of up to BASIS_CACHE_BYTES are cached, so the 64-entry cache
+    holds at most 64 MiB; a payload's dimensions cannot make it pin more.
+    """
+    return (_cached_basis if 8 * n * k <= BASIS_CACHE_BYTES else _basis)(n, k)
+
+
+def _basis(n: int, k: int) -> np.ndarray:
     basis = np.cos(np.pi * np.outer(np.arange(k), 2 * np.arange(n) + 1) / (2 * n)) * np.sqrt(2.0 / n)
     basis[0] = np.sqrt(1.0 / n)
     basis.setflags(write=False)
     return basis
+
+
+_cached_basis = lru_cache(maxsize=64)(_basis)
 
 
 def dct2(img: np.ndarray) -> np.ndarray:

@@ -8,12 +8,12 @@ HKDF-SHA-256 output keyed on the shared secret concatenated with K.
 Two bounded caches (128 entries each) hold per-key state that a stream of
 messages to or from the same party would otherwise rebuild every time:
 the loaded recipient point in ecies_encrypt, keyed by its 33 bytes, and
-the private-key object in ecies_decrypt and EciesKeypair.private_key,
-keyed by its scalar.  The ephemeral key is different for every message
-and the ephemeral point K in a ciphertext is chosen by whoever sent it,
-so neither ever enters a cache: caching them would buy nothing, and would
-let a sender flood out the entries worth keeping.  Exceptions are not
-cached, so an invalid point is rejected on every call.
+the private-key object in ecies_decrypt, keyed by its scalar.  The
+ephemeral key is different for every message and the ephemeral point K
+in a ciphertext is chosen by whoever sent it, so neither ever enters a
+cache: caching them would buy nothing, and would let a sender flood out
+the entries worth keeping.  Exceptions are not cached, so an invalid
+point is rejected on every call.
 """
 
 import hashlib
@@ -61,10 +61,6 @@ class EciesCiphertext:
 class EciesKeypair:
     private_scalar: int
     public_bytes: bytes  # 33-byte compressed point
-
-    @property
-    def private_key(self) -> ec.EllipticCurvePrivateKey:
-        return _private_key(self.private_scalar)
 
 
 def _compress(pub: ec.EllipticCurvePublicKey) -> bytes:

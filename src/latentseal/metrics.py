@@ -3,6 +3,20 @@
 SSIM defaults to the single global evaluation of the similarity
 formula over whole-image moments (population normalization); a
 uniform sliding-window mode is also available.
+
+Exactness: for 8-bit (uint8) inputs every metric starts from integer
+sums that are exact.  MSE is the exact sum of squared differences over
+the pixel count, correctly rounded, and PSNR follows from it.  Windowed
+SSIM takes each window's sums of a, b, a², b² and ab in int32 (int64 for
+windows over 181) and applies the per-window formula to them, so every
+window's value equals that of a direct loop over the window.  Global SSIM
+takes its variances and covariance from the exact integer moments, each
+rounded once.  Other inputs are converted to float64 and follow the same
+formulas.
+
+Window sums cost O(log w) array additions per axis: runs of 1, 2, 4, ...
+consecutive entries are built by adding shifted copies, and the runs
+named by the bits of w are added end to end.
 """
 
 import math
@@ -33,17 +47,29 @@ class SsimParams:
         return (self.k2 * self.L) ** 2
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray):
+def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Both images as arrays, and whether both are 8-bit (exact integer path).
+
+    Anything else, and empty images (whose metrics are nan), is converted
+    to float64.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimMismatchError(f"image shapes differ: {a.shape} vs {b.shape}")
-    return a.astype(np.float64), b.astype(np.float64)
+    exact = a.dtype == b.dtype == np.uint8 and a.size > 0
+    if not exact:
+        a, b = a.astype(np.float64), b.astype(np.float64)
+    return a, b, exact
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
-    a, b = _check_pair(a, b)
-    return float(np.mean((a - b) ** 2))
+    a, b, exact = _check_pair(a, b)
+    if not exact:
+        return float(np.mean((a - b) ** 2))
+    d = np.subtract(a, b, dtype=np.int32)
+    d *= d
+    return float(d.sum() / d.size)  # int64 sum of squares, one rounding
 
 
 def psnr(a: np.ndarray, b: np.ndarray, bits: int = 8) -> float:
@@ -55,49 +81,123 @@ def psnr(a: np.ndarray, b: np.ndarray, bits: int = 8) -> float:
 
 
 def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> float:
-    a, b = _check_pair(a, b)
+    a, b, exact = _check_pair(a, b)
     if params.window is None:
-        return _ssim_global(a, b, params.c1, params.c2)
+        return _ssim_global(a, b, exact, params.c1, params.c2)
     w = params.window
     if w < 1 or w > min(a.shape):
         raise WindowTooLargeError(f"window {w} exceeds image {a.shape}")
-    return _ssim_windows(a, b, w, params.c1, params.c2)
+    return _ssim_windows(a, b, exact, w, params.c1, params.c2)
 
 
-def _ssim_global(a: np.ndarray, b: np.ndarray, c1: float, c2: float) -> float:
-    mu_a = a.mean()
-    mu_b = b.mean()
-    var_a = a.var()  # population (1/N) normalization
-    var_b = b.var()
-    cov = ((a - mu_a) * (b - mu_b)).mean()
+def _ssim_global(a, b, exact, c1, c2) -> float:
+    if exact:
+        # Every partial sum is an integer below 2**53, so the float64 sums
+        # and dot products are exact; the centred moments are then exact
+        # integers over n**2, each rounded once by Python's int division.
+        f = np.empty((2,) + a.shape)
+        f[0], f[1] = a, b
+        fa, fb = f.reshape(2, -1)
+        n = fa.size
+        sa, sb, saa, sbb, sab = (int(v) for v in (fa.sum(), fb.sum(), fa @ fa, fb @ fb, fa @ fb))
+        mu_a, mu_b = sa / n, sb / n
+        var_a = (n * saa - sa * sa) / (n * n)
+        var_b = (n * sbb - sb * sb) / (n * n)
+        cov = (n * sab - sa * sb) / (n * n)
+    else:
+        mu_a = a.mean()
+        mu_b = b.mean()
+        var_a = a.var()  # population (1/N) normalization
+        var_b = b.var()
+        cov = ((a - mu_a) * (b - mu_b)).mean()
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(num / den)
 
 
-def _window_sums(x: np.ndarray, w: int) -> np.ndarray:
-    """Sum of every w x w window of x, from a zero-padded summed-area table."""
-    sat = np.zeros((x.shape[0] + 1, x.shape[1] + 1))
-    sat[1:, 1:] = x.cumsum(0).cumsum(1)
-    return sat[w:, w:] - sat[:-w, w:] - sat[w:, :-w] + sat[:-w, :-w]
+def _window_sums(x: np.ndarray, spare: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
+    """Sum of every w consecutive entries along axis 1 of a 3-D x, into out.
+
+    Binary doubling: runs of 1, 2, 4, ... entries are each the sum of two
+    shifted copies of the one before, and the runs named by the bits of w
+    are added end to end, so it costs O(log w) array additions.  The runs
+    alternate between x and spare, which must not overlap; both are
+    overwritten.
+    """
+    n = out.shape[1]
+    run, span, off = x, 1, 0
+    while True:
+        if w & span:
+            part = run[:, off : off + n]
+            if off:
+                out += part
+            else:
+                out[...] = part
+            off += span
+        if 2 * span > w:
+            return out
+        m = run.shape[1] - span
+        run, spare = np.add(run[:, :m], run[:, span:], out=spare[:, :m]), run
+        span *= 2
 
 
-def _ssim_windows(a, b, w, c1, c2):
+def _ssim_windows(a, b, exact, w, c1, c2) -> float:
     """Mean of per-window structural similarity over all w*w windows.
 
-    Inputs are not centred: for 8-bit images every table entry is an
-    integer below 2**53, so each window's sums are exact and its value
-    equals that of a direct loop over the window.
+    One stack holds the planes a, b, a*a, b*b and a*b.  It is summed over
+    w rows, then over w columns with the row sums read as one long row: a
+    sum that runs past the end of a row lands in an entry that is dropped,
+    and a zero tail keeps the last ones inside the array.  The formula
+    follows a direct loop's order of floating-point operations.  Every
+    buffer is a view of one allocation, which the allocator reuses from
+    call to call; a dozen separate temporaries of this size are handed
+    back to the operating system after each call and faulted in again on
+    the next, which costs more than the arithmetic.
     """
-    inv = 1.0 / (w * w)
-    mu_a = _window_sums(a, w) * inv
-    mu_b = _window_sums(b, w) * inv
-    var_a = _window_sums(a * a, w) * inv - mu_a * mu_a
-    var_b = _window_sums(b * b, w) * inv - mu_b * mu_b
-    cov = _window_sums(a * b, w) * inv - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    h, wd = a.shape
+    hh, ww = h - w + 1, wd - w + 1
+    big, small = 5 * h * wd, 5 * hh * wd  # entries in the pixel stack, in the row sums
+    acc = np.float64 if not exact else np.int32 if (255 * w) ** 2 < 2**31 else np.int64
+    arena = np.empty(64 * hh * ww + (2 * big + small + w - 1) * np.dtype(acc).itemsize, np.uint8)
+    floats = arena[: 64 * hh * ww].view(np.float64).reshape(8, hh, ww)
+    ints = arena[64 * hh * ww :].view(acc)
+    x, spare, rows = ints[:big], ints[big : 2 * big], ints[2 * big :]
+
+    stack = x.reshape(5, h, wd)
+    stack[0], stack[1] = a, b
+    np.multiply(stack[0], stack[0], out=stack[2])
+    np.multiply(stack[1], stack[1], out=stack[3])
+    np.multiply(stack[0], stack[1], out=stack[4])
+    rows[small:] = 0
+    _window_sums(stack, spare.reshape(5, h, wd), w, rows[:small].reshape(5, hh, wd))
+    flat = (1, -1, 1)
+    sums = _window_sums(rows.reshape(flat), x[: rows.size].reshape(flat), w, spare[:small].reshape(flat))
+
+    moments = floats[:5]
+    np.multiply(sums.reshape(5, hh, wd)[:, :, :ww], 1.0 / (w * w), out=moments)
+    mu_a, mu_b, var_a, var_b, cov = moments  # var_a, var_b, cov hold E[a*a], E[b*b], E[a*b]
+    aa, bb, ab = floats[5:]
+    np.multiply(mu_a, mu_a, out=aa)
+    np.multiply(mu_b, mu_b, out=bb)
+    np.multiply(mu_a, mu_b, out=ab)
+    var_a -= aa
+    var_b -= bb
+    cov -= ab
+    num = mu_a  # (2 mu_a mu_b + c1) (2 cov + c2), overwriting mu_a
+    num *= 2.0
+    num *= mu_b
+    num += c1
+    cov *= 2.0
+    cov += c2
+    num *= cov
+    den = aa  # (mu_a^2 + mu_b^2 + c1) (var_a + var_b + c2)
+    den += bb
+    den += c1
+    var_a += var_b
+    var_a += c2
+    den *= var_a
+    num /= den
+    return float(np.mean(num))
 
 
 def timed(f: Callable[[], T]) -> tuple[T, float]:

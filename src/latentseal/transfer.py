@@ -38,10 +38,19 @@ def send_bytes(data: bytes, host: str, port: int, throttle: float | None = None)
                 time.sleep(due - elapsed)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int, deadline: float | None) -> bytes:
+    """Read exactly n bytes, all before the time.monotonic() deadline (None: no limit)."""
     buf = bytearray()
     while len(buf) < n:
-        chunk = sock.recv(min(CHUNK, n - len(buf)))
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise IoError(f"timed out after {len(buf)}/{n} bytes")
+            sock.settimeout(left)
+        try:
+            chunk = sock.recv(min(CHUNK, n - len(buf)))
+        except TimeoutError as e:
+            raise IoError(f"timed out after {len(buf)}/{n} bytes") from e
         if not chunk:
             raise IoError(f"connection closed after {len(buf)}/{n} bytes")
         buf.extend(chunk)
@@ -49,19 +58,26 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def recv_bytes(port: int, host: str = "", timeout: float | None = 30.0) -> bytes:
-    """Accept one connection, read one frame, validate the payload magic."""
+    """Accept one connection, read one frame, validate the payload magic.
+
+    timeout bounds the wait for a connection, and then the whole frame:
+    a sender that trickles bytes cannot hold the receiver longer.
+    """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         srv.bind((host, port))
         srv.listen(1)
         srv.settimeout(timeout)
-        conn, _ = srv.accept()
+        try:
+            conn, _ = srv.accept()
+        except TimeoutError as e:
+            raise IoError(f"no sender within {timeout} s") from e
         with conn:
-            conn.settimeout(timeout)
-            (length,) = struct.unpack(">I", _recv_exact(conn, 4))
+            deadline = None if timeout is None else time.monotonic() + timeout
+            (length,) = struct.unpack(">I", _recv_exact(conn, 4, deadline))
             if length > FRAME_CAP:
                 raise FrameTooLargeError(f"announced frame of {length} bytes")
-            data = _recv_exact(conn, length)
+            data = _recv_exact(conn, length, deadline)
     if data[:4] != PAYLOAD_MAGIC:
         raise BadHeaderError("received frame lacks payload magic")
     return data

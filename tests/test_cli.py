@@ -290,3 +290,22 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["encrypt"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_parser_built_once_and_calls_repeat(tmp_path, keys, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    sym = str(keys) + ".sym"
+    seen = []
+    for _ in range(2):
+        out = tmp_path / "traj.csv"
+        ok = run(["henon-plot", "--sym", sym, "--n", "50", "--out", str(out)])
+        failed = run(["henon-plot", "--sym", str(tmp_path / "missing.sym"), "--out", str(out)])
+        captured = capsys.readouterr()
+        seen.append((ok, failed, captured.out, captured.err, out.read_bytes()))
+        for argv in (["encrypt"], ["no-such-command"], []):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+    assert seen[0] == seen[1]
+    assert seen[0][:2] == (EXIT_OK, EXIT_IO)

@@ -186,3 +186,21 @@ def test_decode_leaves_latent_unmodified():
     kept = v.copy()
     model.decode(v, 64, 64)
     assert np.array_equal(v, kept)
+
+
+def test_basis_cache_bounded_by_bytes():
+    codec._cached_basis.cache_clear()
+    full = codec._dct_basis(256, 256)  # dct2's basis at 256x256: 512 KiB, cached
+    assert codec._dct_basis(256, 256) is full
+    assert 8 * 4096 * 32 == codec.BASIS_CACHE_BYTES
+    assert codec._dct_basis(4096, 32) is codec._dct_basis(4096, 32)
+    assert codec._cached_basis.cache_info().currsize == 2
+    big = codec._dct_basis(4096, 33)  # one row over the limit: rebuilt, never cached
+    assert codec._dct_basis(4096, 33) is not big
+    assert np.array_equal(codec._dct_basis(4096, 33), big)
+    assert not big.flags.writeable
+    assert np.array_equal(big[:32], codec._dct_basis(4096, 32))
+    # a 4096 x 1 decode at m = 33 needs that basis and caches only its 1 x 1 partner
+    out = codec.dct_decode_float(np.ones(33), 1, 4096)
+    assert out.shape == (4096, 1)
+    assert codec._cached_basis.cache_info().currsize == 3

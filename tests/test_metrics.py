@@ -141,6 +141,110 @@ def test_windowed_ssim_large_image_matches_per_window_oracle():
     assert abs(got - _ssim_per_window(a, b, 7, params.c1, params.c2)) < 1e-12
 
 
+def _ssim_summed_area(a, b, w, c1, c2):
+    """Test-only oracle: windowed SSIM from zero-padded float64 summed-area
+    tables, the previous implementation.  For 8-bit images every table entry
+    is an exact integer, so its window sums, and its values, are exact."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+
+    def window_sums(x):
+        sat = np.zeros((x.shape[0] + 1, x.shape[1] + 1))
+        sat[1:, 1:] = x.cumsum(0).cumsum(1)
+        return sat[w:, w:] - sat[:-w, w:] - sat[w:, :-w] + sat[:-w, :-w]
+
+    inv = 1.0 / (w * w)
+    mu_a = window_sums(a) * inv
+    mu_b = window_sums(b) * inv
+    var_a = window_sums(a * a) * inv - mu_a * mu_a
+    var_b = window_sums(b * b) * inv - mu_b * mu_b
+    cov = window_sums(a * b) * inv - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
+
+
+def _assert_windowed_bitwise(a, b, w):
+    params = metrics.SsimParams(window=w)
+    got = metrics.ssim(a, b, params)
+    want = _ssim_summed_area(a, b, w, params.c1, params.c2)
+    assert got.hex() == want.hex(), (a.shape, w, got, want)
+
+
+def test_windowed_ssim_bitwise_equals_summed_area_oracle_every_window():
+    rng = np.random.default_rng(5)
+    for _ in range(16):
+        h, w = (int(v) for v in rng.integers(1, 24, 2))
+        a = rng.integers(0, 256, (h, w), dtype=np.uint8)
+        noise = rng.integers(-12, 13, (h, w))
+        for b in (rng.integers(0, 256, (h, w), dtype=np.uint8), np.clip(a + noise, 0, 255).astype(np.uint8)):
+            for window in range(1, min(h, w) + 1):
+                _assert_windowed_bitwise(a, b, window)
+
+
+def test_windowed_ssim_bitwise_at_the_int32_boundary():
+    # 255**2 * w**2 fits in int32 up to w = 181; from w = 182 on, the
+    # all-255 image's sum of squares does not, so the sums must widen.
+    a = np.full((200, 200), 255, dtype=np.uint8)
+    b = a.copy()
+    b[::3, ::2] = 7
+    assert 255**2 * 181**2 < 2**31 <= 255**2 * 182**2
+    for window in (181, 182, 200):
+        _assert_windowed_bitwise(a, b, window)
+        _assert_windowed_bitwise(a, a, window)
+
+
+def test_windowed_ssim_bitwise_on_larger_images():
+    rng = np.random.default_rng(6)
+    a = rng.integers(0, 256, (128, 96), dtype=np.uint8)
+    b = np.clip(a + rng.integers(-30, 31, a.shape), 0, 255).astype(np.uint8)
+    for window in (7, 11, 16, 31, 64, 96):
+        _assert_windowed_bitwise(a, b, window)
+
+
+def test_mse_and_psnr_exact_for_8bit():
+    rng = np.random.default_rng(7)
+    for shape in ((1, 1), (3, 17), (64, 64)):
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        b = rng.integers(0, 256, shape, dtype=np.uint8)
+        sse = sum((int(x) - int(y)) ** 2 for x, y in zip(a.ravel(), b.ravel()))
+        assert metrics.mse(a, b) == sse / a.size
+        assert metrics.psnr(a, b) == 10.0 * math.log10(255.0**2 / (sse / a.size))
+        assert metrics.psnr(a, a.copy()) == math.inf
+    # a sum of squares above 2**31 is still exact
+    black = np.zeros((256, 256), dtype=np.uint8)
+    white = np.full((256, 256), 255, dtype=np.uint8)
+    assert metrics.mse(black, white) == 65025.0
+    assert metrics.psnr(black, white) == 0.0
+
+
+def test_global_ssim_matches_centred_float_oracle():
+    rng = np.random.default_rng(8)
+    c1, c2 = metrics.SsimParams().c1, metrics.SsimParams().c2
+    for shape in ((1, 1), (5, 9), (256, 256)):
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        b = np.clip(a + rng.integers(-40, 41, shape), 0, 255).astype(np.uint8)
+        af, bf = a.astype(np.float64), b.astype(np.float64)
+        mu_a, mu_b = af.mean(), bf.mean()
+        cov = ((af - mu_a) * (bf - mu_b)).mean()
+        want = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+            (mu_a**2 + mu_b**2 + c1) * (af.var() + bf.var() + c2)
+        )
+        assert abs(metrics.ssim(a, b) - want) < 1e-12
+
+
+def test_non_8bit_inputs_match_8bit_results():
+    rng = np.random.default_rng(9)
+    a = rng.integers(0, 256, (20, 30), dtype=np.uint8)
+    b = rng.integers(0, 256, (20, 30), dtype=np.uint8)
+    for x, y in ((a.astype(np.float64), b), (a.astype(np.int64), b.astype(np.int64)), (a / 1.0, b / 1.0)):
+        assert abs(metrics.mse(x, y) - metrics.mse(a, b)) < 1e-9
+        assert abs(metrics.ssim(x, y) - metrics.ssim(a, b)) < 1e-12
+        for window in (1, 7, 20):
+            params = metrics.SsimParams(window=window)
+            assert abs(metrics.ssim(x, y, params) - metrics.ssim(a, b, params)) < 1e-12
+
+
 def test_window_too_large():
     a = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(WindowTooLargeError):

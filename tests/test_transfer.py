@@ -117,3 +117,43 @@ def test_disconnect_mid_frame_writes_nothing(tmp_path):
     t.join(timeout=10)
     assert isinstance(result["error"], IoError)
     assert not out.exists()
+
+
+def test_no_sender_times_out_as_io_error():
+    start = time.monotonic()
+    with pytest.raises(IoError):
+        transfer.recv_bytes(free_port(), host="127.0.0.1", timeout=0.2)
+    assert time.monotonic() - start < 1.0
+
+
+def test_trickling_sender_hits_one_frame_deadline():
+    # one byte every 0.1 s never trips a 0.5 s per-recv timeout, but the
+    # frame as a whole must arrive within it
+    port = free_port()
+    result = {}
+
+    def receiver():
+        start = time.monotonic()
+        try:
+            transfer.recv_bytes(port, host="127.0.0.1", timeout=0.5)
+        except Exception as e:
+            result["error"] = e
+        result["elapsed"] = time.monotonic() - start
+
+    t = threading.Thread(target=receiver)
+    t.start()
+    time.sleep(0.05)
+    with socket.create_connection(("127.0.0.1", port)) as sock:
+        try:
+            sock.sendall((100).to_bytes(4, "big"))
+            for byte in PAYLOAD_MAGIC + bytes(26):  # 3 s of trickle at most
+                if not t.is_alive():
+                    break
+                sock.sendall(bytes([byte]))
+                time.sleep(0.1)
+        except OSError:
+            pass  # the receiver gave up and closed
+    t.join(timeout=5)
+    assert not t.is_alive()
+    assert isinstance(result["error"], IoError)
+    assert result["elapsed"] < 1.0
