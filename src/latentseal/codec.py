@@ -5,13 +5,21 @@ keeps the first m zigzag coefficients of the orthonormal 2-D DCT of the
 normalized image.  The neural codec is a small fully-connected
 autoencoder (tanh hidden layers, sigmoid output) trained in train.py.
 
-The DCT is two numpy products with cached orthonormal DCT-II basis matrices,
-cut to the rows and columns the first m zigzag cells reach; no FFT package is used.
+The DCT is two numpy products with orthonormal DCT-II basis matrices, cut
+to the rows and columns the first m zigzag cells reach; no FFT package is
+used.  Two bounded caches hold per-shape state, keyed so that shapes which
+differ only outside the cells m reaches share entries: the zigzag order is
+keyed by the grid clipped to its last anti-diagonal (32 entries), and each
+basis by its side n and the square box side k the cells reach (64 entries
+of at most BASIS_CACHE_BYTES each), from which the row and column bases are
+sliced.  So, for example, every grid with both sides of 28 or more shares
+one zigzag order and one box side per m up to 400.
 
 Both encoders round their latent values to the nearest 32-bit float so
 the pipeline's 4-byte wire serialization is an exact round trip.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -36,15 +44,38 @@ def check_image(img: np.ndarray) -> np.ndarray:
     return img
 
 
-@lru_cache(maxsize=32)
 def zigzag_indices(height: int, width: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Row/column indices of the first m cells (all if None) of an H x W grid
-    in zigzag order; even anti-diagonals run bottom-left to top-right."""
-    m = height * width if m is None else m
-    diag = np.arange(height + width - 1)
-    lengths = np.minimum(diag, height - 1) - np.maximum(diag - width + 1, 0) + 1
-    last = int(np.searchsorted(lengths.cumsum(), m))  # last anti-diagonal the m cells reach
-    rows, cols = np.indices((min(height, last + 1), min(width, last + 1))).reshape(2, -1)
+    in zigzag order; even anti-diagonals run bottom-left to top-right.
+
+    The cells are those of the grid clipped to the last anti-diagonal they
+    reach, so the cached order is shared by every grid that clips alike.
+    """
+    m = height * width if m is None else min(m, height * width)
+    last = _last_diagonal(height, width, m)
+    return _zigzag_box(min(height, last + 1), min(width, last + 1), m)
+
+
+def _last_diagonal(height: int, width: int, m: int) -> int:
+    """Anti-diagonal holding the m-th zigzag cell, in integer arithmetic.
+
+    With s <= l the grid's sides, diagonal d holds d + 1 cells while d < s,
+    then s cells while d < l; past diagonal h + w - 2 - j lie T(j) = j(j + 1)/2 cells.
+    """
+    s, l = sorted((height, width))
+    head = s * (s + 1) // 2
+    if m <= head:
+        j = (math.isqrt(8 * m + 1) - 1) // 2  # largest j with T(j) <= m
+        return j - 1 if j * (j + 1) // 2 == m else j
+    if m <= head + (l - s) * s:
+        return s - 1 + -(-(m - head) // s)
+    return height + width - 2 - (math.isqrt(8 * (height * width - m) + 1) - 1) // 2
+
+
+@lru_cache(maxsize=32)
+def _zigzag_box(height: int, width: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """zigzag_indices of a grid already clipped to the box its first m cells reach."""
+    rows, cols = np.indices((height, width)).reshape(2, -1)
     diag = rows + cols
     order = np.argsort(diag * height + np.where(diag % 2 == 0, height - 1 - rows, rows))[:m]
     rows, cols = rows[order], cols[order]
@@ -54,6 +85,16 @@ def zigzag_indices(height: int, width: int, m: int | None = None) -> tuple[np.nd
 
 
 BASIS_CACHE_BYTES = 1 << 20  # larger bases are rebuilt on every call
+
+
+def _zigzag_bases(height: int, width: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row bases, (rows.max() + 1) x height, and column bases, (cols.max() + 1) x width,
+    sliced from bases cached by the square box side max(rows.max(), cols.max()) + 1.
+    The two counts differ by the last diagonal's parity; the box side depends
+    only on m while the cells fit the grid."""
+    kr, kc = rows.max(initial=0) + 1, cols.max(initial=0) + 1
+    k = max(kr, kc)
+    return _dct_basis(height, min(k, height))[:kr], _dct_basis(width, min(k, width))[:kc]
 
 
 def _dct_basis(n: int, k: int) -> np.ndarray:
@@ -90,7 +131,8 @@ def dct_encode(img: np.ndarray, m: int) -> np.ndarray:
     h, w = img.shape
     rows, cols = zigzag_indices(h, w, m)
     x = img.astype(np.float64) / 255.0
-    coeffs = _dct_basis(h, rows.max() + 1) @ x @ _dct_basis(w, cols.max() + 1).T
+    row_basis, col_basis = _zigzag_bases(h, w, rows, cols)
+    coeffs = row_basis @ x @ col_basis.T
     return coeffs[rows, cols].astype(np.float32).astype(np.float64)
 
 
@@ -100,9 +142,10 @@ def dct_decode_float(v: np.ndarray, width: int, height: int) -> np.ndarray:
     if v.size > width * height:
         raise MTooLargeError(f"{v.size} coefficients exceed {width * height} pixels")
     rows, cols = zigzag_indices(height, width, v.size)
-    coeffs = np.zeros((rows.max(initial=0) + 1, cols.max(initial=0) + 1), dtype=np.float64)
+    row_basis, col_basis = _zigzag_bases(height, width, rows, cols)
+    coeffs = np.zeros((len(row_basis), len(col_basis)), dtype=np.float64)
     coeffs[rows, cols] = v
-    out = _dct_basis(height, coeffs.shape[0]).T @ coeffs @ _dct_basis(width, coeffs.shape[1])
+    out = row_basis.T @ coeffs @ col_basis
     out *= 255.0
     return out
 

@@ -17,7 +17,6 @@ point is rejected on every call.
 """
 
 import hashlib
-import secrets
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +30,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-from .errors import AuthFailureError, InvalidPointError, IoError, atomic_write
+from .errors import AuthFailureError, InvalidPointError, IoError, atomic_write, read_key_file
 
 CURVE = ec.SECP256R1()
 CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
@@ -86,15 +85,13 @@ def _private_key(scalar: int) -> ec.EllipticCurvePrivateKey:
     return ec.derive_private_key(scalar, CURVE)
 
 
-def _new_key(seed: bytes | None) -> tuple[int, ec.EllipticCurvePrivateKey]:
-    """Scalar from a 32-byte seed (fresh entropy if None) and its key object.
+def _new_key(seed: bytes) -> tuple[int, ec.EllipticCurvePrivateKey]:
+    """Scalar from a 32-byte seed and its key object.
 
-    Seeded mode rejection-samples: out-of-range candidates are replaced
-    by their SHA-256 digest until a valid scalar appears.
+    Rejection-samples: out-of-range candidates are replaced by their
+    SHA-256 digest until a valid scalar appears.
     """
-    if seed is None:
-        seed = secrets.token_bytes(32)
-    elif len(seed) != 32:
+    if len(seed) != 32:
         raise ValueError("seed must be exactly 32 bytes")
     candidate = seed
     while True:
@@ -105,8 +102,12 @@ def _new_key(seed: bytes | None) -> tuple[int, ec.EllipticCurvePrivateKey]:
 
 
 def keygen(seed: bytes | None = None) -> EciesKeypair:
-    """Generate a keypair; a 32-byte seed makes it deterministic."""
-    scalar, priv = _new_key(seed)
+    """Generate a keypair from fresh entropy; a 32-byte seed makes it deterministic."""
+    if seed is None:
+        priv = ec.generate_private_key(CURVE)
+        scalar = priv.private_numbers().private_value
+    else:
+        scalar, priv = _new_key(seed)
     return EciesKeypair(scalar, _compress(priv.public_key()))
 
 
@@ -128,7 +129,7 @@ def ecies_encrypt(
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
     recipient = _recipient_point(bytes(pub))
-    _, eph = _new_key(eph_seed)
+    eph = ec.generate_private_key(CURVE) if eph_seed is None else _new_key(eph_seed)[1]
     eph_pub = _compress(eph.public_key())
     shared = eph.exchange(ec.ECDH(), recipient)
     key, nonce = _derive_key_nonce(shared, eph_pub)
@@ -156,11 +157,10 @@ def save_public_key(kp: EciesKeypair, path) -> None:
 
 
 def load_private_key(path) -> int:
+    text = read_key_file(path)
     try:
-        with open(path) as f:
-            text = f.read().strip()
-        scalar = int(text, 16)
-    except (OSError, ValueError) as e:
+        scalar = int(text.strip(), 16)
+    except ValueError as e:
         raise IoError(f"bad private key file: {path}") from e
     if not 1 <= scalar < CURVE_ORDER:
         raise IoError(f"private scalar out of range: {path}")
@@ -168,10 +168,10 @@ def load_private_key(path) -> int:
 
 
 def load_public_key(path) -> bytes:
+    text = read_key_file(path)
     try:
-        with open(path) as f:
-            data = bytes.fromhex(f.read().strip())
-    except (OSError, ValueError) as e:
+        data = bytes.fromhex(text.strip())
+    except ValueError as e:
         raise IoError(f"bad public key file: {path}") from e
     _load_point(data)  # reject off-curve points at load time
     return data

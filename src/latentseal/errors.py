@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all latentseal modules, and the one file writer."""
+"""Exception hierarchy shared by all latentseal modules, the one file writer,
+and the one key-file reader."""
 
 import os
 import tempfile
@@ -53,7 +54,7 @@ class BadHeaderError(LatentSealError):
 
 
 class FrameTooLargeError(LatentSealError):
-    """Transfer frame announces more than the 16 MiB cap."""
+    """Transfer frame is longer than the largest legal payload."""
 
 
 class IoError(LatentSealError):
@@ -78,3 +79,24 @@ def atomic_write(path, data: bytes) -> None:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         raise IoError(str(e)) from e
+
+
+KEY_FILE_CAP = 4096  # bytes; a .pub is 67, a .priv 65 and a .sym about 70
+
+
+def read_key_file(path) -> str:
+    """Text of a key file, of which at most KEY_FILE_CAP + 1 bytes are read.
+
+    A larger file, one that cannot be read, or one that is not UTF-8 raises IoError.
+    """
+    try:
+        with open(path, "rb") as f:
+            data = f.read(KEY_FILE_CAP + 1)
+    except OSError as e:
+        raise IoError(str(e)) from e
+    if len(data) > KEY_FILE_CAP:
+        raise IoError(f"key file over {KEY_FILE_CAP} bytes: {path}")
+    try:
+        return data.decode()
+    except UnicodeDecodeError as e:
+        raise IoError(f"key file is not text: {path}") from e

@@ -4,6 +4,8 @@ Images are binary P5 files (maxval 255).  Color P6 input is converted
 to luma on ingest with the BT.601 weights.
 """
 
+from __future__ import annotations
+
 from pathlib import Path
 
 import numpy as np

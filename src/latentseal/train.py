@@ -5,6 +5,8 @@ optional adversarial term from a single image discriminator played as
 a minimax game.  Everything is deterministic under a fixed seed.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -1,8 +1,10 @@
 """One-shot framed TCP transfer for encrypted payloads.
 
 Wire format: 4-byte big-endian length prefix followed by the payload
-bytes.  Frames above 16 MiB are refused; the receiver checks the
-payload magic before writing anything to disk.
+bytes.  Frames longer than the largest legal payload (FRAME_CAP, a
+header plus 65535 four-byte latents plus the ECIES overhead: 262 201
+bytes) are refused; the receiver checks the payload magic before
+writing anything to disk.
 """
 
 import socket
@@ -11,9 +13,10 @@ import time
 from pathlib import Path
 
 from .errors import BadHeaderError, FrameTooLargeError, IoError, atomic_write
-from .pipeline import PAYLOAD_MAGIC
+from .ecies import OVERHEAD
+from .pipeline import HEADER_LEN, PAYLOAD_MAGIC
 
-FRAME_CAP = 16 * 1024 * 1024
+FRAME_CAP = HEADER_LEN + 4 * 0xFFFF + OVERHEAD  # m is a 16-bit header field
 CHUNK = 4096
 
 

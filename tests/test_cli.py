@@ -309,3 +309,19 @@ def test_parser_built_once_and_calls_repeat(tmp_path, keys, capsys):
         capsys.readouterr()
     assert seen[0] == seen[1]
     assert seen[0][:2] == (EXIT_OK, EXIT_IO)
+
+
+@pytest.mark.parametrize("suffix", ["sym", "pub", "priv"])
+def test_oversized_key_file_exit_code(tmp_path, keys, dct_model_path, suffix, capsys):
+    path = tmp_path / f"key.{suffix}"
+    path.write_bytes(path.read_bytes() + b"\n" * (3 << 20))
+    rc = run([
+        "evaluate", str(tmp_path),
+        "--model", str(dct_model_path),
+        "--sym", str(keys) + ".sym",
+        "--pub", str(keys) + ".pub",
+        "--priv", str(keys) + ".priv",
+        "--out", str(tmp_path / "report.csv"),
+    ])
+    assert rc == EXIT_IO
+    assert f"key.{suffix}" in capsys.readouterr().err

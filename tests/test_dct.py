@@ -204,3 +204,29 @@ def test_basis_cache_bounded_by_bytes():
     out = codec.dct_decode_float(np.ones(33), 1, 4096)
     assert out.shape == (4096, 1)
     assert codec._cached_basis.cache_info().currsize == 3
+
+
+def test_mixed_shapes_hit_the_basis_and_zigzag_caches_on_a_second_pass():
+    sides = range(48, 321, 16)
+    img = np.random.default_rng(20).integers(0, 256, (320, 320), dtype=np.uint8)
+    codec._cached_basis.cache_clear()
+    codec._zigzag_box.cache_clear()
+    for rnd in range(2):
+        misses = codec._cached_basis.cache_info().misses
+        for h in sides:
+            for w in sides:
+                for m in (16, 100, 400):
+                    codec.dct_decode(codec.dct_encode(img[:h, :w], m), w, h)
+        if rnd == 0:
+            # one basis per side and box side k(m), and one zigzag order per m
+            assert codec._cached_basis.cache_info().currsize == len(sides) * 3
+            assert codec._zigzag_box.cache_info().currsize == 3
+    assert codec._cached_basis.cache_info().misses == misses
+
+
+def test_bases_cut_from_the_square_box_match_exact_size_bases():
+    for h, w, m in [(48, 80, 100), (80, 48, 99), (7, 300, 40), (300, 7, 400), (5, 5, 25)]:
+        rows, cols = codec.zigzag_indices(h, w, m)
+        row_basis, col_basis = codec._zigzag_bases(h, w, rows, cols)
+        assert row_basis.tobytes() == codec._basis(h, rows.max() + 1).tobytes()
+        assert col_basis.tobytes() == codec._basis(w, cols.max() + 1).tobytes()

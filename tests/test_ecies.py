@@ -170,3 +170,23 @@ def test_per_key_caches_bounded_and_hold_no_ephemeral_state(keypair):
     # one long-term point and one long-term key; no ephemeral scalar or point K
     assert ecies._recipient_point.cache_info().currsize == 1
     assert ecies._private_key.cache_info().currsize == 1
+
+
+def test_fresh_keys_are_valid_and_distinct(keypair):
+    kp = ecies.keygen()
+    assert 1 <= kp.private_scalar < ecies.CURVE_ORDER
+    assert kp.public_bytes == ecies._compress(ecies._private_key(kp.private_scalar).public_key())
+    a = ecies.ecies_encrypt(b"fresh", keypair.public_bytes)
+    b = ecies.ecies_encrypt(b"fresh", keypair.public_bytes)
+    assert a.K != b.K
+    assert ecies.ecies_decrypt(a, keypair.private_scalar) == b"fresh"
+
+
+@pytest.mark.parametrize("suffix", ["pub", "priv"])
+def test_oversized_key_file_is_io_error(tmp_path, keypair, suffix):
+    path = tmp_path / f"k.{suffix}"
+    getattr(ecies, f"save_{'public' if suffix == 'pub' else 'private'}_key")(keypair, path)
+    path.write_bytes(path.read_bytes() + b" " * (3 << 20))  # valid key, then 3 MiB of padding
+    loader = ecies.load_public_key if suffix == "pub" else ecies.load_private_key
+    with pytest.raises(IoError, match="over"):
+        loader(path)

@@ -58,3 +58,9 @@ def test_key_checks_leave_numpy_ma_unloaded(tmp_path):
         "print('numpy.ma' in sys.modules)"
     )
     assert _fresh_python(code).endswith("False")
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first attribute access, which an evaluated
+    # `np.random.Generator` annotation would make every cold CLI run pay
+    assert _fresh_python("import sys, latentseal.cli; print('numpy.random' in sys.modules)") == "False"

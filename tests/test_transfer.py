@@ -157,3 +157,13 @@ def test_trickling_sender_hits_one_frame_deadline():
     assert not t.is_alive()
     assert isinstance(result["error"], IoError)
     assert result["elapsed"] < 1.0
+
+
+def test_frame_cap_is_the_largest_legal_payload():
+    from latentseal.ecies import OVERHEAD
+    from latentseal.pipeline import HEADER_LEN
+
+    assert transfer.FRAME_CAP == HEADER_LEN + 4 * 0xFFFF + OVERHEAD == 262_201
+    payload = PAYLOAD_MAGIC + bytes(range(256)) * ((transfer.FRAME_CAP - 4) // 256)
+    payload += bytes(transfer.FRAME_CAP - len(payload))
+    assert run_transfer(payload) == payload
