@@ -25,6 +25,7 @@ from .errors import (
     MTooLargeError,
     ShapeMismatchError,
     atomic_write,
+    read_file,
 )
 from .metrics import QualityReport, SsimParams
 
@@ -101,11 +102,7 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    try:
-        data = Path(args.payload).read_bytes()
-    except OSError as e:
-        raise IoError(str(e)) from e
-    payload = pipeline.EncryptedPayload.parse(data)
+    payload = pipeline.EncryptedPayload.parse(read_file(args.payload, pipeline.PAYLOAD_CAP))
     model = codec.load_model(args.model)
     sym = henon.load_sym_key(args.sym)
     priv = ecies.load_private_key(args.priv)

@@ -116,15 +116,9 @@ def _basis(n: int, k: int) -> np.ndarray:
 _cached_basis = lru_cache(maxsize=64)(_basis)
 
 
-def dct2(img: np.ndarray) -> np.ndarray:
-    """Full orthonormal 2-D DCT-II of the normalized image, float64."""
-    img = check_image(img)
-    h, w = img.shape
-    return _dct_basis(h, h) @ (img.astype(np.float64) / 255.0) @ _dct_basis(w, w).T
-
-
 def dct_encode(img: np.ndarray, m: int) -> np.ndarray:
-    """First m zigzag coefficients of dct2, rounded to 32-bit floats."""
+    """First m zigzag coefficients of the orthonormal 2-D DCT-II of the
+    normalized image, rounded to 32-bit floats."""
     img = check_image(img)
     if m < 1 or m > img.size:
         raise MTooLargeError(f"m={m} out of range for {img.size}-pixel image")
@@ -222,12 +216,9 @@ def forward(layers: list[Layer], X: np.ndarray, out_activation) -> list[np.ndarr
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: exp is only taken of -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def neural_encode(model: CodecModel, img: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from cryptography.hazmat.primitives.serialization import (
     PublicFormat,
 )
 
-from .errors import AuthFailureError, InvalidPointError, IoError, atomic_write, read_key_file
+from .errors import KEY_FILE_CAP, AuthFailureError, InvalidPointError, IoError, atomic_write, read_file
 
 CURVE = ec.SECP256R1()
 CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
@@ -157,9 +157,9 @@ def save_public_key(kp: EciesKeypair, path) -> None:
 
 
 def load_private_key(path) -> int:
-    text = read_key_file(path)
+    data = read_file(path, KEY_FILE_CAP)
     try:
-        scalar = int(text.strip(), 16)
+        scalar = int(data, 16)
     except ValueError as e:
         raise IoError(f"bad private key file: {path}") from e
     if not 1 <= scalar < CURVE_ORDER:
@@ -168,9 +168,9 @@ def load_private_key(path) -> int:
 
 
 def load_public_key(path) -> bytes:
-    text = read_key_file(path)
+    data = read_file(path, KEY_FILE_CAP)
     try:
-        data = bytes.fromhex(text.strip())
+        data = bytes.fromhex(data.decode())
     except ValueError as e:
         raise IoError(f"bad public key file: {path}") from e
     _load_point(data)  # reject off-curve points at load time

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all latentseal modules, the one file writer,
-and the one key-file reader."""
+and the one reader of files from outside: keys, images and payloads."""
 
 import os
+import stat
 import tempfile
 
 
@@ -84,19 +85,26 @@ def atomic_write(path, data: bytes) -> None:
 KEY_FILE_CAP = 4096  # bytes; a .pub is 67, a .priv 65 and a .sym about 70
 
 
-def read_key_file(path) -> str:
-    """Text of a key file, of which at most KEY_FILE_CAP + 1 bytes are read.
+def read_file(path, cap: int) -> bytes:
+    """Bytes of a regular file of at most cap bytes: the one reader of outside files.
 
-    A larger file, one that cannot be read, or one that is not UTF-8 raises IoError.
+    The size is checked before anything is read, and no more than the file
+    holds is read. A file over cap, one that is not a regular file (its size
+    is unknown before reading) or one that cannot be read raises IoError
+    naming path.
     """
     try:
-        with open(path, "rb") as f:
-            data = f.read(KEY_FILE_CAP + 1)
+        # non-blocking, so that a FIFO is refused below instead of waiting for a writer
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        try:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                raise IoError(f"not a regular file: {path}")
+            if st.st_size > cap:
+                raise IoError(f"{path} is {st.st_size} bytes, over the {cap}-byte limit")
+            with open(fd, "rb", closefd=False) as f:
+                return f.read(st.st_size)
+        finally:
+            os.close(fd)
     except OSError as e:
-        raise IoError(str(e)) from e
-    if len(data) > KEY_FILE_CAP:
-        raise IoError(f"key file over {KEY_FILE_CAP} bytes: {path}")
-    try:
-        return data.decode()
-    except UnicodeDecodeError as e:
-        raise IoError(f"key file is not text: {path}") from e
+        raise IoError(f"cannot read {path}: {e}") from e

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, IoError, LengthMismatchError, atomic_write, read_key_file
+from .errors import KEY_FILE_CAP, DivergenceError, IoError, LengthMismatchError, atomic_write, read_file
 
 CLASSICAL_A = 1.4
 CLASSICAL_B = 0.3
@@ -200,7 +200,7 @@ def save_sym_key(key: SymKey, path) -> None:
 
 
 def load_sym_key(path) -> SymKey:
-    lines = [ln.strip() for ln in read_key_file(path).splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in read_file(path, KEY_FILE_CAP).splitlines() if ln.strip()]
     if not lines:
         raise IoError(f"empty sym key file: {path}")
     try:

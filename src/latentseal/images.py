@@ -10,13 +10,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, atomic_write
+from .errors import IoError, atomic_write, read_file
+
+MAX_PIXELS = 1 << 24  # largest width * height read from a PGM or declared by a payload; bounds every image allocation
+PNM_CAP = 3 * MAX_PIXELS + 4096  # bytes: a P6 raster of MAX_PIXELS pixels and up to 4 KiB of header and comments
 
 
 def _read_tokens(data: bytes, count: int):
-    """First `count` whitespace tokens after the magic, skipping comments."""
+    """First `count` whitespace tokens after the 2-byte magic, skipping
+    comments, and the offset of the raster that follows them."""
     tokens = []
-    i = 0
+    i = 2
     while len(tokens) < count:
         while i < len(data) and data[i : i + 1].isspace():
             i += 1
@@ -34,29 +38,29 @@ def _read_tokens(data: bytes, count: int):
 
 
 def read_image(path) -> np.ndarray:
-    """Read P5 (grayscale) or P6 (color, converted to luma) at maxval 255."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise IoError(str(e)) from e
+    """Read P5 (grayscale) or P6 (color, converted to luma) at maxval 255.
+
+    The file is read through errors.read_file, at most PNM_CAP bytes, and a
+    header that declares more than MAX_PIXELS pixels is refused.
+    """
+    data = read_file(path, PNM_CAP)
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise IoError(f"not a binary PNM file: {path}")
     try:
-        (w, h, maxval), offset = _read_tokens(data[2:], 3)
+        (w, h, maxval), offset = _read_tokens(data, 3)
         width, height, maxval = int(w), int(h), int(maxval)
     except (IoError, ValueError) as e:
         raise IoError(f"bad PNM header in {path}") from e
-    if width < 1 or height < 1:
-        raise IoError(f"bad image size {width}x{height} in {path}")
+    if width < 1 or height < 1 or width * height > MAX_PIXELS:
+        raise IoError(f"bad image size {width}x{height} in {path}: want 1 to {MAX_PIXELS} pixels")
     if maxval != 255:
         raise IoError(f"only maxval 255 supported, got {maxval} in {path}")
     channels = 1 if magic == b"P5" else 3
-    raster = data[2 + offset :]
     need = width * height * channels
-    if len(raster) < need:
+    if len(data) - offset < need:
         raise IoError(f"truncated raster in {path}")
-    pixels = np.frombuffer(raster[:need], dtype=np.uint8)
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
     if channels == 1:
         return pixels.reshape(height, width).copy()
     rgb = pixels.reshape(height, width, 3).astype(np.float64)

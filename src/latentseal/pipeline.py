@@ -12,24 +12,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecModel
+from .codec import CodecModel, check_image
 from .ecies import OVERHEAD, EciesCiphertext, ecies_decrypt, ecies_encrypt
 from .errors import BadHeaderError, MTooLargeError, ShapeMismatchError
 from .henon import SymKey, deshuffle, permutation_for_key, shuffle
+from .images import MAX_PIXELS
 from .metrics import QualityReport, SsimParams, mse, psnr, ssim, timed
 
 PAYLOAD_MAGIC = b"LSP1"
 PAYLOAD_VERSION = 1
 HEADER_LEN = 12  # magic(4) version(1) codec_id(1) m(2) width(2) height(2)
-MAX_PIXELS = 1 << 24  # largest width * height a payload may declare; bounds the decoder's allocation
+PAYLOAD_CAP = HEADER_LEN + 4 * 0xFFFF + OVERHEAD  # largest legal payload, 262 201 bytes
 _HEADER_FIELDS = "<BBHHH"
 
 
+def _check_header_fields(m: int, width: int, height: int, m_error, size_error) -> None:
+    """The header's field rules, shared by the sender and the receiver: m and
+    each side in 1..65535, and width * height at most MAX_PIXELS, which bounds
+    the decoder's allocation."""
+    if not 1 <= m <= 0xFFFF:
+        raise m_error(f"m={m} outside the header's 1..65535")
+    if not (1 <= width <= 0xFFFF and 1 <= height <= 0xFFFF and width * height <= MAX_PIXELS):
+        raise size_error(f"image {width}x{height} outside the header's 1..65535 per side and {MAX_PIXELS} pixels")
+
+
 def _pack_header(version: int, codec_id: int, m: int, width: int, height: int) -> bytes:
-    if m > 0xFFFF:
-        raise MTooLargeError(f"m={m} does not fit the header's 16-bit field")
-    if width > 0xFFFF or height > 0xFFFF:
-        raise ShapeMismatchError(f"image {width}x{height} does not fit the header's 16-bit fields")
+    _check_header_fields(m, width, height, MTooLargeError, ShapeMismatchError)
     return PAYLOAD_MAGIC + struct.pack(_HEADER_FIELDS, version, codec_id, m, width, height)
 
 
@@ -55,15 +63,10 @@ class EncryptedPayload:
         version, codec_id, m, width, height = struct.unpack(_HEADER_FIELDS, data[4:HEADER_LEN])
         if version != PAYLOAD_VERSION:
             raise BadHeaderError(f"unsupported payload version {version}")
+        _check_header_fields(m, width, height, BadHeaderError, BadHeaderError)
         body = data[HEADER_LEN:]
         if len(body) != 4 * m + OVERHEAD:
-            raise BadHeaderError(
-                f"body length {len(body)} inconsistent with m={m}"
-            )
-        if m < 1 or width < 1 or height < 1:
-            raise BadHeaderError("degenerate payload dimensions")
-        if width * height > MAX_PIXELS:
-            raise BadHeaderError(f"payload declares {width}x{height}, over {MAX_PIXELS} pixels")
+            raise BadHeaderError(f"body length {len(body)} inconsistent with m={m}")
         return cls(version, codec_id, m, width, height, EciesCiphertext.parse(body))
 
 
@@ -85,15 +88,15 @@ def compress_encrypt(
     """Encode, shuffle, seal; returns the payload and elapsed seconds."""
 
     def run() -> EncryptedPayload:
+        h, w = check_image(img).shape
+        # packed first, so an image or m that a receiver must refuse fails
+        # before any encoding; the header rides as AEAD associated data, so
+        # any header tampering that survives parsing still fails authentication
+        header = _pack_header(PAYLOAD_VERSION, codec.codec_id, codec.m, w, h)
         latent = codec.encode(img)
-        perm = permutation_for_key(sym, len(latent))
-        shuffled = shuffle(latent, perm)
-        h, w = img.shape
-        header = _pack_header(PAYLOAD_VERSION, codec.codec_id, len(latent), w, h)
-        # header rides as AEAD associated data, so any header tampering
-        # that survives parsing still fails authentication
+        shuffled = shuffle(latent, permutation_for_key(sym, codec.m))
         ct = ecies_encrypt(_serialize_latent(shuffled), pub, eph_seed, aad=header)
-        return EncryptedPayload(PAYLOAD_VERSION, codec.codec_id, len(latent), w, h, ct)
+        return EncryptedPayload(PAYLOAD_VERSION, codec.codec_id, codec.m, w, h, ct)
 
     return timed(run)
 

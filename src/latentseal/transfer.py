@@ -1,22 +1,21 @@
 """One-shot framed TCP transfer for encrypted payloads.
 
 Wire format: 4-byte big-endian length prefix followed by the payload
-bytes.  Frames longer than the largest legal payload (FRAME_CAP, a
-header plus 65535 four-byte latents plus the ECIES overhead: 262 201
-bytes) are refused; the receiver checks the payload magic before
+bytes.  Frames longer than the largest legal payload (FRAME_CAP, which is
+pipeline.PAYLOAD_CAP: a header plus 65535 four-byte latents plus the ECIES
+overhead, 262 201 bytes) are refused; send_file refuses a larger file
+before reading it, and the receiver checks the payload magic before
 writing anything to disk.
 """
 
 import socket
 import struct
 import time
-from pathlib import Path
 
-from .errors import BadHeaderError, FrameTooLargeError, IoError, atomic_write
-from .ecies import OVERHEAD
-from .pipeline import HEADER_LEN, PAYLOAD_MAGIC
+from .errors import BadHeaderError, FrameTooLargeError, IoError, atomic_write, read_file
+from .pipeline import PAYLOAD_CAP, PAYLOAD_MAGIC
 
-FRAME_CAP = HEADER_LEN + 4 * 0xFFFF + OVERHEAD  # m is a 16-bit header field
+FRAME_CAP = PAYLOAD_CAP
 CHUNK = 4096
 
 
@@ -87,11 +86,7 @@ def recv_bytes(port: int, host: str = "", timeout: float | None = 30.0) -> bytes
 
 
 def send_file(path, host: str, port: int, throttle: float | None = None) -> None:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise IoError(str(e)) from e
-    send_bytes(data, host, port, throttle)
+    send_bytes(read_file(path, PAYLOAD_CAP), host, port, throttle)
 
 
 def recv_file(port: int, out_path, host: str = "", timeout: float | None = 30.0) -> int:

@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from latentseal import codec, henon, images, transfer
-from latentseal.errors import IoError
+from latentseal.errors import IoError, read_file
 
 
 def _recv_file(path, monkeypatch):
@@ -26,3 +28,17 @@ def test_failed_write_leaves_no_file(writer, tmp_path, monkeypatch):
     with pytest.raises(IoError):
         WRITERS[writer](target, monkeypatch)
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_read_file_refuses_special_files_without_blocking(kind, tmp_path):
+    # a FIFO with no writer would block an ordinary open() forever
+    path = tmp_path / "special.lsp"
+    if kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        os.mkfifo(path)
+    else:
+        path.mkdir()
+    with pytest.raises(IoError, match="special.lsp"):
+        read_file(path, 4096)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from latentseal import cli, ecies, henon, images
+from latentseal import cli, ecies, henon, images, pipeline
 from latentseal.cli import EXIT_AUTH, EXIT_FORMAT, EXIT_IO, EXIT_OK
 
 
@@ -122,6 +122,28 @@ def test_decrypt_truncated_payload(tmp_path, keys, dct_model_path):
     ])
     assert rc == EXIT_FORMAT
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra,code", [(0, EXIT_FORMAT), (1, EXIT_IO)], ids=["at-cap", "over-cap"])
+def test_decrypt_payload_file_cap(tmp_path, keys, dct_model_path, extra, code, capsys):
+    # a file of the cap is read and refused by parse; one byte more is refused
+    # unread, as an I/O error naming the file (sparse: no disk or memory used)
+    path = tmp_path / "big.lsp"
+    with open(path, "wb") as f:
+        f.write(pipeline.PAYLOAD_MAGIC)
+        f.truncate(pipeline.PAYLOAD_CAP + extra)
+    out = tmp_path / "never.pgm"
+    rc = run([
+        "decrypt", str(path),
+        "--model", str(dct_model_path),
+        "--sym", str(keys) + ".sym",
+        "--priv", str(keys) + ".priv",
+        "--out", str(out),
+    ])
+    assert rc == code
+    assert not out.exists()
+    if code == EXIT_IO:
+        assert "big.lsp" in capsys.readouterr().err
 
 
 def test_encrypt_missing_image(tmp_path, keys, dct_model_path):

@@ -24,7 +24,7 @@ def test_parseval_random_images():
     rng = np.random.default_rng(7)
     for _ in range(20):
         img = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-        coeffs = codec.dct2(img)
+        coeffs = dct2(img)
         pix_energy = float(((img / 255.0) ** 2).sum())
         assert (coeffs**2).sum() == pytest.approx(pix_energy, rel=1e-9)
 
@@ -93,7 +93,7 @@ def test_truncation_psnr_matches_parseval_prediction():
     v = codec.dct_encode(img, 100)
     rec = codec.dct_decode(v, 256, 256)
     rows, cols = codec.zigzag_indices(256, 256)
-    zz = codec.dct2(img)[rows, cols]
+    zz = dct2(img)[rows, cols]
     predicted_mse = float((zz[100:] ** 2).sum()) * 255.0**2 / img.size
     predicted_psnr = 10.0 * np.log10(255.0**2 / predicted_mse)
     assert psnr(img, rec) == pytest.approx(predicted_psnr, abs=0.1)
@@ -132,6 +132,13 @@ def test_zigzag_prefix_matches_walk_oracle():
             for m in range(1, h * w + 1):
                 rows, cols = codec.zigzag_indices(h, w, m)
                 assert rows.tolist() == walk_rows[:m] and cols.tolist() == walk_cols[:m]
+
+
+def dct2(img):
+    """Test-only: full orthonormal 2-D DCT-II of img / 255, float64, from the
+    codec's DCT-II bases; test_acceptance.py imports it too."""
+    h, w = img.shape
+    return codec._dct_basis(h, h) @ (img / 255.0) @ codec._dct_basis(w, w).T
 
 
 def _dct_direct(img, cells):

@@ -57,6 +57,14 @@ def test_rejects_non_positive_size(tmp_path, size):
         images.read_image(path)
 
 
+def test_rejects_declared_size_over_max_pixels(tmp_path):
+    # refused for its declared size, before the (missing) raster is looked at
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P5\n4097 4097\n255\n")
+    with pytest.raises(IoError, match="4097x4097"):
+        images.read_image(path)
+
+
 def test_make_dataset_reproducible(tmp_path):
     a = images.make_dataset(tmp_path / "a", 10, 16, seed=1)
     b = images.make_dataset(tmp_path / "b", 10, 16, seed=1)

@@ -25,6 +25,25 @@ def test_zero_weight_decode_is_128():
     assert np.all(rec == 128)
 
 
+def _masked_sigmoid(x):
+    """Test-only oracle: the logistic function by boolean-mask gathers and scatters."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_oracle():
+    rng = np.random.default_rng(9)
+    edges = np.array([0.0, -0.0, 700, -700, 745, -745, 1e308, -1e308, np.inf, -np.inf, 5e-324, -5e-324])
+    for x in (rng.standard_normal(10**6) * 50, rng.standard_normal((64, 4096)) * 20, edges):
+        got, want = codec.sigmoid(x), _masked_sigmoid(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_shape_mismatches():
     model = zero_model()
     with pytest.raises(ShapeMismatchError):

@@ -29,6 +29,38 @@ def test_dependencies_match_imports():
     assert declared == _third_party_imports()
 
 
+def _file_reads() -> set[tuple[str, str]]:
+    """(module, function) of every open() for reading, read_bytes() and read_text() call in the package."""
+    found = set()
+
+    def is_read(call: ast.Call) -> bool:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "open":
+            mode = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+            # no mode is "r", and a mode that is not a literal counts as a read
+            return not (mode and isinstance(mode[0], ast.Constant) and "r" not in mode[0].value)
+        return name in ("read_bytes", "read_text")
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call) and is_read(child):
+                found.add((module, function))
+            visit(child, module, function)
+
+    for path in (ROOT / "src" / "latentseal").glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_outside_files_are_read_through_one_capped_reader():
+    # load_model bounds each layer by the bytes left in the file instead
+    assert _file_reads() == {("errors", "read_file"), ("codec", "load_model")}
+
+
 def _fresh_python(code: str) -> str:
     """stdout of `code` run in a new interpreter that imports latentseal from src."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from latentseal import codec, ecies, henon, pipeline
-from latentseal.errors import AuthFailureError, BadHeaderError, ShapeMismatchError
+from latentseal.errors import AuthFailureError, BadHeaderError, MTooLargeError, ShapeMismatchError
 from latentseal.images import smooth_gradient
 from latentseal.metrics import ssim
 
@@ -142,7 +143,8 @@ def test_evaluate_lossy_psnr_matches_direct(keypair, sym_key):
 
 
 def _forged_blob(width, height, m=4):
-    header = pipeline._pack_header(pipeline.PAYLOAD_VERSION, 0, m, width, height)
+    # packed by hand: _pack_header refuses the sizes parse must be shown to refuse
+    header = pipeline.PAYLOAD_MAGIC + struct.pack("<BBHHH", pipeline.PAYLOAD_VERSION, 0, m, width, height)
     return header + bytes(4 * m + ecies.OVERHEAD)
 
 
@@ -153,6 +155,30 @@ def test_parse_rejects_declared_size_over_cap():
     with pytest.raises(BadHeaderError):
         pipeline.EncryptedPayload.parse(_forged_blob(4097, 4096))
     assert pipeline.EncryptedPayload.parse(_forged_blob(4096, 4096)).width == 4096
+
+
+def test_compress_encrypt_refuses_oversized_image_before_encoding(keypair, sym_key, monkeypatch):
+    img = np.broadcast_to(np.uint8(0), (4097, 4097))  # a view: no image memory
+    monkeypatch.setattr(codec.CodecModel, "encode", lambda *a: pytest.fail("encoded"))
+    with pytest.raises(ShapeMismatchError):
+        pipeline.compress_encrypt(img, codec.dct_model(100), sym_key, keypair.public_bytes)
+
+
+@pytest.mark.parametrize(
+    "m,width,height",
+    [(0, 8, 8), (1, 0, 8), (1, 8, 0), (65535, 8, 8), (1, 65535, 256), (1, 4097, 4096), (1, 4096, 4096)],
+)
+def test_sender_and_receiver_share_the_header_rules(m, width, height):
+    def accepts(step):
+        try:
+            step()
+        except (BadHeaderError, MTooLargeError, ShapeMismatchError):
+            return False
+        return True
+
+    packed = accepts(lambda: pipeline._pack_header(pipeline.PAYLOAD_VERSION, 0, m, width, height))
+    parsed = accepts(lambda: pipeline.EncryptedPayload.parse(_forged_blob(width, height, m)))
+    assert packed == parsed == (1 <= m and 1 <= width and 1 <= height and width * height <= 1 << 24)
 
 
 def test_neural_payload_size_checked_before_open(keypair, sym_key):

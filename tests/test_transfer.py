@@ -73,6 +73,15 @@ def test_frame_cap_on_send():
         transfer.send_bytes(bytes(transfer.FRAME_CAP + 1), "127.0.0.1", 1)
 
 
+def test_send_file_refuses_oversized_file_unread(tmp_path, monkeypatch):
+    path = tmp_path / "big.lsp"
+    with open(path, "wb") as f:
+        f.truncate(transfer.FRAME_CAP + 1)  # sparse
+    monkeypatch.setattr(transfer.socket, "create_connection", lambda *a, **k: pytest.fail("connected"))
+    with pytest.raises(IoError, match="big.lsp"):
+        transfer.send_file(path, "127.0.0.1", 1)
+
+
 def test_frame_cap_on_recv():
     port = free_port()
     result = {}
