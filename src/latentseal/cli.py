@@ -8,6 +8,7 @@ renamed on success, so no error path leaves a partial file behind.
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -165,6 +166,25 @@ def cmd_make_dataset(args) -> int:
     return EXIT_OK
 
 
+def _checked(kind, want: str, ok):
+    """An argparse type: kind(text), refused as a usage error (exit 2) unless ok(value)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"want {want}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+_POSITIVE = _checked(int, "an integer >= 1", lambda v: v >= 1)
+_NON_NEGATIVE = _checked(int, "an integer >= 0", lambda v: v >= 0)
+_PORT = _checked(int, "a port in 0..65535", lambda v: 0 <= v <= 0xFFFF)
+_POSITIVE_FINITE = _checked(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
@@ -177,23 +197,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate .priv/.pub/.sym key files")
     p.add_argument("out_prefix")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=None)
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("make-model", help="write a deterministic DCT codec model")
     p.add_argument("out")
-    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--m", type=_POSITIVE, default=100)
     p.set_defaults(func=cmd_make_model)
 
     p = sub.add_parser("train", help="train a neural codec on a .pgm directory")
     p.add_argument("dataset_dir")
     p.add_argument("out")
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--hidden", type=int, nargs="+", default=[128])
+    p.add_argument("--m", type=_POSITIVE, default=100)
+    p.add_argument("--hidden", type=_POSITIVE, nargs="+", default=[128])
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--epochs", type=_NON_NEGATIVE, default=100)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
+    p.add_argument("--batch-size", type=_POSITIVE, default=8)
     p.add_argument("--lam", type=float, default=0.0, help="adversarial loss weight")
     p.set_defaults(func=cmd_train)
 
@@ -220,32 +240,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", required=True)
     p.add_argument("--priv", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=None, help="SSIM window side (default global)")
+    p.add_argument("--window", type=_POSITIVE, default=None, help="SSIM window side (default global)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("henon-plot", help="export orbit points as CSV")
     p.add_argument("--sym", required=True)
-    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--n", type=_NON_NEGATIVE, default=10000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_henon_plot)
 
     p = sub.add_parser("send", help="send a payload file over TCP")
     p.add_argument("payload")
     p.add_argument("dest", help="host:port")
-    p.add_argument("--throttle", type=float, default=None, help="bytes per second")
+    p.add_argument("--throttle", type=_POSITIVE_FINITE, default=None, help="bytes per second")
     p.set_defaults(func=cmd_send)
 
     p = sub.add_parser("recv", help="receive one payload over TCP")
-    p.add_argument("port", type=int)
+    p.add_argument("port", type=_PORT)
     p.add_argument("--out", required=True)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=_POSITIVE_FINITE, default=30.0)
     p.set_defaults(func=cmd_recv)
 
     p = sub.add_parser("make-dataset", help="generate synthetic training images")
     p.add_argument("out_dir")
     p.add_argument("--count", type=int, default=32)
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--size", type=_POSITIVE, default=32)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.set_defaults(func=cmd_make_dataset)
 
     return parser

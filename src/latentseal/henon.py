@@ -10,22 +10,14 @@ The orbit is iterated in plain Python in a fixed evaluation order of
 64-bit IEEE operations, so sequences and permutations are bitwise
 reproducible.
 
-A key's orbit is iterated once, not on every call: a bounded per-key
-prefix cache (ORBIT_CACHE_KEYS keys, least recently used first out) keeps
-the x values emitted so far and the point after them, and grows by
-resuming the orbit there when a longer sequence is asked for.
-henon_sequence, SymKey.validate and permutation_for_key all read that
-prefix, so a new m for a known key costs only the steps past the longest
-m seen and an argsort.  A prefix over ORBIT_CACHE_BYTES is computed but
-not stored, and an orbit that diverges stores nothing past the prefix it
-already had, so the DivergenceError is raised again on every call.
+There is one cache: permutation_for_key memoises the permutation of each
+(key, m) pair, least recently used first out.  A miss, like every
+henon_sequence and henon_trajectory call, iterates the orbit from the key point.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -98,60 +90,38 @@ def henon_step(state: HenonState, params: HenonParams) -> HenonState:
     return HenonState(xn, yn)
 
 
-def _orbit(key: SymKey, stop: int, start: int, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """x and y components of post-burn-in orbit points start..stop-1, iterated
-    from (x, y): the key point when start is 0, else orbit point start - 1."""
+def _orbit(key: SymKey, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y components of the first n post-burn-in orbit points, from the key point."""
     a, b, burn_in, guard = key.params.a, key.params.b, key.burn_in, GUARD
-    xs = np.empty(stop - start, dtype=np.float64)
-    ys = np.empty(stop - start, dtype=np.float64)
-    for i in range(burn_in + start if start else 0, burn_in + stop):
+    x, y = key.x0, key.y0
+    xs = np.empty(n, dtype=np.float64)
+    ys = np.empty(n, dtype=np.float64)
+    for i in range(burn_in + n):
         x, y = 1.0 - a * x * x + y, b * x
         if abs(x) > guard or abs(y) > guard:
             raise DivergenceError(f"orbit escaped guard at step {i}")
         if i >= burn_in:
-            xs[i - burn_in - start] = x
-            ys[i - burn_in - start] = y
+            xs[i - burn_in] = x
+            ys[i - burn_in] = y
     return xs, ys
 
 
-ORBIT_CACHE_KEYS = 128
-ORBIT_CACHE_BYTES = 1 << 20  # longer x prefixes are recomputed on every call
-_NO_POINTS = np.empty(0, dtype=np.float64)
-# key -> (read-only x prefix, the orbit point after it), least recently used first
-_prefixes: OrderedDict[SymKey, tuple[np.ndarray, float, float]] = OrderedDict()
-_prefixes_lock = threading.Lock()
-
-
 def henon_sequence(key: SymKey, n: int) -> np.ndarray:
-    """x-components of n orbit points after the key's burn-in, read-only.
+    """x-components of n orbit points after the key's burn-in.
 
     Bitwise deterministic for a fixed key; the key point itself is
-    never emitted (step 0 already applies the map once).  The result is
-    a view of the key's cached orbit prefix.
+    never emitted (step 0 already applies the map once).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    with _prefixes_lock:
-        xs, x, y = _prefixes.get(key, (_NO_POINTS, key.x0, key.y0))
-        if len(xs) >= n:
-            _prefixes.move_to_end(key)
-            return xs[:n]
-        more, ys = _orbit(key, n, len(xs), x, y)
-        xs = np.concatenate((xs, more))
-        xs.setflags(write=False)
-        if xs.nbytes <= ORBIT_CACHE_BYTES:
-            _prefixes[key] = (xs, float(more[-1]), float(ys[-1]))
-            _prefixes.move_to_end(key)
-            if len(_prefixes) > ORBIT_CACHE_KEYS:
-                _prefixes.popitem(last=False)
-    return xs
+    return _orbit(key, n)[0]
 
 
 def henon_trajectory(key: SymKey, n: int) -> np.ndarray:
     """(n, 2) array of post-burn-in (x, y) points, for trajectory export."""
     if n == 0:
         return np.empty((0, 2), dtype=np.float64)
-    return np.column_stack(_orbit(key, n, 0, key.x0, key.y0))
+    return np.column_stack(_orbit(key, n))
 
 
 def permutation_from_sequence(seq: np.ndarray) -> np.ndarray:
@@ -164,11 +134,11 @@ def permutation_from_sequence(seq: np.ndarray) -> np.ndarray:
     return np.argsort(seq, kind="stable")
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=256)  # 64 tenants x 3 lengths in use; at most 256 x 512 KiB for m <= 65535
 def permutation_for_key(key: SymKey, m: int) -> np.ndarray:
-    """Keyed permutation of length m, memoised; the array is read-only.
+    """Keyed permutation of length m, memoised per (key, m); the array is read-only.
 
-    A miss costs a stable argsort of the key's cached orbit prefix.
+    A miss iterates the key's orbit from the key point and stably argsorts it.
     """
     perm = permutation_from_sequence(henon_sequence(key, m))
     perm.setflags(write=False)

@@ -16,6 +16,12 @@ MAX_PIXELS = 1 << 24  # largest width * height read from a PGM or declared by a 
 PNM_CAP = 3 * MAX_PIXELS + 4096  # bytes: a P6 raster of MAX_PIXELS pixels and up to 4 KiB of header and comments
 
 
+def _check_size(width: int, height: int, path) -> None:
+    """The size rule for every image read or written: each side >= 1, 1 to MAX_PIXELS pixels."""
+    if width < 1 or height < 1 or width * height > MAX_PIXELS:
+        raise IoError(f"bad image size {width}x{height} in {path}: want 1 to {MAX_PIXELS} pixels")
+
+
 def _read_tokens(data: bytes, count: int):
     """First `count` whitespace tokens after the 2-byte magic, skipping
     comments, and the offset of the raster that follows them."""
@@ -52,8 +58,7 @@ def read_image(path) -> np.ndarray:
         width, height, maxval = int(w), int(h), int(maxval)
     except (IoError, ValueError) as e:
         raise IoError(f"bad PNM header in {path}") from e
-    if width < 1 or height < 1 or width * height > MAX_PIXELS:
-        raise IoError(f"bad image size {width}x{height} in {path}: want 1 to {MAX_PIXELS} pixels")
+    _check_size(width, height, path)
     if maxval != 255:
         raise IoError(f"only maxval 255 supported, got {maxval} in {path}")
     channels = 1 if magic == b"P5" else 3
@@ -72,6 +77,7 @@ def write_image(img: np.ndarray, path) -> None:
     if img.ndim != 2 or img.dtype != np.uint8:
         raise IoError(f"can only write 2-D uint8 images, got {img.shape} {img.dtype}")
     h, w = img.shape
+    _check_size(w, h, path)
     atomic_write(path, b"P5\n%d %d\n255\n" % (w, h) + img.tobytes())
 
 

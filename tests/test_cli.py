@@ -314,6 +314,36 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        ("recv 99999 --out out", "port"),
+        ("recv 9 --out out --timeout -1", "--timeout"),
+        ("recv 9 --out out --timeout inf", "--timeout"),
+        ("send p.lsp 127.0.0.1:9 --throttle 0", "--throttle"),
+        ("henon-plot --sym k.sym --n -5 --out out", "--n"),
+        ("train data out --batch-size 0", "--batch-size"),
+        ("train data out --m 0", "--m"),
+        ("train data out --hidden 16 0", "--hidden"),
+        ("train data out --seed -1", "--seed"),
+        ("train data out --epochs -1", "--epochs"),
+        ("evaluate data --model m --sym s --pub p --priv q --out out --window 0", "--window"),
+        ("make-model out --m 0", "--m"),
+        ("make-dataset out --size 0", "--size"),
+        ("make-dataset out --seed -1", "--seed"),
+        ("keygen out --seed -1", "--seed"),
+    ],
+)
+def test_out_of_range_number_is_usage_error(tmp_path, monkeypatch, command, option, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: want " in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_parser_built_once_and_calls_repeat(tmp_path, keys, capsys):
     assert cli.build_parser() is cli.build_parser()
     sym = str(keys) + ".sym"

@@ -210,12 +210,11 @@ def test_burn_in_capped():
 
 
 def _uncached_permutation(key, m):
-    """Test-only oracle: the permutation from a fresh orbit, outside the prefix cache."""
+    """Test-only oracle: the permutation from a fresh orbit, outside the permutation memo."""
     return henon.permutation_from_sequence(henon.henon_trajectory(key, m)[:, 0])
 
 
 def test_permutation_for_key_over_shuffled_lengths():
-    henon._prefixes.clear()
     henon.permutation_for_key.cache_clear()
     keys = [henon.SymKey(0.2, -0.1), henon.SymKey(0.1, 0.1, burn_in=37), henon.SymKey(-0.3, 0.05, burn_in=0)]
     lengths = np.random.default_rng(4).permutation([1, 2, 16, 16, 100, 399, 400, 400, 401, 1000, 3])
@@ -229,50 +228,31 @@ def test_permutation_for_key_over_shuffled_lengths():
 def test_divergence_past_a_cached_prefix_is_raised_every_call():
     # x' = 1 + y, y' = x: x grows by one every two steps and leaves the guard near step 200
     key = henon.SymKey(0.0, 0.0, henon.HenonParams(0.0, 1.0), burn_in=0)
-    henon._prefixes.pop(key, None)
     short = henon.henon_sequence(key, 100).copy()
     with pytest.raises(DivergenceError) as uncached:
         henon.henon_trajectory(key, 300)
     for _ in range(3):
         with pytest.raises(DivergenceError) as cached:
             henon.henon_sequence(key, 300)
-        assert str(cached.value) == str(uncached.value)  # same step index when resumed
+        assert str(cached.value) == str(uncached.value)  # same step index on every call
         with pytest.raises(DivergenceError):
             henon.permutation_for_key(key, 300)
-    assert len(henon._prefixes[key][0]) == 100
     assert np.array_equal(henon.henon_sequence(key, 100), short)
     assert np.array_equal(short, henon.henon_trajectory(key, 100)[:, 0])
 
 
-def test_orbit_cache_bounded_and_read_only():
-    henon._prefixes.clear()
-    keys = [henon.SymKey(0.1 + i * 1e-4, 0.05, burn_in=10) for i in range(henon.ORBIT_CACHE_KEYS + 40)]
-    for key in keys:
-        henon.henon_sequence(key, 4)
-    assert len(henon._prefixes) == henon.ORBIT_CACHE_KEYS
-    assert keys[-1] in henon._prefixes and keys[0] not in henon._prefixes
-    seq = henon.henon_sequence(keys[-1], 4)
-    assert not seq.flags.writeable
-    with pytest.raises(ValueError):
-        seq[0] = 0.0
-    # the longest stored prefix is exactly ORBIT_CACHE_BYTES; one more value is not stored
-    key = henon.SymKey(0.2, -0.1, burn_in=0)
-    limit = henon.ORBIT_CACHE_BYTES // 8
-    henon.henon_sequence(key, limit)
-    assert len(henon._prefixes[key][0]) == limit
-    longer = henon.henon_sequence(key, limit + 1)
-    assert len(henon._prefixes[key][0]) == limit
-    assert not longer.flags.writeable
-    assert np.array_equal(longer[:limit], henon.henon_sequence(key, limit))
-
-
-def test_load_sym_key_warms_the_orbit_cache(tmp_path):
-    path = tmp_path / "k.sym"
-    key = henon.SymKey(0.15, -0.05)
-    henon.save_sym_key(key, path)
-    henon._prefixes.pop(key, None)
-    henon.load_sym_key(path)
-    assert len(henon._prefixes[key][0]) == 100  # validate's length: m = 100 is a hit
+def test_permutation_memo_holds_the_tenants_working_set():
+    # 64 keys x 3 lengths, as on mixed-tenants: a second pass is all hits
+    keys = [henon.SymKey(0.1 + i * 1e-4, 0.05, burn_in=10) for i in range(64)]
+    pairs = [(key, m) for key in keys for m in (16, 100, 400)]
+    for key, m in pairs:
+        henon.permutation_for_key(key, m)
+    misses = henon.permutation_for_key.cache_info().misses
+    for key, m in pairs:
+        henon.permutation_for_key(key, m)
+    assert henon.permutation_for_key.cache_info().misses == misses
+    # every entry is at most an int64 permutation of the header's largest m
+    assert henon.permutation_for_key.cache_info().maxsize * 8 * 0xFFFF <= 128 << 20
 
 
 def test_oversized_sym_key_file_is_io_error(tmp_path):

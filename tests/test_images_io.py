@@ -65,6 +65,14 @@ def test_rejects_declared_size_over_max_pixels(tmp_path):
         images.read_image(path)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4097, 4097)])
+def test_write_image_refuses_what_read_image_refuses(tmp_path, shape):
+    path = tmp_path / "w.pgm"
+    with pytest.raises(IoError, match="bad image size"):
+        images.write_image(np.zeros(shape, dtype=np.uint8), path)
+    assert not path.exists()
+
+
 def test_make_dataset_reproducible(tmp_path):
     a = images.make_dataset(tmp_path / "a", 10, 16, seed=1)
     b = images.make_dataset(tmp_path / "b", 10, 16, seed=1)

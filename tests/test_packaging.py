@@ -61,6 +61,39 @@ def test_outside_files_are_read_through_one_capped_reader():
     assert _file_reads() == {("errors", "read_file"), ("codec", "load_model")}
 
 
+def _cache_breaches() -> list[str]:
+    """Every lru_cache without a literal integer maxsize, every functools.cache
+    on a function that takes parameters, and every use of OrderedDict."""
+    breaches = []
+    for path in (ROOT / "src" / "latentseal").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bounded, cached_without_parameters = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int:
+                    bounded.add(id(node.func))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                if not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg):
+                    cached_without_parameters.update(id(d) for d in node.decorator_list)
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            where = f"{path.stem}:{node.lineno}" if hasattr(node, "lineno") else path.stem
+            if name == "lru_cache" and id(node) not in bounded:
+                breaches.append(f"{where} lru_cache without a literal maxsize")
+            if name == "cache" and id(node) not in cached_without_parameters:
+                breaches.append(f"{where} functools.cache not on a zero-parameter function")
+            if name == "OrderedDict" or "OrderedDict" in names:
+                breaches.append(f"{where} OrderedDict")
+    return breaches
+
+
+def test_every_cache_is_bounded():
+    assert _cache_breaches() == []
+
+
 def _fresh_python(code: str) -> str:
     """stdout of `code` run in a new interpreter that imports latentseal from src."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
