@@ -183,6 +183,8 @@ _POSITIVE = _checked(int, "an integer >= 1", lambda v: v >= 1)
 _NON_NEGATIVE = _checked(int, "an integer >= 0", lambda v: v >= 0)
 _PORT = _checked(int, "a port in 0..65535", lambda v: 0 <= v <= 0xFFFF)
 _POSITIVE_FINITE = _checked(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE_FINITE = _checked(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+_M = _checked(int, "an integer in 1..65535", lambda v: 1 <= v <= 0xFFFF)  # the payload header's range
 
 
 @functools.cache
@@ -202,19 +204,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-model", help="write a deterministic DCT codec model")
     p.add_argument("out")
-    p.add_argument("--m", type=_POSITIVE, default=100)
+    p.add_argument("--m", type=_M, default=100)
     p.set_defaults(func=cmd_make_model)
 
     p = sub.add_parser("train", help="train a neural codec on a .pgm directory")
     p.add_argument("dataset_dir")
     p.add_argument("out")
-    p.add_argument("--m", type=_POSITIVE, default=100)
+    p.add_argument("--m", type=_M, default=100)
     p.add_argument("--hidden", type=_POSITIVE, nargs="+", default=[128])
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=_POSITIVE_FINITE, default=0.05)
     p.add_argument("--epochs", type=_NON_NEGATIVE, default=100)
     p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.add_argument("--batch-size", type=_POSITIVE, default=8)
-    p.add_argument("--lam", type=float, default=0.0, help="adversarial loss weight")
+    p.add_argument("--lam", type=_NON_NEGATIVE_FINITE, default=0.0, help="adversarial loss weight")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encrypt", help="compress and encrypt an image")
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-dataset", help="generate synthetic training images")
     p.add_argument("out_dir")
-    p.add_argument("--count", type=int, default=32)
+    p.add_argument("--count", type=_NON_NEGATIVE, default=32)
     p.add_argument("--size", type=_POSITIVE, default=32)
     p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.set_defaults(func=cmd_make_dataset)

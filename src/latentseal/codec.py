@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IoError, MTooLargeError, ShapeMismatchError, atomic_write
+from .images import MAX_PIXELS
 
 MODEL_MAGIC = b"LSCM"
 MODEL_VERSION = 1
@@ -91,10 +92,17 @@ def _zigzag_bases(height: int, width: int, rows: np.ndarray, cols: np.ndarray) -
     """Row bases, (rows.max() + 1) x height, and column bases, (cols.max() + 1) x width,
     sliced from bases cached by the square box side max(rows.max(), cols.max()) + 1.
     The two counts differ by the last diagonal's parity; the box side depends
-    only on m while the cells fit the grid."""
+    only on m while the cells fit the grid.
+
+    A basis of side * min(k, side) entries over MAX_PIXELS is refused before
+    it is built: a long thin grid at large m, such as 1 x 65535 at m = 65535, would
+    otherwise take a 32 GiB basis, and a payload header can declare one."""
     kr, kc = rows.max(initial=0) + 1, cols.max(initial=0) + 1
     k = max(kr, kc)
-    return _dct_basis(height, min(k, height))[:kr], _dct_basis(width, min(k, width))[:kc]
+    kh, kw = min(k, height), min(k, width)
+    if max(kh * height, kw * width) > MAX_PIXELS:
+        raise MTooLargeError(f"m={len(rows)} on a {width}x{height} grid needs a DCT basis over {MAX_PIXELS} entries")
+    return _dct_basis(height, kh)[:kr], _dct_basis(width, kw)[:kc]
 
 
 def _dct_basis(n: int, k: int) -> np.ndarray:

@@ -1,18 +1,20 @@
-"""Image quality metrics (SSIM, MSE, PSNR) and wall-clock timing.
+"""Image quality metrics (SSIM, MSE, PSNR) of 8-bit images, and wall-clock timing.
 
-SSIM defaults to the single global evaluation of the similarity
-formula over whole-image moments (population normalization); a
-uniform sliding-window mode is also available.
+Every metric takes two non-empty 2-D uint8 arrays of one shape, the only
+images the chain reads, encodes and decodes; anything else is refused.
+SSIM uses Wang et al.'s constants for 8-bit images, C1 = (0.01 * 255)^2 and
+C2 = (0.03 * 255)^2, and PSNR a peak of 255.  SSIM defaults to the single
+global evaluation of the similarity formula over whole-image moments
+(population normalization); a uniform sliding-window mode is also
+available.
 
-Exactness: for 8-bit (uint8) inputs every metric starts from integer
-sums that are exact.  MSE is the exact sum of squared differences over
-the pixel count, correctly rounded, and PSNR follows from it.  Windowed
-SSIM takes each window's sums of a, b, a², b² and ab in int32 (int64 for
-windows over 181) and applies the per-window formula to them, so every
-window's value equals that of a direct loop over the window.  Global SSIM
-takes its variances and covariance from the exact integer moments, each
-rounded once.  Other inputs are converted to float64 and follow the same
-formulas.
+Exactness: every metric starts from integer sums that are exact.  MSE is
+the exact sum of squared differences over the pixel count, correctly
+rounded, and PSNR follows from it.  Windowed SSIM takes each window's sums
+of a, b, a², b² and ab in int32 (int64 for windows over 181) and applies
+the per-window formula to them, so every window's value equals that of a
+direct loop over the window.  Global SSIM takes its variances and
+covariance from the exact integer moments, each rounded once.
 
 Window sums cost O(log w) array additions per axis: runs of 1, 2, 4, ...
 consecutive entries are built by adding shifted copies, and the runs
@@ -26,6 +28,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
+from .codec import check_image
 from .errors import DimMismatchError, WindowTooLargeError
 
 T = TypeVar("T")
@@ -33,83 +36,57 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class SsimParams:
-    k1: float = 0.01
-    k2: float = 0.03
-    L: float = 255.0
     window: int | None = None  # None = global; otherwise uniform w x w
-
-    @property
-    def c1(self) -> float:
-        return (self.k1 * self.L) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (self.k2 * self.L) ** 2
+    c1 = (0.01 * 255.0) ** 2
+    c2 = (0.03 * 255.0) ** 2
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Both images as arrays, and whether both are 8-bit (exact integer path).
-
-    Anything else, and empty images (whose metrics are nan), is converted
-    to float64.
-    """
+def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both images, as non-empty 2-D uint8 arrays of one shape."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimMismatchError(f"image shapes differ: {a.shape} vs {b.shape}")
-    exact = a.dtype == b.dtype == np.uint8 and a.size > 0
-    if not exact:
-        a, b = a.astype(np.float64), b.astype(np.float64)
-    return a, b, exact
+    return check_image(a), check_image(b)
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
-    a, b, exact = _check_pair(a, b)
-    if not exact:
-        return float(np.mean((a - b) ** 2))
+    a, b = _check_pair(a, b)
     d = np.subtract(a, b, dtype=np.int32)
     d *= d
     return float(d.sum() / d.size)  # int64 sum of squares, one rounding
 
 
-def psnr(a: np.ndarray, b: np.ndarray, bits: int = 8) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     err = mse(a, b)
-    peak = float(2**bits - 1)
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / err)
+    return 10.0 * math.log10(255.0 * 255.0 / err)
 
 
 def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> float:
-    a, b, exact = _check_pair(a, b)
+    a, b = _check_pair(a, b)
     if params.window is None:
-        return _ssim_global(a, b, exact, params.c1, params.c2)
+        return _ssim_global(a, b, params.c1, params.c2)
     w = params.window
     if w < 1 or w > min(a.shape):
         raise WindowTooLargeError(f"window {w} exceeds image {a.shape}")
-    return _ssim_windows(a, b, exact, w, params.c1, params.c2)
+    return _ssim_windows(a, b, w, params.c1, params.c2)
 
 
-def _ssim_global(a, b, exact, c1, c2) -> float:
-    if exact:
-        # Every partial sum is an integer below 2**53, so the float64 sums
-        # and dot products are exact; the centred moments are then exact
-        # integers over n**2, each rounded once by Python's int division.
-        f = np.empty((2,) + a.shape)
-        f[0], f[1] = a, b
-        fa, fb = f.reshape(2, -1)
-        n = fa.size
-        sa, sb, saa, sbb, sab = (int(v) for v in (fa.sum(), fb.sum(), fa @ fa, fb @ fb, fa @ fb))
-        mu_a, mu_b = sa / n, sb / n
-        var_a = (n * saa - sa * sa) / (n * n)
-        var_b = (n * sbb - sb * sb) / (n * n)
-        cov = (n * sab - sa * sb) / (n * n)
-    else:
-        mu_a = a.mean()
-        mu_b = b.mean()
-        var_a = a.var()  # population (1/N) normalization
-        var_b = b.var()
-        cov = ((a - mu_a) * (b - mu_b)).mean()
+def _ssim_global(a, b, c1, c2) -> float:
+    # Every partial sum is an integer below 2**53, so the float64 sums and
+    # dot products are exact; the centred moments are then exact integers
+    # over n**2, each rounded once by Python's int division.
+    f = np.empty((2,) + a.shape)
+    f[0], f[1] = a, b
+    fa, fb = f.reshape(2, -1)
+    n = fa.size
+    sa, sb, saa, sbb, sab = (int(v) for v in (fa.sum(), fb.sum(), fa @ fa, fb @ fb, fa @ fb))
+    mu_a, mu_b = sa / n, sb / n
+    var_a = (n * saa - sa * sa) / (n * n)
+    var_b = (n * sbb - sb * sb) / (n * n)
+    cov = (n * sab - sa * sb) / (n * n)
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(num / den)
@@ -141,7 +118,7 @@ def _window_sums(x: np.ndarray, spare: np.ndarray, w: int, out: np.ndarray) -> n
         span *= 2
 
 
-def _ssim_windows(a, b, exact, w, c1, c2) -> float:
+def _ssim_windows(a, b, w, c1, c2) -> float:
     """Mean of per-window structural similarity over all w*w windows.
 
     One stack holds the planes a, b, a*a, b*b and a*b.  It is summed over
@@ -157,7 +134,7 @@ def _ssim_windows(a, b, exact, w, c1, c2) -> float:
     h, wd = a.shape
     hh, ww = h - w + 1, wd - w + 1
     big, small = 5 * h * wd, 5 * hh * wd  # entries in the pixel stack, in the row sums
-    acc = np.float64 if not exact else np.int32 if (255 * w) ** 2 < 2**31 else np.int64
+    acc = np.int32 if (255 * w) ** 2 < 2**31 else np.int64
     arena = np.empty(64 * hh * ww + (2 * big + small + w - 1) * np.dtype(acc).itemsize, np.uint8)
     floats = arena[: 64 * hh * ww].view(np.float64).reshape(8, hh, ww)
     ints = arena[64 * hh * ww :].view(acc)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import CodecModel, Layer, check_image, forward, sigmoid
-from .errors import EmptyBatchError, NonFiniteLossError
+from .errors import EmptyBatchError, NonFiniteLossError, ShapeMismatchError
 
 PROB_CLAMP = 1e-12
 
@@ -77,7 +77,7 @@ def _dataset_matrix(dataset: list[np.ndarray]) -> np.ndarray:
         raise ValueError("dataset must be non-empty")
     shapes = {check_image(img).shape for img in dataset}
     if len(shapes) != 1:
-        raise ValueError(f"dataset images differ in shape: {shapes}")
+        raise ShapeMismatchError(f"dataset images differ in shape: {shapes}")
     return np.stack([img.astype(np.float64).ravel() / 255.0 for img in dataset])
 
 

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from latentseal import cli, ecies, henon, images, pipeline
+from latentseal import cli, codec, ecies, henon, images, pipeline
 from latentseal.cli import EXIT_AUTH, EXIT_FORMAT, EXIT_IO, EXIT_OK
 
 
@@ -164,7 +164,7 @@ def test_encrypt_header_field_overflow_exit_code(tmp_path, keys, height, width, 
     image = tmp_path / "big.pgm"
     images.write_image(np.zeros((height, width), dtype=np.uint8), image)
     model = tmp_path / "model.lscm"
-    assert run(["make-model", str(model), "--m", str(m)]) == EXIT_OK
+    codec.save_model(codec.dct_model(m), model)  # make-model refuses m over 65535
     out = tmp_path / "o.lsp"
     rc = run([
         "encrypt", str(image),
@@ -174,6 +174,30 @@ def test_encrypt_header_field_overflow_exit_code(tmp_path, keys, height, width, 
         "--out", str(out),
     ])
     assert rc == EXIT_FORMAT
+    assert not out.exists()
+
+
+def test_decrypt_of_a_basis_over_the_cap_exit_code(tmp_path, keys):
+    # an authentic payload whose 1 x 65535 header at m = 65535 asks the DCT decoder for a 32 GiB basis
+    header = pipeline._pack_header(pipeline.PAYLOAD_VERSION, codec.KIND_DCT, 65535, 65535, 1)
+    pub = ecies.load_public_key(str(keys) + ".pub")
+    ct = ecies.ecies_encrypt(np.zeros(65535, dtype="<f4").tobytes(), pub, aad=header)
+    payload = tmp_path / "forged.lsp"
+    forged = pipeline.EncryptedPayload(pipeline.PAYLOAD_VERSION, codec.KIND_DCT, 65535, 65535, 1, ct)
+    payload.write_bytes(forged.serialize())
+    model = tmp_path / "m65535.lscm"
+    assert run(["make-model", str(model), "--m", "65535"]) == EXIT_OK
+    out = tmp_path / "r.pgm"
+    start = time.perf_counter()
+    rc = run([
+        "decrypt", str(payload),
+        "--model", str(model),
+        "--sym", str(keys) + ".sym",
+        "--priv", str(keys) + ".priv",
+        "--out", str(out),
+    ])
+    assert rc == EXIT_FORMAT
+    assert time.perf_counter() - start < 5.0
     assert not out.exists()
 
 
@@ -281,6 +305,19 @@ def test_train_and_use_neural_model(tmp_path, keys):
     assert images.read_image(recon).shape == (8, 8)
 
 
+def test_train_on_images_of_different_sizes_exit_code(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    images.write_image(images.smooth_gradient(8), data_dir / "a.pgm")
+    images.write_image(images.smooth_gradient(16), data_dir / "b.pgm")
+    model = tmp_path / "nn.lscm"
+    rc = run(["train", str(data_dir), str(model), "--m", "4", "--hidden", "8", "--epochs", "1"])
+    assert rc == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert "differ in shape" in err and "Traceback" not in err
+    assert not model.exists()
+
+
 def test_send_recv_cli(tmp_path, keys, dct_model_path, test_image):
     payload = tmp_path / "p.lsp"
     run([
@@ -329,6 +366,14 @@ def test_usage_error_exit_code():
         ("train data out --epochs -1", "--epochs"),
         ("evaluate data --model m --sym s --pub p --priv q --out out --window 0", "--window"),
         ("make-model out --m 0", "--m"),
+        ("make-model out --m 65536", "--m"),
+        ("train data out --m 70000", "--m"),
+        ("train data out --lr 0", "--lr"),
+        ("train data out --lr nan", "--lr"),
+        ("train data out --lr inf", "--lr"),
+        ("train data out --lam -1", "--lam"),
+        ("train data out --lam nan", "--lam"),
+        ("make-dataset out --count -3", "--count"),
         ("make-dataset out --size 0", "--size"),
         ("make-dataset out --seed -1", "--seed"),
         ("keygen out --seed -1", "--seed"),

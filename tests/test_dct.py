@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -237,3 +239,19 @@ def test_bases_cut_from_the_square_box_match_exact_size_bases():
         row_basis, col_basis = codec._zigzag_bases(h, w, rows, cols)
         assert row_basis.tobytes() == codec._basis(h, rows.max() + 1).tobytes()
         assert col_basis.tobytes() == codec._basis(w, cols.max() + 1).tobytes()
+
+
+@pytest.mark.parametrize("width,height", [(65535, 1), (1, 65535), (65535, 256), (256, 65535)])
+def test_basis_over_max_pixels_refused_before_it_is_built(width, height):
+    # 1 x 65535 at m = 65535 needs a 65535 x 65535 basis (32 GiB), 256 x 65535 a 384 x 65535 one (192 MiB)
+    start = time.perf_counter()
+    with pytest.raises(MTooLargeError, match="DCT basis"):
+        codec.dct_decode(np.zeros(65535), width, height)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_square_grid_at_the_largest_m_still_decodes():
+    img = np.random.default_rng(21).integers(0, 256, (256, 256), dtype=np.uint8)
+    out = codec.dct_decode(codec.dct_encode(img, 65535), 256, 256)
+    assert out.shape == (256, 256)
+    assert np.abs(out.astype(int) - img).max() <= 1

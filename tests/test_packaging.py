@@ -94,6 +94,19 @@ def test_every_cache_is_bounded():
     assert _cache_breaches() == []
 
 
+def test_every_numeric_cli_argument_is_range_checked():
+    # no add_argument passes a bare type=int or type=float: each number goes
+    # through a cli._checked rule, so an out-of-range value exits 2
+    unchecked = [
+        node.lineno
+        for node in ast.walk(ast.parse((ROOT / "src" / "latentseal" / "cli.py").read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add_argument"
+        and any(k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id in ("int", "float") for k in node.keywords)
+    ]
+    assert unchecked == []
+
+
 def _fresh_python(code: str) -> str:
     """stdout of `code` run in a new interpreter that imports latentseal from src."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
