@@ -2,21 +2,21 @@
 
 from .codec import CodecModel, dct_decode, dct_encode, dct_model, load_model, save_model
 from .ecies import EciesCiphertext, EciesKeypair, ecies_decrypt, ecies_encrypt, keygen
-from .henon import (
-    HenonParams,
-    HenonState,
-    SymKey,
-    deshuffle,
-    henon_sequence,
-    henon_step,
-    permutation_from_sequence,
-    shuffle,
-)
+from .henon import HenonParams, SymKey, deshuffle, henon_sequence, permutation_from_sequence, shuffle
 from .metrics import QualityReport, SsimParams, mse, psnr, ssim, timed
 from .pipeline import EncryptedPayload, compress_encrypt, decrypt_reconstruct, evaluate
-from .train import TrainConfig, gan_objective, train_adversarial, train_autoencoder
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Training is imported on first use, so a cold encrypt or decrypt never loads it."""
+    if name in ("TrainConfig", "gan_objective", "train_adversarial", "train_autoencoder"):
+        from . import train
+
+        return getattr(train, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CodecModel",
@@ -24,7 +24,6 @@ __all__ = [
     "EciesKeypair",
     "EncryptedPayload",
     "HenonParams",
-    "HenonState",
     "QualityReport",
     "SsimParams",
     "SymKey",
@@ -40,7 +39,6 @@ __all__ = [
     "evaluate",
     "gan_objective",
     "henon_sequence",
-    "henon_step",
     "keygen",
     "load_model",
     "mse",

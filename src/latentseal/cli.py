@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codec, ecies, henon, images, pipeline, train, transfer
+from . import codec, ecies, henon, images, pipeline
 from .errors import (
     AuthFailureError,
     BadHeaderError,
@@ -67,6 +67,8 @@ def cmd_make_model(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import train  # imported here, like transfer: encrypt and decrypt never load it
+
     paths = sorted(Path(args.dataset_dir).glob("*.pgm"))
     if not paths:
         raise IoError(f"no .pgm images in {args.dataset_dir}")
@@ -149,12 +151,16 @@ def cmd_send(args) -> int:
     host, _, port = args.dest.rpartition(":")
     if not host or not port.isdigit():
         raise IoError(f"destination must be host:port, got {args.dest!r}")
+    from . import transfer
+
     transfer.send_file(args.payload, host, int(port), args.throttle)
     print("sent")
     return EXIT_OK
 
 
 def cmd_recv(args) -> int:
+    from . import transfer
+
     n = transfer.recv_file(args.port, args.out, timeout=args.timeout)
     print(f"received {n} bytes to {args.out}")
     return EXIT_OK
@@ -185,6 +191,7 @@ _PORT = _checked(int, "a port in 0..65535", lambda v: 0 <= v <= 0xFFFF)
 _POSITIVE_FINITE = _checked(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 _NON_NEGATIVE_FINITE = _checked(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
 _M = _checked(int, "an integer in 1..65535", lambda v: 1 <= v <= 0xFFFF)  # the payload header's range
+_POINTS = _checked(int, "an integer in 0..1000000", lambda v: 0 <= v <= 1_000_000)  # henon-plot's CSV, ~40 MB
 
 
 @functools.cache
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("henon-plot", help="export orbit points as CSV")
     p.add_argument("--sym", required=True)
-    p.add_argument("--n", type=_NON_NEGATIVE, default=10000)
+    p.add_argument("--n", type=_POINTS, default=10000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_henon_plot)
 

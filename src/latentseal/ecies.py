@@ -16,7 +16,6 @@ the entries worth keeping.  Exceptions are not cached, so an invalid
 point is rejected on every call.
 """
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,10 +24,6 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    PublicFormat,
-)
 
 from .errors import KEY_FILE_CAP, AuthFailureError, InvalidPointError, IoError, atomic_write, read_file
 
@@ -63,7 +58,9 @@ class EciesKeypair:
 
 
 def _compress(pub: ec.EllipticCurvePublicKey) -> bytes:
-    return pub.public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+    """SEC1 compressed point; cryptography's encoder would import its SSH module."""
+    n = pub.public_numbers()
+    return bytes((2 + (n.y & 1),)) + n.x.to_bytes(32, "big")
 
 
 def _load_point(data: bytes) -> ec.EllipticCurvePublicKey:
@@ -98,7 +95,9 @@ def _new_key(seed: bytes) -> tuple[int, ec.EllipticCurvePrivateKey]:
         scalar = int.from_bytes(candidate, "big")
         if 1 <= scalar < CURVE_ORDER:
             return scalar, ec.derive_private_key(scalar, CURVE)
-        candidate = hashlib.sha256(candidate).digest()
+        digest = hashes.Hash(hashes.SHA256())
+        digest.update(candidate)
+        candidate = digest.finalize()
 
 
 def keygen(seed: bytes | None = None) -> EciesKeypair:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +30,6 @@ CLASSICAL_B = 0.3
 GUARD = 100.0
 DEFAULT_BURN_IN = 1000
 MAX_BURN_IN = 100_000  # bounds the orbit steps a key file makes every load run
-
-
-class HenonState(NamedTuple):
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -66,28 +60,29 @@ class SymKey:
             raise ValueError(f"burn_in must be in [0, {MAX_BURN_IN}]")
 
     def validate(self, m: int = 100) -> None:
-        """Check the orbit survives burn_in + m steps without diverging and
-        that the key is not weak: its first m orbit values must be distinct
+        """Check the orbit survives burn_in + max(m, 101) steps without diverging
+        and that the key is not weak: its first m orbit values must be distinct
         and, for m >= 2, must not sort into the identity permutation, which
-        would leave every shuffled latent in place.  Raises ValueError for a
-        weak key.
+        would leave every shuffled latent in place.  The map must also be
+        chaotic where emission starts, or the permutation would not depend on
+        the key point: an orbit from the first emitted point, and one from that
+        point with x moved by 1e-9, must come 1e-3 apart within 100 steps (a
+        finite-time Lyapunov test).  Raises ValueError for a weak key.
         """
-        seq = henon_sequence(self, m)
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        xs, ys = _orbit(self, max(m, 101))  # points 1..100 are the reference for the twin orbit
+        seq = xs[:m]
         # not np.unique: its first call imports numpy.ma, a cost every cold CLI run would pay
         ordered = np.sort(seq)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError(f"weak key: the first {m} orbit values repeat")
         if m >= 2 and np.array_equal(ordered, seq):
             raise ValueError(f"weak key: the length-{m} permutation is the identity")
-
-
-def henon_step(state: HenonState, params: HenonParams) -> HenonState:
-    """One iteration of the map, fixed evaluation order, double precision."""
-    xn = 1.0 - params.a * state.x * state.x + state.y
-    yn = params.b * state.x
-    if abs(xn) > GUARD or abs(yn) > GUARD:
-        raise DivergenceError(f"orbit escaped guard at ({xn}, {yn})")
-    return HenonState(xn, yn)
+        twin = _orbit(SymKey(float(xs[0]) + 1e-9, float(ys[0]), self.params, burn_in=0), 100)
+        gap = np.abs(np.subtract(twin, (xs[1:101], ys[1:101]))).max()
+        if gap < 1e-3:
+            raise ValueError(f"weak key: not chaotic, orbits 1e-9 apart stay within {gap:.2g} over 100 steps")
 
 
 def _orbit(key: SymKey, n: int) -> tuple[np.ndarray, np.ndarray]:

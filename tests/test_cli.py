@@ -359,6 +359,7 @@ def test_usage_error_exit_code():
         ("recv 9 --out out --timeout inf", "--timeout"),
         ("send p.lsp 127.0.0.1:9 --throttle 0", "--throttle"),
         ("henon-plot --sym k.sym --n -5 --out out", "--n"),
+        ("henon-plot --sym k.sym --n 1000001 --out out", "--n"),
         ("train data out --batch-size 0", "--batch-size"),
         ("train data out --m 0", "--m"),
         ("train data out --hidden 16 0", "--hidden"),

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,3 +193,27 @@ def test_oversized_key_file_is_io_error(tmp_path, keypair, suffix):
     loader = ecies.load_public_key if suffix == "pub" else ecies.load_private_key
     with pytest.raises(IoError, match="over"):
         loader(path)
+
+
+def test_compress_matches_cryptography_encoding():
+    # ecies builds the SEC1 point itself; cryptography's own encoder is the oracle
+    rng = np.random.default_rng(7)
+    parities = set()
+    for _ in range(256):
+        _, priv = ecies._new_key(rng.bytes(32))
+        pub = priv.public_key()
+        expected = pub.public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
+        assert ecies._compress(pub) == expected
+        parities.add(expected[0])
+    assert parities == {2, 3}
+
+
+def test_new_key_rejection_path_matches_sha256_oracle():
+    seed = b"\xff" * 32
+    assert int.from_bytes(seed, "big") >= ecies.CURVE_ORDER  # so the seed itself is rejected
+    candidate = seed
+    while not 1 <= int.from_bytes(candidate, "big") < ecies.CURVE_ORDER:
+        candidate = hashlib.sha256(candidate).digest()
+    assert candidate != seed
+    scalar, priv = ecies._new_key(seed)
+    assert scalar == int.from_bytes(candidate, "big") == priv.private_numbers().private_value

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,22 +11,30 @@ from latentseal.errors import DivergenceError, IoError, LengthMismatchError
 CLASSICAL = henon.HenonParams()
 
 
+def _step(x, y, params):
+    """Test-only oracle: one iteration of the map, in the written evaluation order."""
+    return 1.0 - params.a * x * x + y, params.b * x
+
+
+def _first_points(x0, y0, params, n):
+    """The first n orbit points from (x0, y0), through the library, with no burn-in."""
+    return henon.henon_trajectory(henon.SymKey(x0, y0, params, burn_in=0), n)
+
+
 def test_step_from_origin():
-    s1 = henon.henon_step(henon.HenonState(0.0, 0.0), CLASSICAL)
-    assert s1 == (1.0, 0.0)
+    assert tuple(_first_points(0.0, 0.0, CLASSICAL, 1)[0]) == (1.0, 0.0)
 
 
 def test_second_step_written_order():
-    s2 = henon.henon_step(henon.HenonState(1.0, 0.0), CLASSICAL)
+    s2 = _first_points(0.0, 0.0, CLASSICAL, 2)[1]
     # exactly the prescribed arithmetic: (1 - a*x*x + y, b*x)
-    assert s2.x == 1.0 - 1.4 * 1.0 * 1.0 + 0.0
-    assert s2.y == 0.3
-    assert s2.x == pytest.approx(-0.4, abs=1e-15)
+    assert s2[0] == 1.0 - 1.4 * 1.0 * 1.0 + 0.0
+    assert s2[1] == 0.3
+    assert s2[0] == pytest.approx(-0.4, abs=1e-15)
 
 
 def test_step_degenerate_params():
-    s = henon.henon_step(henon.HenonState(0.0, 0.0), henon.HenonParams(0.0, 0.0))
-    assert s == (1.0, 0.0)
+    assert tuple(_first_points(0.0, 0.0, henon.HenonParams(0.0, 0.0), 1)[0]) == (1.0, 0.0)
 
 
 def test_sequence_no_burn_in():
@@ -54,7 +64,7 @@ def test_sequence_deterministic():
 
 def test_divergence_guard():
     with pytest.raises(DivergenceError):
-        henon.henon_step(henon.HenonState(50.0, 0.0), CLASSICAL)
+        _first_points(50.0, 0.0, CLASSICAL, 1)
     with pytest.raises(DivergenceError):
         henon.henon_sequence(henon.SymKey(3.0, 3.0, burn_in=0), 10)
 
@@ -69,10 +79,10 @@ def test_divergence_index_reported():
 
 def test_trajectory_matches_step_oracle():
     key = henon.SymKey(0.1, 0.1, burn_in=500)
-    state = henon.HenonState(key.x0, key.y0)
+    state = (key.x0, key.y0)
     points = []
     for i in range(key.burn_in + 2000):
-        state = henon.henon_step(state, key.params)
+        state = _step(*state, key.params)
         if i >= key.burn_in:
             points.append(state)
     traj = henon.henon_trajectory(key, 2000)
@@ -260,3 +270,29 @@ def test_oversized_sym_key_file_is_io_error(tmp_path):
     path.write_text("0.1 0.2\n" + " " * (3 << 20))
     with pytest.raises(IoError, match="over"):
         henon.load_sym_key(path)
+
+
+# (a, b, burn_in) whose orbits from (0.1, 0.05) settle on a stable fixed point or cycle
+NON_CHAOTIC = [(0.2, 0.3, 0), (0.2, 0.3, 10), (0.5, 0.1, 0), (0.9, 0.3, 0), (1.0, 0.3, 5), (1.06, 0.3, 0), (1.06, 0.3, 1000)]
+
+
+@pytest.mark.parametrize("a,b,burn_in", NON_CHAOTIC)
+def test_non_chaotic_keys_rejected(tmp_path, a, b, burn_in):
+    key = henon.SymKey(0.1, 0.05, henon.HenonParams(a, b), burn_in)
+    with pytest.raises(ValueError, match="not chaotic"):
+        key.validate()
+    path = tmp_path / "k.sym"
+    henon.save_sym_key(key, path)
+    with pytest.raises(IoError, match="not chaotic"):
+        henon.load_sym_key(path)
+
+
+@pytest.mark.parametrize("burn_in", [0, 1000])
+def test_chaotic_non_classical_key_accepted(burn_in):
+    henon.SymKey(0.1, 0.05, henon.HenonParams(1.2, 0.3), burn_in).validate()
+
+
+def test_random_sym_key_draws_unchanged_by_the_chaos_check():
+    # the key points random_sym_key returned for seeds 0..999 before keys had to be chaotic
+    text = "".join(f"{k.x0!r} {k.y0!r}\n" for k in (henon.random_sym_key(np.random.default_rng(s)) for s in range(1000)))
+    assert hashlib.sha256(text.encode()).hexdigest() == "940be369f16e4de7c2eeef9926d57d460e5219656a77f600134be97db6552356"

@@ -142,3 +142,22 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first attribute access, which an evaluated
     # `np.random.Generator` annotation would make every cold CLI run pay
     assert _fresh_python("import sys, latentseal.cli; print('numpy.random' in sys.modules)") == "False"
+
+
+def test_cli_import_loads_only_what_encrypt_and_decrypt_run():
+    # cryptography's serialization package pulls in its SSH module, and
+    # transfer pulls in socket; encrypt and decrypt use neither, nor train
+    unused = [
+        "cryptography.hazmat.primitives.serialization",
+        "hashlib",
+        "socket",
+        "latentseal.train",
+        "latentseal.transfer",
+    ]
+    code = (
+        "import sys, latentseal.cli\n"
+        f"print([m for m in {unused!r} if m in sys.modules])\n"
+        "import latentseal\n"
+        "print(latentseal.TrainConfig.__module__, 'latentseal.train' in sys.modules)"
+    )
+    assert _fresh_python(code).splitlines() == ["[]", "latentseal.train True"]
