@@ -20,14 +20,13 @@ the pipeline's 4-byte wire serialization is an exact round trip.
 """
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import IoError, MTooLargeError, ShapeMismatchError, atomic_write
+from .errors import IoError, MTooLargeError, ShapeMismatchError, atomic_write, read_file
 from .images import MAX_PIXELS
 
 MODEL_MAGIC = b"LSCM"
@@ -257,6 +256,10 @@ def neural_decode(model: CodecModel, v: np.ndarray, width: int, height: int) -> 
     return quantize(out.reshape(height, width))
 
 
+MODEL_CAP = 256 << 20  # bytes; a 256x256 autoencoder at hidden 128 is about 134 MB
+MAX_LAYERS = 64  # per stack, checked before any layer of the stack is parsed
+
+
 def _layers_bytes(layers: list[Layer]) -> bytes:
     parts = [struct.pack("<I", len(layers))]
     for layer in layers:
@@ -266,59 +269,63 @@ def _layers_bytes(layers: list[Layer]) -> bytes:
     return b"".join(parts)
 
 
-def _read_layers(f, size: int) -> list[Layer]:
-    """Layers from f, a file of `size` bytes; a layer header that claims more
-    bytes than are left in the file is rejected before anything is read."""
-    (count,) = struct.unpack("<I", f.read(4))
-    layers = []
+def _parse_layers(data: bytes, off: int, layers: list[Layer]) -> int:
+    """Append the layer stack at data[off:] to layers and return the offset after it.
+    Arrays are copied out of data: views at its offsets would be unaligned."""
+    (count,) = struct.unpack_from("<I", data, off)
+    if not 1 <= count <= MAX_LAYERS:
+        raise IoError(f"a layer stack holds {count} layers, outside 1..{MAX_LAYERS}")
+    off += 4
     for _ in range(count):
-        n_out, n_in = struct.unpack("<II", f.read(8))
-        if 8 * n_out * (n_in + 1) > size - f.tell():
+        n_out, n_in = struct.unpack_from("<II", data, off)
+        off += 8
+        if 8 * n_out * (n_in + 1) > len(data) - off:
             raise IoError(f"layer {n_out}x{n_in} exceeds the model file's remaining bytes")
-        W = np.frombuffer(f.read(8 * n_out * n_in), dtype="<f8").reshape(n_out, n_in)
-        b = np.frombuffer(f.read(8 * n_out), dtype="<f8")
-        layers.append(Layer(W.copy(), b.copy()))
-    return layers
+        W = np.frombuffer(data, "<f8", n_out * n_in, off).reshape(n_out, n_in).copy()
+        b = np.frombuffer(data, "<f8", n_out, off + W.nbytes).copy()
+        layers.append(Layer(W, b))
+        off += W.nbytes + b.nbytes
+    return off
+
+
+def _parse_model(data: bytes, path) -> CodecModel:
+    """The model in data, the bytes of the .lscm file at path: the header, then
+    for a neural codec an encoder and a decoder stack of 1..MAX_LAYERS layers
+    each, ending where data ends. Anything else, or over MODEL_CAP bytes, is an IoError."""
+    if len(data) > MODEL_CAP or data[:4] != MODEL_MAGIC:
+        raise IoError(f"not a codec model file of at most {MODEL_CAP} bytes: {path}")
+    encoder, decoder = [], []
+    try:
+        version, kind_id, m = struct.unpack_from("<BBI", data, 4)
+        if version != MODEL_VERSION:
+            raise IoError(f"unsupported model version {version}")
+        if kind_id not in (KIND_DCT, KIND_NEURAL):
+            raise IoError(f"unknown codec kind {kind_id}")
+        off = _parse_layers(data, _parse_layers(data, 10, encoder), decoder) if kind_id == KIND_NEURAL else 10
+    except struct.error as e:
+        raise IoError(f"truncated model file: {path}") from e
+    if off != len(data):
+        raise IoError(f"{len(data) - off} bytes past the model's end in {path}")
+    if kind_id == KIND_DCT:
+        return dct_model(m)
+    chain = encoder + decoder
+    if not all(np.isfinite(layer.W).all() and np.isfinite(layer.b).all() for layer in chain):
+        raise IoError(f"non-finite model weights in {path}")
+    if encoder[-1].W.shape[0] != m or any(p.W.shape[0] != n.W.shape[1] for p, n in zip(chain, chain[1:])):
+        raise IoError(f"layer shapes {[layer.W.shape for layer in chain]} do not chain through m={m} in {path}")
+    return CodecModel(kind="neural", m=m, encoder=encoder, decoder=decoder)
 
 
 def save_model(model: CodecModel, path) -> None:
+    """Write model as .lscm, refusing (IoError) what load_model would refuse."""
     data = MODEL_MAGIC + struct.pack("<BBI", MODEL_VERSION, model.codec_id, model.m)
     if model.kind == "neural":
         data += _layers_bytes(model.encoder) + _layers_bytes(model.decoder)
+    _parse_model(data, path)
     atomic_write(path, data)
 
 
 def load_model(path) -> CodecModel:
-    try:
-        with open(path, "rb") as f:
-            magic = f.read(4)
-            if magic != MODEL_MAGIC:
-                raise IoError(f"not a codec model file: {path}")
-            version, kind_id, m = struct.unpack("<BBI", f.read(6))
-            if version != MODEL_VERSION:
-                raise IoError(f"unsupported model version {version}")
-            if kind_id == KIND_DCT:
-                return dct_model(m)
-            if kind_id != KIND_NEURAL:
-                raise IoError(f"unknown codec kind {kind_id}")
-            size = os.fstat(f.fileno()).st_size
-            encoder = _read_layers(f, size)
-            decoder = _read_layers(f, size)
-    except (OSError, struct.error) as e:
-        raise IoError(f"bad model file: {path}") from e
-    model = CodecModel(kind="neural", m=m, encoder=encoder, decoder=decoder)
-    _check_shapes(model)
-    return model
-
-
-def _check_shapes(model: CodecModel) -> None:
-    dims = [layer.W.shape for layer in model.encoder + model.decoder]
-    for layer in model.encoder + model.decoder:
-        if not (np.all(np.isfinite(layer.W)) and np.all(np.isfinite(layer.b))):
-            raise IoError("non-finite model weights")
-    chain = model.encoder + model.decoder
-    for prev, nxt in zip(chain, chain[1:]):
-        if prev.W.shape[0] != nxt.W.shape[1]:
-            raise IoError(f"layer shapes do not chain: {dims}")
-    if model.encoder and model.encoder[-1].W.shape[0] != model.m:
-        raise IoError("encoder bottleneck does not match m")
+    """The .lscm model at path, read through read_file, which refuses a file
+    over MODEL_CAP bytes before reading it, and parsed by _parse_model."""
+    return _parse_model(read_file(path, MODEL_CAP), path)

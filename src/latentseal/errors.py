@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all latentseal modules, the one file writer,
-and the one reader of files from outside: keys, images and payloads."""
+and the one reader of files from outside: keys, images, models and payloads."""
 
 import os
 import stat

@@ -6,6 +6,7 @@ lines.  Thresholds are pinned here and nowhere else.
 
 import math
 import socket
+import struct
 import threading
 import time
 
@@ -248,15 +249,18 @@ def _transfer(data, throttle=None):
 
 
 def test_transfer_acceptance():
-    payload = pipeline.PAYLOAD_MAGIC + bytes(np.random.default_rng(5).integers(0, 256, 455, dtype=np.uint8))
+    def frame(m, body):  # a legal payload header and a body of 4m + 49 bytes
+        return pipeline.PAYLOAD_MAGIC + struct.pack("<BBHHH", pipeline.PAYLOAD_VERSION, 0, m, 256, 256) + body
+
+    payload = frame(100, bytes(np.random.default_rng(5).integers(0, 256, 449, dtype=np.uint8)))  # 461 bytes
     ok_loopback = _transfer(payload) == payload
     start = time.monotonic()
-    _transfer(pipeline.PAYLOAD_MAGIC + bytes(4586), throttle=1000)
+    _transfer(frame(1132, bytes(4577)), throttle=1000)  # 4589 bytes
     elapsed = time.monotonic() - start
-    expected = 4590 / 1000
+    expected = 4589 / 1000
     ok_throttle = abs(elapsed - expected) <= 0.2 * expected + 0.3  # pacing slack + setup
     report(
         "transfer: loopback byte-identical, throttle scales with size",
         ok_loopback and ok_throttle,
-        f"throttled 4590 B at 1000 B/s took {elapsed:.2f}s (expected ~{expected:.2f}s)",
+        f"throttled 4589 B at 1000 B/s took {elapsed:.2f}s (expected ~{expected:.2f}s)",
     )

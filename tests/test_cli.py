@@ -345,6 +345,55 @@ def test_send_recv_cli(tmp_path, keys, dct_model_path, test_image):
     assert out.read_bytes() == payload.read_bytes()
 
 
+@pytest.mark.parametrize("fault", ["version", "length"])
+def test_recv_of_a_frame_decrypt_refuses_exit_code(tmp_path, keys, dct_model_path, test_image, fault, capsys):
+    payload = tmp_path / "p.lsp"
+    run([
+        "encrypt", str(test_image),
+        "--model", str(dct_model_path),
+        "--sym", str(keys) + ".sym",
+        "--pub", str(keys) + ".pub",
+        "--out", str(payload),
+    ])
+    data = bytearray(payload.read_bytes())
+    if fault == "version":
+        data[4] += 1
+    else:
+        data += b"\0"
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    out = tmp_path / "received.lsp"
+    codes = {}
+    t = threading.Thread(target=lambda: codes.update(recv=run(["recv", str(port), "--out", str(out), "--timeout", "10"])))
+    t.start()
+    time.sleep(0.1)
+    with socket.create_connection(("127.0.0.1", port)) as sock:
+        sock.sendall(len(data).to_bytes(4, "big") + data)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert codes["recv"] == EXIT_FORMAT
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_encrypt_with_a_million_empty_layers_exit_code(tmp_path, keys, test_image, capsys):
+    model = tmp_path / "empty_layers.lscm"
+    stack = (1_000_000).to_bytes(4, "little") + bytes(8 * 1_000_000)
+    model.write_bytes(codec.MODEL_MAGIC + bytes([codec.MODEL_VERSION, codec.KIND_NEURAL]) + bytes(4) + stack + stack)
+    out = tmp_path / "p.lsp"
+    rc = run([
+        "encrypt", str(test_image),
+        "--model", str(model),
+        "--sym", str(keys) + ".sym",
+        "--pub", str(keys) + ".pub",
+        "--out", str(out),
+    ])
+    assert rc == EXIT_IO
+    assert not out.exists()
+    assert "1000000 layers" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["encrypt"])  # missing required flags

@@ -1,4 +1,5 @@
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -198,5 +199,77 @@ def test_load_model_rejects_layer_larger_than_file(tmp_path, n_out, n_in):
         codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, codec.KIND_NEURAL, 4)
         + struct.pack("<I", 1) + struct.pack("<II", n_out, n_in) + bytes(16)
     )
+    with pytest.raises(IoError):
+        codec.load_model(path)
+
+
+def _header(m=4):
+    return codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, codec.KIND_NEURAL, m)
+
+
+def test_load_model_refuses_a_million_empty_layers_fast(tmp_path):
+    # 7.6 MiB of 0x0 layers used to load, in 18 s and 554 MB; the count is now checked first
+    path = tmp_path / "empty_layers.lscm"
+    stack = struct.pack("<I", 1_000_000) + bytes(8 * 1_000_000)
+    path.write_bytes(_header(0) + stack + stack)
+    start = time.perf_counter()
+    with pytest.raises(IoError, match="1000000 layers"):
+        codec.load_model(path)
+    assert time.perf_counter() - start < 1.0
+
+
+def _deep_model(encoder_layers, decoder_layers):
+    rng = np.random.default_rng(7)
+
+    def layer(n_out, n_in):
+        return Layer(rng.standard_normal((n_out, n_in)), rng.standard_normal(n_out))
+
+    encoder = [layer(4, 4) for _ in range(encoder_layers - 1)] + [layer(2, 4)]
+    decoder = [layer(4, 2)] + [layer(4, 4) for _ in range(decoder_layers - 1)]
+    return CodecModel(kind="neural", m=2, encoder=encoder, decoder=decoder)
+
+
+@pytest.mark.parametrize("encoder_layers,decoder_layers", [(1, 1), (codec.MAX_LAYERS, codec.MAX_LAYERS), (1, codec.MAX_LAYERS)])
+def test_model_with_1_to_max_layers_per_stack_round_trips(tmp_path, encoder_layers, decoder_layers):
+    model = _deep_model(encoder_layers, decoder_layers)
+    path = tmp_path / "deep.lscm"
+    codec.save_model(model, path)
+    loaded = codec.load_model(path)
+    assert loaded.m == 2 and len(loaded.encoder) == encoder_layers and len(loaded.decoder) == decoder_layers
+    for got, want in zip(loaded.encoder + loaded.decoder, model.encoder + model.decoder):
+        assert np.array_equal(got.W, want.W) and np.array_equal(got.b, want.b)
+        assert got.W.flags.aligned and got.W.flags.owndata and got.b.flags.owndata
+
+
+@pytest.mark.parametrize("encoder_layers,decoder_layers", [(codec.MAX_LAYERS + 1, 1), (1, codec.MAX_LAYERS + 1)])
+def test_save_and_load_refuse_a_stack_over_max_layers(tmp_path, encoder_layers, decoder_layers):
+    model = _deep_model(encoder_layers, decoder_layers)
+    path = tmp_path / "too_deep.lscm"
+    with pytest.raises(IoError, match=f"{codec.MAX_LAYERS + 1} layers"):
+        codec.save_model(model, path)
+    assert not path.exists()
+    path.write_bytes(_header(2) + codec._layers_bytes(model.encoder) + codec._layers_bytes(model.decoder))
+    with pytest.raises(IoError, match=f"{codec.MAX_LAYERS + 1} layers"):
+        codec.load_model(path)
+
+
+def test_save_model_refuses_a_model_over_the_cap(tmp_path, monkeypatch):
+    model = _deep_model(1, 1)
+    path = tmp_path / "big.lscm"
+    codec.save_model(model, path)
+    monkeypatch.setattr(codec, "MODEL_CAP", path.stat().st_size - 1)
+    path.unlink()
+    with pytest.raises(IoError):
+        codec.save_model(model, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("cut", [-1, 1])
+@pytest.mark.parametrize("model", [codec.dct_model(4), _deep_model(2, 2)], ids=["dct", "neural"])
+def test_load_model_refuses_bytes_past_or_short_of_the_end(tmp_path, cut, model):
+    path = tmp_path / "model.lscm"
+    codec.save_model(model, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
     with pytest.raises(IoError):
         codec.load_model(path)

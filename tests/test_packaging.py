@@ -57,8 +57,7 @@ def _file_reads() -> set[tuple[str, str]]:
 
 
 def test_outside_files_are_read_through_one_capped_reader():
-    # load_model bounds each layer by the bytes left in the file instead
-    assert _file_reads() == {("errors", "read_file"), ("codec", "load_model")}
+    assert _file_reads() == {("errors", "read_file")}
 
 
 def _cache_breaches() -> list[str]:

@@ -1,12 +1,21 @@
 import socket
+import struct
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from latentseal import transfer
+from latentseal.ecies import OVERHEAD
 from latentseal.errors import BadHeaderError, FrameTooLargeError, IoError
-from latentseal.pipeline import PAYLOAD_MAGIC
+from latentseal.pipeline import PAYLOAD_MAGIC, PAYLOAD_VERSION
+
+
+def legal_frame(m, fill=b"\x01", version=PAYLOAD_VERSION, extra=0):
+    """A 256x256 DCT payload header for m latents and a body of 4m + 49 (+ extra) bytes of fill repeated."""
+    n = 4 * m + OVERHEAD + extra
+    return PAYLOAD_MAGIC + struct.pack("<BBHHH", version, 0, m, 256, 256) + (fill * (n // len(fill) + 1))[:n]
 
 
 def free_port():
@@ -36,13 +45,13 @@ def run_transfer(data, throttle=None):
 
 
 def test_loopback_round_trip():
-    payload = PAYLOAD_MAGIC + bytes(range(256)) * 4
+    payload = legal_frame(242, bytes(range(256)))  # 1029 bytes
     assert run_transfer(payload) == payload
 
 
 def test_loopback_file_round_trip(tmp_path):
     src = tmp_path / "payload.bin"
-    src.write_bytes(PAYLOAD_MAGIC + b"\x01" * 455)
+    src.write_bytes(legal_frame(100))  # 461 bytes
     port = free_port()
     out = tmp_path / "out.bin"
     t = threading.Thread(
@@ -56,16 +65,16 @@ def test_loopback_file_round_trip(tmp_path):
 
 
 def test_throttle_pacing():
-    small = PAYLOAD_MAGIC + bytes(455)  # 459 bytes at 1000 B/s -> < 1 s
+    small = legal_frame(100, bytes(1))  # 461 bytes at 1000 B/s -> < 1 s
     start = time.monotonic()
     run_transfer(small, throttle=1000)
     assert time.monotonic() - start < 1.0
-    big = PAYLOAD_MAGIC + bytes(4586)  # 4590 bytes at 1000 B/s -> >= 4 s
+    big = legal_frame(1132, bytes(1))  # 4589 bytes at 1000 B/s -> >= 4 s
     start = time.monotonic()
     run_transfer(big, throttle=1000)
     elapsed = time.monotonic() - start
     assert elapsed >= 4.0 * 0.8  # 20% slack
-    assert elapsed == pytest.approx(4.59, rel=0.5)
+    assert elapsed == pytest.approx(4.589, rel=0.5)
 
 
 def test_frame_cap_on_send():
@@ -173,6 +182,42 @@ def test_frame_cap_is_the_largest_legal_payload():
     from latentseal.pipeline import HEADER_LEN
 
     assert transfer.FRAME_CAP == HEADER_LEN + 4 * 0xFFFF + OVERHEAD == 262_201
-    payload = PAYLOAD_MAGIC + bytes(range(256)) * ((transfer.FRAME_CAP - 4) // 256)
-    payload += bytes(transfer.FRAME_CAP - len(payload))
+    payload = legal_frame(0xFFFF, bytes(range(256)))
+    assert len(payload) == transfer.FRAME_CAP
     assert run_transfer(payload) == payload
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [legal_frame(100, version=PAYLOAD_VERSION + 1), legal_frame(100, extra=1), legal_frame(100, extra=-1)],
+    ids=["wrong-version", "body-one-long", "body-one-short"],
+)
+def test_frame_that_decrypt_refuses_is_not_written(tmp_path, frame):
+    port = free_port()
+    out = tmp_path / "never.lsp"
+    result = {}
+
+    def receiver():
+        try:
+            transfer.recv_file(port, out, host="127.0.0.1", timeout=10)
+        except Exception as e:
+            result["error"] = e
+
+    t = threading.Thread(target=receiver)
+    t.start()
+    time.sleep(0.05)
+    transfer.send_bytes(frame, "127.0.0.1", port)
+    t.join(timeout=15)
+    assert not t.is_alive()
+    assert isinstance(result["error"], BadHeaderError)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_send_paces_only_when_throttled(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(transfer, "time", SimpleNamespace(monotonic=time.monotonic, sleep=sleeps.append))
+    frame = legal_frame(3000)  # 12 061 bytes: two full chunks and a partial one
+    assert run_transfer(frame) == frame
+    assert sleeps == []
+    assert run_transfer(frame, throttle=1e9) == frame
+    assert len(sleeps) == 3 and all(s >= 0 for s in sleeps)
