@@ -2,8 +2,8 @@
 
 from .codec import CodecModel, dct_decode, dct_encode, dct_model, load_model, save_model
 from .ecies import EciesCiphertext, EciesKeypair, ecies_decrypt, ecies_encrypt, keygen
-from .henon import HenonParams, SymKey, deshuffle, henon_sequence, permutation_from_sequence, shuffle
-from .metrics import QualityReport, SsimParams, mse, psnr, ssim, timed
+from .henon import SymKey, deshuffle, henon_sequence, permutation_from_sequence, shuffle
+from .metrics import QualityReport, mse, psnr, ssim, timed
 from .pipeline import EncryptedPayload, compress_encrypt, decrypt_reconstruct, evaluate
 
 __version__ = "0.1.0"
@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     """Training is imported on first use, so a cold encrypt or decrypt never loads it."""
-    if name in ("TrainConfig", "gan_objective", "train_adversarial", "train_autoencoder"):
+    if name in ("TrainConfig", "gan_objective", "train_autoencoder"):
         from . import train
 
         return getattr(train, name)
@@ -23,9 +23,7 @@ __all__ = [
     "EciesCiphertext",
     "EciesKeypair",
     "EncryptedPayload",
-    "HenonParams",
     "QualityReport",
-    "SsimParams",
     "SymKey",
     "TrainConfig",
     "compress_encrypt",
@@ -48,6 +46,5 @@ __all__ = [
     "shuffle",
     "ssim",
     "timed",
-    "train_adversarial",
     "train_autoencoder",
 ]

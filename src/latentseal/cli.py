@@ -28,7 +28,7 @@ from .errors import (
     atomic_write,
     read_file,
 )
-from .metrics import QualityReport, SsimParams
+from .metrics import QualityReport
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,13 +82,9 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         lam=args.lam,
     )
-    if args.lam > 0:
-        result = train.train_adversarial(dataset, config)
-        model, trace = result.model, result.ae_losses
-    else:
-        model, trace = train.train_autoencoder(dataset, config)
-    codec.save_model(model, args.out)
-    final = trace[-1] if trace else float("nan")
+    result = train.train_autoencoder(dataset, config)
+    codec.save_model(result.model, args.out)
+    final = result.ae_losses[-1] if result.ae_losses else float("nan")
     print(f"trained {args.epochs} epochs, final loss {final:.6g}, wrote {args.out}")
     return EXIT_OK
 
@@ -120,14 +116,13 @@ def cmd_evaluate(args) -> int:
     sym = henon.load_sym_key(args.sym)
     pub = ecies.load_public_key(args.pub)
     priv = ecies.load_private_key(args.priv)
-    params = SsimParams(window=args.window)
     paths = sorted(Path(args.image_dir).glob("*.pgm"))
     rows = [QualityReport.CSV_HEADER]
     failures = 0
     for path in paths:
         try:
             img = images.read_image(path)
-            report = pipeline.evaluate(img, model, sym, pub, priv, params)
+            report = pipeline.evaluate(img, model, sym, pub, priv, args.window)
             rows.append(report.csv_row())
         except LatentSealError as e:
             failures += 1

@@ -1,10 +1,11 @@
 """Henon-map orbits, keyed argsort permutations, and latent shuffling.
 
 The map is x' = 1 - a*x^2 + y, y' = b*x with classical parameters
-a = 1.4, b = 0.3.  A symmetric key is an initial point (x0, y0) plus
-the map parameters and a burn-in count; the emitted pseudo-random
-sequence is the x-component of the post-burn-in orbit, and the keyed
-permutation is the stable argsort of that sequence.
+a = 1.4, b = 0.3.  A symmetric key, SymKey(x0, y0, a=1.4, b=0.3,
+burn_in=1000), is an initial point (x0, y0) plus the map parameters and a
+burn-in count; the emitted pseudo-random sequence is the x-component of
+the post-burn-in orbit, and the keyed permutation is the stable argsort
+of that sequence.
 
 The orbit is iterated in plain Python in a fixed evaluation order of
 64-bit IEEE operations, so sequences and permutations are bitwise
@@ -18,7 +19,7 @@ henon_sequence and henon_trajectory call, iterates the orbit from the key point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,27 +34,18 @@ MAX_BURN_IN = 100_000  # bounds the orbit steps a key file makes every load run
 
 
 @dataclass(frozen=True)
-class HenonParams:
-    a: float = CLASSICAL_A
-    b: float = CLASSICAL_B
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("map parameters must be finite")
-
-
-@dataclass(frozen=True)
 class SymKey:
     """Symmetric key: orbit start point, map parameters, burn-in."""
 
     x0: float
     y0: float
-    params: HenonParams = field(default_factory=HenonParams)
+    a: float = CLASSICAL_A
+    b: float = CLASSICAL_B
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
-        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
-            raise ValueError("key point must be finite")
+        if not all(map(math.isfinite, (self.x0, self.y0, self.a, self.b))):
+            raise ValueError("key point and map parameters must be finite")
         if abs(self.x0) > GUARD or abs(self.y0) > GUARD:
             raise ValueError("key point outside guarded region")
         if not 0 <= self.burn_in <= MAX_BURN_IN:
@@ -79,7 +71,7 @@ class SymKey:
             raise ValueError(f"weak key: the first {m} orbit values repeat")
         if m >= 2 and np.array_equal(ordered, seq):
             raise ValueError(f"weak key: the length-{m} permutation is the identity")
-        twin = _orbit(SymKey(float(xs[0]) + 1e-9, float(ys[0]), self.params, burn_in=0), 100)
+        twin = _orbit(SymKey(float(xs[0]) + 1e-9, float(ys[0]), self.a, self.b, burn_in=0), 100)
         gap = np.abs(np.subtract(twin, (xs[1:101], ys[1:101]))).max()
         if gap < 1e-3:
             raise ValueError(f"weak key: not chaotic, orbits 1e-9 apart stay within {gap:.2g} over 100 steps")
@@ -87,7 +79,7 @@ class SymKey:
 
 def _orbit(key: SymKey, n: int) -> tuple[np.ndarray, np.ndarray]:
     """x and y components of the first n post-burn-in orbit points, from the key point."""
-    a, b, burn_in, guard = key.params.a, key.params.b, key.burn_in, GUARD
+    a, b, burn_in, guard = key.a, key.b, key.burn_in, GUARD
     x, y = key.x0, key.y0
     xs = np.empty(n, dtype=np.float64)
     ys = np.empty(n, dtype=np.float64)
@@ -160,7 +152,7 @@ def deshuffle(v: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def save_sym_key(key: SymKey, path) -> None:
     """Text format: 'x0 y0' / optional 'a b' / optional burn_in."""
-    text = f"{key.x0!r} {key.y0!r}\n{key.params.a!r} {key.params.b!r}\n{key.burn_in}\n"
+    text = f"{key.x0!r} {key.y0!r}\n{key.a!r} {key.b!r}\n{key.burn_in}\n"
     atomic_write(path, text.encode())
 
 
@@ -174,7 +166,7 @@ def load_sym_key(path) -> SymKey:
             (float(t) for t in lines[1].split()) if len(lines) > 1 else (CLASSICAL_A, CLASSICAL_B)
         )
         burn_in = int(lines[2]) if len(lines) > 2 else DEFAULT_BURN_IN
-        key = SymKey(x0, y0, HenonParams(a, b), burn_in)
+        key = SymKey(x0, y0, a, b, burn_in)
         key.validate()
     except ValueError as e:
         raise IoError(f"malformed sym key file: {path}: {e}") from e

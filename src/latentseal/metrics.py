@@ -3,10 +3,10 @@
 Every metric takes two non-empty 2-D uint8 arrays of one shape, the only
 images the chain reads, encodes and decodes; anything else is refused.
 SSIM uses Wang et al.'s constants for 8-bit images, C1 = (0.01 * 255)^2 and
-C2 = (0.03 * 255)^2, and PSNR a peak of 255.  SSIM defaults to the single
-global evaluation of the similarity formula over whole-image moments
-(population normalization); a uniform sliding-window mode is also
-available.
+C2 = (0.03 * 255)^2, and PSNR a peak of 255.  ssim(a, b, window=None)
+defaults to the single global evaluation of the similarity formula over
+whole-image moments (population normalization); an int window selects the
+mean over every uniform window x window sliding window.
 
 Exactness: every metric starts from integer sums that are exact.  MSE is
 the exact sum of squared differences over the pixel count, correctly
@@ -33,12 +33,8 @@ from .errors import DimMismatchError, WindowTooLargeError
 
 T = TypeVar("T")
 
-
-@dataclass(frozen=True)
-class SsimParams:
-    window: int | None = None  # None = global; otherwise uniform w x w
-    c1 = (0.01 * 255.0) ** 2
-    c2 = (0.03 * 255.0) ** 2
+C1 = (0.01 * 255.0) ** 2
+C2 = (0.03 * 255.0) ** 2
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,17 +60,16 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return 10.0 * math.log10(255.0 * 255.0 / err)
 
 
-def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> float:
+def ssim(a: np.ndarray, b: np.ndarray, window: int | None = None) -> float:
     a, b = _check_pair(a, b)
-    if params.window is None:
-        return _ssim_global(a, b, params.c1, params.c2)
-    w = params.window
-    if w < 1 or w > min(a.shape):
-        raise WindowTooLargeError(f"window {w} exceeds image {a.shape}")
-    return _ssim_windows(a, b, w, params.c1, params.c2)
+    if window is None:
+        return _ssim_global(a, b)
+    if window < 1 or window > min(a.shape):
+        raise WindowTooLargeError(f"window {window} exceeds image {a.shape}")
+    return _ssim_windows(a, b, window)
 
 
-def _ssim_global(a, b, c1, c2) -> float:
+def _ssim_global(a, b) -> float:
     # Every partial sum is an integer below 2**53, so the float64 sums and
     # dot products are exact; the centred moments are then exact integers
     # over n**2, each rounded once by Python's int division.
@@ -87,8 +82,8 @@ def _ssim_global(a, b, c1, c2) -> float:
     var_a = (n * saa - sa * sa) / (n * n)
     var_b = (n * sbb - sb * sb) / (n * n)
     cov = (n * sab - sa * sb) / (n * n)
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    num = (2.0 * mu_a * mu_b + C1) * (2.0 * cov + C2)
+    den = (mu_a**2 + mu_b**2 + C1) * (var_a + var_b + C2)
     return float(num / den)
 
 
@@ -118,7 +113,7 @@ def _window_sums(x: np.ndarray, spare: np.ndarray, w: int, out: np.ndarray) -> n
         span *= 2
 
 
-def _ssim_windows(a, b, w, c1, c2) -> float:
+def _ssim_windows(a, b, w) -> float:
     """Mean of per-window structural similarity over all w*w windows.
 
     One stack holds the planes a, b, a*a, b*b and a*b.  It is summed over
@@ -160,18 +155,18 @@ def _ssim_windows(a, b, w, c1, c2) -> float:
     var_a -= aa
     var_b -= bb
     cov -= ab
-    num = mu_a  # (2 mu_a mu_b + c1) (2 cov + c2), overwriting mu_a
+    num = mu_a  # (2 mu_a mu_b + C1) (2 cov + C2), overwriting mu_a
     num *= 2.0
     num *= mu_b
-    num += c1
+    num += C1
     cov *= 2.0
-    cov += c2
+    cov += C2
     num *= cov
-    den = aa  # (mu_a^2 + mu_b^2 + c1) (var_a + var_b + c2)
+    den = aa  # (mu_a^2 + mu_b^2 + C1) (var_a + var_b + C2)
     den += bb
-    den += c1
+    den += C1
     var_a += var_b
-    var_a += c2
+    var_a += C2
     den *= var_a
     num /= den
     return float(np.mean(num))

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecModel, check_image
+from .codec import KIND_DCT, KIND_NEURAL, CodecModel, check_image
 from .ecies import OVERHEAD, EciesCiphertext, ecies_decrypt, ecies_encrypt
 from .errors import BadHeaderError, MTooLargeError, ShapeMismatchError
 from .henon import SymKey, deshuffle, permutation_for_key, shuffle
 from .images import MAX_PIXELS
-from .metrics import QualityReport, SsimParams, mse, psnr, ssim, timed
+from .metrics import QualityReport, mse, psnr, ssim, timed
 
 PAYLOAD_MAGIC = b"LSP1"
 PAYLOAD_VERSION = 1
@@ -26,24 +26,28 @@ PAYLOAD_CAP = HEADER_LEN + 4 * 0xFFFF + OVERHEAD  # largest legal payload, 262 2
 _HEADER_FIELDS = "<BBHHH"
 
 
-def _check_header_fields(m: int, width: int, height: int, m_error, size_error) -> None:
-    """The header's field rules, shared by the sender and the receiver: m and
-    each side in 1..65535, and width * height at most MAX_PIXELS, which bounds
-    the decoder's allocation."""
+def _check_header_fields(codec_id: int, m: int, width: int, height: int, m_error, field_error) -> None:
+    """The header's field rules, shared by the sender and the receiver: codec
+    id 0 (DCT) or 1 (neural), m and each side in 1..65535, width * height at
+    most MAX_PIXELS, which bounds the decoder's allocation, and for DCT m at
+    most width * height, the image's coefficient count."""
+    if codec_id not in (KIND_DCT, KIND_NEURAL):
+        raise field_error(f"codec id {codec_id} is neither {KIND_DCT} (DCT) nor {KIND_NEURAL} (neural)")
     if not 1 <= m <= 0xFFFF:
         raise m_error(f"m={m} outside the header's 1..65535")
     if not (1 <= width <= 0xFFFF and 1 <= height <= 0xFFFF and width * height <= MAX_PIXELS):
-        raise size_error(f"image {width}x{height} outside the header's 1..65535 per side and {MAX_PIXELS} pixels")
+        raise field_error(f"image {width}x{height} outside the header's 1..65535 per side and {MAX_PIXELS} pixels")
+    if codec_id == KIND_DCT and m > width * height:
+        raise m_error(f"DCT m={m} exceeds the {width}x{height} image's {width * height} coefficients")
 
 
-def _pack_header(version: int, codec_id: int, m: int, width: int, height: int) -> bytes:
-    _check_header_fields(m, width, height, MTooLargeError, ShapeMismatchError)
-    return PAYLOAD_MAGIC + struct.pack(_HEADER_FIELDS, version, codec_id, m, width, height)
+def _pack_header(codec_id: int, m: int, width: int, height: int) -> bytes:
+    _check_header_fields(codec_id, m, width, height, MTooLargeError, ShapeMismatchError)
+    return PAYLOAD_MAGIC + struct.pack(_HEADER_FIELDS, PAYLOAD_VERSION, codec_id, m, width, height)
 
 
 @dataclass(frozen=True)
 class EncryptedPayload:
-    version: int
     codec_id: int
     m: int
     width: int
@@ -51,7 +55,7 @@ class EncryptedPayload:
     ciphertext: EciesCiphertext
 
     def header_bytes(self) -> bytes:
-        return _pack_header(self.version, self.codec_id, self.m, self.width, self.height)
+        return _pack_header(self.codec_id, self.m, self.width, self.height)
 
     def serialize(self) -> bytes:
         return self.header_bytes() + self.ciphertext.serialize()
@@ -63,11 +67,11 @@ class EncryptedPayload:
         version, codec_id, m, width, height = struct.unpack(_HEADER_FIELDS, data[4:HEADER_LEN])
         if version != PAYLOAD_VERSION:
             raise BadHeaderError(f"unsupported payload version {version}")
-        _check_header_fields(m, width, height, BadHeaderError, BadHeaderError)
+        _check_header_fields(codec_id, m, width, height, BadHeaderError, BadHeaderError)
         body = data[HEADER_LEN:]
         if len(body) != 4 * m + OVERHEAD:
             raise BadHeaderError(f"body length {len(body)} inconsistent with m={m}")
-        return cls(version, codec_id, m, width, height, EciesCiphertext.parse(body))
+        return cls(codec_id, m, width, height, EciesCiphertext.parse(body))
 
 
 def _serialize_latent(v: np.ndarray) -> bytes:
@@ -92,11 +96,11 @@ def compress_encrypt(
         # packed first, so an image or m that a receiver must refuse fails
         # before any encoding; the header rides as AEAD associated data, so
         # any header tampering that survives parsing still fails authentication
-        header = _pack_header(PAYLOAD_VERSION, codec.codec_id, codec.m, w, h)
+        header = _pack_header(codec.codec_id, codec.m, w, h)
         latent = codec.encode(img)
         shuffled = shuffle(latent, permutation_for_key(sym, codec.m))
         ct = ecies_encrypt(_serialize_latent(shuffled), pub, eph_seed, aad=header)
-        return EncryptedPayload(PAYLOAD_VERSION, codec.codec_id, codec.m, w, h, ct)
+        return EncryptedPayload(codec.codec_id, codec.m, w, h, ct)
 
     return timed(run)
 
@@ -134,13 +138,13 @@ def evaluate(
     sym: SymKey,
     pub: bytes,
     priv: int,
-    ssim_params: SsimParams = SsimParams(),
+    window: int | None = None,
 ) -> QualityReport:
-    """One report row: quality of the round trip plus both timings."""
+    """One report row: quality of the round trip plus both timings; window is ssim's."""
     payload, enc_s = compress_encrypt(img, codec, sym, pub)
     recon, dec_s = decrypt_reconstruct(payload, codec, sym, priv)
     return QualityReport(
-        ssim=ssim(img, recon, ssim_params),
+        ssim=ssim(img, recon, window),
         mse=mse(img, recon),
         psnr=psnr(img, recon),
         encrypt_seconds=enc_s,

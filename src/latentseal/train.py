@@ -1,13 +1,13 @@
-"""Desk-scale trainers for the neural codec.
+"""Desk-scale trainer for the neural codec: train_autoencoder(dataset, config).
 
-Plain SGD with hand-derived gradients: pixel-MSE autoencoding, plus an
-optional adversarial term from a single image discriminator played as
-a minimax game.  Everything is deterministic under a fixed seed.
+Plain SGD with hand-derived gradients: pixel-MSE autoencoding, plus, when
+config.lam != 0, lam times an adversarial term from a single image
+discriminator played as a minimax game.  Deterministic under a fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .codec import CodecModel, Layer, check_image, forward, sigmoid
 from .errors import EmptyBatchError, NonFiniteLossError, ShapeMismatchError
 
 PROB_CLAMP = 1e-12
+DISC_LR = 0.05  # discriminator ascent step
 
 
 def gan_objective(d_real: np.ndarray, d_fake: np.ndarray) -> float:
@@ -42,15 +43,14 @@ class TrainConfig:
     # adversarial extras
     disc_hidden: tuple[int, ...] = (32,)
     lam: float = 0.0
-    disc_lr: float = 0.05
 
 
 @dataclass
-class AdversarialResult:
+class TrainResult:
     model: CodecModel
-    ae_losses: list[float]
-    disc_losses: list[float]
-    discriminator: list[Layer] = field(default_factory=list)
+    ae_losses: list[float]  # per epoch
+    disc_losses: list[float]  # per epoch; empty when lam == 0
+    discriminator: list[Layer]  # empty when lam == 0
 
 
 def _init_layers(dims: list[int], rng: np.random.Generator) -> list[Layer]:
@@ -138,18 +138,32 @@ def _apply_sgd(chain: list[Layer], grads, lr: float, sign: float = -1.0) -> None
         layer.b += sign * lr * db
 
 
-def train_autoencoder(dataset: list[np.ndarray], config: TrainConfig):
-    """SGD on pixel MSE; returns (model, per-epoch loss trace)."""
+def train_autoencoder(dataset: list[np.ndarray], config: TrainConfig) -> TrainResult:
+    """SGD on pixel MSE.  When config.lam != 0 each epoch first takes a
+    discriminator-ascent pass, drawing from its own RNG stream so that the
+    autoencoder's initial weights and batch order do not depend on lam."""
     X = _dataset_matrix(dataset)
     rng = np.random.default_rng(config.seed)
+    d_rng = np.random.default_rng((config.seed, 0x9E3779B9))
     model = init_model(X.shape[1], config, rng)
-    trace: list[float] = []
+    disc = _init_layers([X.shape[1], *config.disc_hidden, 1], d_rng) if config.lam != 0 else []
+    result = TrainResult(model, [], [], disc)
     for _ in range(config.epochs):
-        trace.append(_run_epoch(model, X, config, rng))
-    return model, trace
+        if disc:
+            fake = _forward(model, X)[-1]
+            idx = d_rng.permutation(X.shape[0])
+            d_vals = []
+            for start in range(0, X.shape[0], config.batch_size):
+                sel = idx[start : start + config.batch_size]
+                d_vals.append(_disc_step(disc, X[sel], fake[sel]))
+            result.disc_losses.append(float(np.mean(d_vals)))
+            if not np.isfinite(result.disc_losses[-1]):
+                raise NonFiniteLossError("discriminator objective diverged")
+        result.ae_losses.append(_run_epoch(model, X, config, rng, disc))
+    return result
 
 
-def _run_epoch(model, X, config, rng, adversary=None) -> float:
+def _run_epoch(model, X, config, rng, adversary=()) -> float:
     order = rng.permutation(X.shape[0])
     losses = []
     for start in range(0, X.shape[0], config.batch_size):
@@ -157,15 +171,11 @@ def _run_epoch(model, X, config, rng, adversary=None) -> float:
         acts, loss, d_out = _reconstruction(model, batch)
         if not np.isfinite(loss):
             raise NonFiniteLossError(f"loss diverged to {loss}; lower the learning rate")
-        if adversary is not None and config.lam != 0.0:
+        if adversary:
             d_out = d_out + config.lam * _generator_term_grad(adversary, acts[-1])
         _apply_sgd(model.encoder + model.decoder, _autoencoder_grads(model, acts, d_out), config.lr)
         losses.append(loss)
     return float(np.mean(losses))
-
-
-def disc_probabilities(disc: list[Layer], images: np.ndarray) -> np.ndarray:
-    return forward(disc, images, sigmoid)[-1].ravel()
 
 
 def _generator_term_grad(disc: list[Layer], fake: np.ndarray) -> np.ndarray:
@@ -176,7 +186,7 @@ def _generator_term_grad(disc: list[Layer], fake: np.ndarray) -> np.ndarray:
     return _backward(disc, acts, -p / p.shape[0])[1]
 
 
-def _disc_step(disc: list[Layer], real: np.ndarray, fake: np.ndarray, lr: float) -> float:
+def _disc_step(disc: list[Layer], real: np.ndarray, fake: np.ndarray) -> float:
     """One ascent step on the minimax value; returns the objective."""
     acts_r = forward(disc, real, sigmoid)
     acts_f = forward(disc, fake, sigmoid)
@@ -186,34 +196,6 @@ def _disc_step(disc: list[Layer], real: np.ndarray, fake: np.ndarray, lr: float)
     grads_r, _ = _backward(disc, acts_r, (1.0 - p_r) / p_r.shape[0])
     grads_f, _ = _backward(disc, acts_f, -p_f / p_f.shape[0])
     grads = [(dWr + dWf, dbr + dbf) for (dWr, dbr), (dWf, dbf) in zip(grads_r, grads_f)]
-    _apply_sgd(disc, grads, lr, sign=1.0)
+    _apply_sgd(disc, grads, DISC_LR, sign=1.0)
     return value
 
-
-def train_adversarial(dataset: list[np.ndarray], config: TrainConfig) -> AdversarialResult:
-    """Alternating discriminator-ascent / autoencoder-descent training.
-
-    With lam == 0 the autoencoder parameter trajectory is bitwise
-    identical to train_autoencoder under the same seed: the
-    discriminator draws from an independent RNG stream.
-    """
-    X = _dataset_matrix(dataset)
-    rng = np.random.default_rng(config.seed)
-    d_rng = np.random.default_rng((config.seed, 0x9E3779B9))
-    model = init_model(X.shape[1], config, rng)
-    disc = _init_layers([X.shape[1], *config.disc_hidden, 1], d_rng)
-    ae_trace: list[float] = []
-    d_trace: list[float] = []
-    for _ in range(config.epochs):
-        fake = _forward(model, X)[-1]
-        idx = d_rng.permutation(X.shape[0])
-        d_vals = []
-        for start in range(0, X.shape[0], config.batch_size):
-            sel = idx[start : start + config.batch_size]
-            d_vals.append(_disc_step(disc, X[sel], fake[sel], config.disc_lr))
-        d_value = float(np.mean(d_vals))
-        if not np.isfinite(d_value):
-            raise NonFiniteLossError("discriminator objective diverged")
-        d_trace.append(d_value)
-        ae_trace.append(_run_epoch(model, X, config, rng, adversary=disc))
-    return AdversarialResult(model, ae_trace, d_trace, disc)

@@ -179,8 +179,9 @@ def test_neural_trainer():
                 worst = max(worst, abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8))
     img = np.random.default_rng(3).integers(0, 256, (8, 8), dtype=np.uint8)
     cfg2 = train.TrainConfig(m=8, hidden=(32,), lr=0.05, epochs=200, seed=7, batch_size=1)
-    m1, t1 = train.train_autoencoder([img], cfg2)
-    m2, t2 = train.train_autoencoder([img], cfg2)
+    r1 = train.train_autoencoder([img], cfg2)
+    r2 = train.train_autoencoder([img], cfg2)
+    (m1, t1), (m2, t2) = (r1.model, r1.ae_losses), (r2.model, r2.ae_losses)
     init = train.init_model(64, cfg2, np.random.default_rng(7))
     ratio = t1[-1] / train.reconstruction_loss(init, [img])
     deterministic = t1 == t2 and all(

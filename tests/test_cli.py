@@ -179,11 +179,11 @@ def test_encrypt_header_field_overflow_exit_code(tmp_path, keys, height, width, 
 
 def test_decrypt_of_a_basis_over_the_cap_exit_code(tmp_path, keys):
     # an authentic payload whose 1 x 65535 header at m = 65535 asks the DCT decoder for a 32 GiB basis
-    header = pipeline._pack_header(pipeline.PAYLOAD_VERSION, codec.KIND_DCT, 65535, 65535, 1)
+    header = pipeline._pack_header(codec.KIND_DCT, 65535, 65535, 1)
     pub = ecies.load_public_key(str(keys) + ".pub")
     ct = ecies.ecies_encrypt(np.zeros(65535, dtype="<f4").tobytes(), pub, aad=header)
     payload = tmp_path / "forged.lsp"
-    forged = pipeline.EncryptedPayload(pipeline.PAYLOAD_VERSION, codec.KIND_DCT, 65535, 65535, 1, ct)
+    forged = pipeline.EncryptedPayload(codec.KIND_DCT, 65535, 65535, 1, ct)
     payload.write_bytes(forged.serialize())
     model = tmp_path / "m65535.lscm"
     assert run(["make-model", str(model), "--m", "65535"]) == EXIT_OK
@@ -276,13 +276,14 @@ def test_henon_plot_bad_sym_key_exit_code(tmp_path, text, capsys):
     assert not out.exists()
 
 
-def test_train_and_use_neural_model(tmp_path, keys):
+def _train_and_round_trip(tmp_path, keys, *train_args):
+    """Train a model on a small dataset, then encrypt and decrypt one of its images with it."""
     data_dir = tmp_path / "data"
     run(["make-dataset", str(data_dir), "--count", "6", "--size", "8", "--seed", "3"])
     model = tmp_path / "nn.lscm"
     rc = run([
         "train", str(data_dir), str(model),
-        "--m", "6", "--hidden", "16", "--epochs", "20", "--seed", "1", "--batch-size", "2",
+        "--m", "6", "--hidden", "16", "--seed", "1", "--batch-size", "2", *train_args,
     ])
     assert rc == EXIT_OK
     img = tmp_path / "data" / "img_0000.pgm"
@@ -303,6 +304,14 @@ def test_train_and_use_neural_model(tmp_path, keys):
         "--out", str(recon),
     ]) == EXIT_OK
     assert images.read_image(recon).shape == (8, 8)
+
+
+def test_train_and_use_neural_model(tmp_path, keys):
+    _train_and_round_trip(tmp_path, keys, "--epochs", "20")
+
+
+def test_adversarial_train_and_use_neural_model(tmp_path, keys):
+    _train_and_round_trip(tmp_path, keys, "--lam", "0.1", "--epochs", "2")
 
 
 def test_train_on_images_of_different_sizes_exit_code(tmp_path, capsys):
@@ -345,7 +354,7 @@ def test_send_recv_cli(tmp_path, keys, dct_model_path, test_image):
     assert out.read_bytes() == payload.read_bytes()
 
 
-@pytest.mark.parametrize("fault", ["version", "length"])
+@pytest.mark.parametrize("fault", ["version", "codec", "length"])
 def test_recv_of_a_frame_decrypt_refuses_exit_code(tmp_path, keys, dct_model_path, test_image, fault, capsys):
     payload = tmp_path / "p.lsp"
     run([
@@ -358,6 +367,8 @@ def test_recv_of_a_frame_decrypt_refuses_exit_code(tmp_path, keys, dct_model_pat
     data = bytearray(payload.read_bytes())
     if fault == "version":
         data[4] += 1
+    elif fault == "codec":
+        data[5] = 2  # neither DCT (0) nor neural (1)
     else:
         data += b"\0"
     with socket.socket() as s:

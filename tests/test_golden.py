@@ -69,7 +69,7 @@ def _neural_dataset():
 
 
 def _neural_model():
-    return train.train_autoencoder(_neural_dataset(), NEURAL_CONFIG)[0]
+    return train.train_autoencoder(_neural_dataset(), NEURAL_CONFIG).model
 
 
 def _neural_latents():
@@ -84,7 +84,7 @@ def _neural_decodes():
 
 def _adversarial_trace():
     config = train.TrainConfig(**{**vars(NEURAL_CONFIG), "lam": 0.1, "disc_hidden": (8,)})
-    result = train.train_adversarial(_neural_dataset(), config)
+    result = train.train_autoencoder(_neural_dataset(), config)
     return np.array([result.ae_losses, result.disc_losses])
 
 
@@ -112,7 +112,7 @@ CASES = {
     "dct_random_m400.pixels": lambda tmp: _random(400)[2],
     "neural.latents": lambda tmp: _neural_latents(),
     "neural.decodes": lambda tmp: _neural_decodes(),
-    "neural.ae_trace": lambda tmp: np.array(train.train_autoencoder(_neural_dataset(), NEURAL_CONFIG)[1]),
+    "neural.ae_trace": lambda tmp: np.array(train.train_autoencoder(_neural_dataset(), NEURAL_CONFIG).ae_losses),
     "neural.adversarial_trace": lambda tmp: _adversarial_trace(),
     "neural.lscm": _saved_model,
     "keygen_42.priv": lambda tmp: _keygen_file(tmp, ".priv"),

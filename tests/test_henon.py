@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 from latentseal import henon
 from latentseal.errors import DivergenceError, IoError, LengthMismatchError
 
-CLASSICAL = henon.HenonParams()
+CLASSICAL = (henon.CLASSICAL_A, henon.CLASSICAL_B)
 
 
-def _step(x, y, params):
+def _step(x, y, a, b):
     """Test-only oracle: one iteration of the map, in the written evaluation order."""
-    return 1.0 - params.a * x * x + y, params.b * x
+    return 1.0 - a * x * x + y, b * x
 
 
 def _first_points(x0, y0, params, n):
-    """The first n orbit points from (x0, y0), through the library, with no burn-in."""
-    return henon.henon_trajectory(henon.SymKey(x0, y0, params, burn_in=0), n)
+    """The first n orbit points from (x0, y0) under map parameters (a, b), through the library, with no burn-in."""
+    return henon.henon_trajectory(henon.SymKey(x0, y0, *params, burn_in=0), n)
 
 
 def test_step_from_origin():
@@ -34,7 +34,7 @@ def test_second_step_written_order():
 
 
 def test_step_degenerate_params():
-    assert tuple(_first_points(0.0, 0.0, henon.HenonParams(0.0, 0.0), 1)[0]) == (1.0, 0.0)
+    assert tuple(_first_points(0.0, 0.0, (0.0, 0.0), 1)[0]) == (1.0, 0.0)
 
 
 def test_sequence_no_burn_in():
@@ -82,7 +82,7 @@ def test_trajectory_matches_step_oracle():
     state = (key.x0, key.y0)
     points = []
     for i in range(key.burn_in + 2000):
-        state = _step(*state, key.params)
+        state = _step(*state, key.a, key.b)
         if i >= key.burn_in:
             points.append(state)
     traj = henon.henon_trajectory(key, 2000)
@@ -176,7 +176,7 @@ def test_trajectory_bounds():
 
 
 def test_sym_key_file_round_trip(tmp_path):
-    key = henon.SymKey(0.1234567890123456, -0.05, henon.HenonParams(1.4, 0.3), 777)
+    key = henon.SymKey(0.1234567890123456, -0.05, 1.4, 0.3, 777)
     path = tmp_path / "k.sym"
     henon.save_sym_key(key, path)
     loaded = henon.load_sym_key(path)
@@ -188,7 +188,7 @@ def test_sym_key_file_defaults(tmp_path):
     path.write_text("0.1 0.2\n")
     key = henon.load_sym_key(path)
     assert (key.x0, key.y0) == (0.1, 0.2)
-    assert key.params == henon.HenonParams()
+    assert (key.a, key.b) == CLASSICAL
     assert key.burn_in == henon.DEFAULT_BURN_IN
 
 
@@ -200,16 +200,26 @@ def test_random_sym_key_always_valid():
 
 def test_weak_keys_rejected(tmp_path):
     # a fixed point: every orbit value is 1.0, and the stable argsort is the identity
-    flat = henon.SymKey(0.1, 0.1, henon.HenonParams(0.0, 0.0))
+    flat = henon.SymKey(0.1, 0.1, 0.0, 0.0)
     with pytest.raises(ValueError, match="repeat"):
         flat.validate()
     # distinct values, but strictly increasing: the shuffle moves nothing
-    rising = henon.SymKey(0.1, 0.0, henon.HenonParams(0.0, 1.0), burn_in=0)
+    rising = henon.SymKey(0.1, 0.0, 0.0, 1.0, burn_in=0)
     with pytest.raises(ValueError, match="identity"):
         rising.validate(20)
     path = tmp_path / "weak.sym"
     henon.save_sym_key(flat, path)
     with pytest.raises(IoError):
+        henon.load_sym_key(path)
+
+
+@pytest.mark.parametrize("x0,y0,a,b", [(float("nan"), 0.1, 1.4, 0.3), (0.1, 0.1, float("inf"), 0.3), (0.1, 0.1, 1.4, float("nan"))])
+def test_non_finite_key_refused(tmp_path, x0, y0, a, b):
+    with pytest.raises(ValueError, match="must be finite"):
+        henon.SymKey(x0, y0, a, b)
+    path = tmp_path / "k.sym"
+    path.write_text(f"{x0!r} {y0!r}\n{a!r} {b!r}\n")
+    with pytest.raises(IoError, match="must be finite"):
         henon.load_sym_key(path)
 
 
@@ -237,7 +247,7 @@ def test_permutation_for_key_over_shuffled_lengths():
 
 def test_divergence_past_a_cached_prefix_is_raised_every_call():
     # x' = 1 + y, y' = x: x grows by one every two steps and leaves the guard near step 200
-    key = henon.SymKey(0.0, 0.0, henon.HenonParams(0.0, 1.0), burn_in=0)
+    key = henon.SymKey(0.0, 0.0, 0.0, 1.0, burn_in=0)
     short = henon.henon_sequence(key, 100).copy()
     with pytest.raises(DivergenceError) as uncached:
         henon.henon_trajectory(key, 300)
@@ -278,7 +288,7 @@ NON_CHAOTIC = [(0.2, 0.3, 0), (0.2, 0.3, 10), (0.5, 0.1, 0), (0.9, 0.3, 0), (1.0
 
 @pytest.mark.parametrize("a,b,burn_in", NON_CHAOTIC)
 def test_non_chaotic_keys_rejected(tmp_path, a, b, burn_in):
-    key = henon.SymKey(0.1, 0.05, henon.HenonParams(a, b), burn_in)
+    key = henon.SymKey(0.1, 0.05, a, b, burn_in)
     with pytest.raises(ValueError, match="not chaotic"):
         key.validate()
     path = tmp_path / "k.sym"
@@ -289,7 +299,7 @@ def test_non_chaotic_keys_rejected(tmp_path, a, b, burn_in):
 
 @pytest.mark.parametrize("burn_in", [0, 1000])
 def test_chaotic_non_classical_key_accepted(burn_in):
-    henon.SymKey(0.1, 0.05, henon.HenonParams(1.2, 0.3), burn_in).validate()
+    henon.SymKey(0.1, 0.05, 1.2, 0.3, burn_in).validate()
 
 
 def test_random_sym_key_draws_unchanged_by_the_chaos_check():

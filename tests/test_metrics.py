@@ -82,8 +82,7 @@ def test_ssim_symmetry():
     b = rng.integers(0, 256, (10, 10), dtype=np.uint8)
     assert metrics.ssim(a, b) == metrics.ssim(b, a)
     assert metrics.mse(a, b) == metrics.mse(b, a)
-    w = metrics.SsimParams(window=7)
-    assert metrics.ssim(a, b, w) == metrics.ssim(b, a, w)
+    assert metrics.ssim(a, b, 7) == metrics.ssim(b, a, 7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,9 +98,7 @@ def test_windowed_equals_global_at_full_side():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 256, (12, 12), dtype=np.uint8)
     b = rng.integers(0, 256, (12, 12), dtype=np.uint8)
-    assert metrics.ssim(a, b, metrics.SsimParams(window=12)) == pytest.approx(
-        metrics.ssim(a, b), abs=1e-12
-    )
+    assert metrics.ssim(a, b, 12) == pytest.approx(metrics.ssim(a, b), abs=1e-12)
 
 
 def _ssim_per_window(a, b, w, c1, c2):
@@ -126,19 +123,17 @@ def test_windowed_ssim_matches_per_window_oracle():
     rng = np.random.default_rng(1)
     a = rng.integers(0, 256, (24, 24), dtype=np.uint8)
     b = rng.integers(0, 256, (24, 24), dtype=np.uint8)
-    params = metrics.SsimParams(window=7)
-    got = metrics.ssim(a, b, params)
+    got = metrics.ssim(a, b, 7)
     assert type(got) is float
-    assert abs(got - _ssim_per_window(a, b, 7, params.c1, params.c2)) < 1e-12
+    assert abs(got - _ssim_per_window(a, b, 7, metrics.C1, metrics.C2)) < 1e-12
 
 
 def test_windowed_ssim_large_image_matches_per_window_oracle():
     rng = np.random.default_rng(4)
     a = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
     b = (rng.integers(0, 2, (1024, 1024)) * 255).astype(np.uint8)
-    params = metrics.SsimParams(window=7)
-    got = metrics.ssim(a, b, params)
-    assert abs(got - _ssim_per_window(a, b, 7, params.c1, params.c2)) < 1e-12
+    got = metrics.ssim(a, b, 7)
+    assert abs(got - _ssim_per_window(a, b, 7, metrics.C1, metrics.C2)) < 1e-12
 
 
 def _ssim_summed_area(a, b, w, c1, c2):
@@ -165,9 +160,8 @@ def _ssim_summed_area(a, b, w, c1, c2):
 
 
 def _assert_windowed_bitwise(a, b, w):
-    params = metrics.SsimParams(window=w)
-    got = metrics.ssim(a, b, params)
-    want = _ssim_summed_area(a, b, w, params.c1, params.c2)
+    got = metrics.ssim(a, b, w)
+    want = _ssim_summed_area(a, b, w, metrics.C1, metrics.C2)
     assert got.hex() == want.hex(), (a.shape, w, got, want)
 
 
@@ -220,7 +214,7 @@ def test_mse_and_psnr_exact_for_8bit():
 
 def test_global_ssim_matches_centred_float_oracle():
     rng = np.random.default_rng(8)
-    c1, c2 = metrics.SsimParams().c1, metrics.SsimParams().c2
+    c1, c2 = metrics.C1, metrics.C2
     for shape in ((1, 1), (5, 9), (256, 256)):
         a = rng.integers(0, 256, shape, dtype=np.uint8)
         b = np.clip(a + rng.integers(-40, 41, shape), 0, 255).astype(np.uint8)
@@ -240,7 +234,7 @@ def test_non_8bit_inputs_are_refused():
     for x, y in ((a.astype(np.float64), b), (a.astype(np.int64), b.astype(np.int64)), (a / 1.0, b / 1.0)):
         for window in (None, 1, 7, 20):
             with pytest.raises(ShapeMismatchError):
-                metrics.ssim(x, y, metrics.SsimParams(window=window))
+                metrics.ssim(x, y, window)
         for metric in (metrics.mse, metrics.psnr):
             with pytest.raises(ShapeMismatchError):
                 metric(x, y)
@@ -249,7 +243,7 @@ def test_non_8bit_inputs_are_refused():
 def test_window_too_large():
     a = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(WindowTooLargeError):
-        metrics.ssim(a, a, metrics.SsimParams(window=5))
+        metrics.ssim(a, a, 5)
 
 
 def test_timed_noop_and_sleep():

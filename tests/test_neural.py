@@ -81,7 +81,8 @@ def test_gradients_match_finite_differences():
 def test_single_image_overfit():
     img = np.random.default_rng(3).integers(0, 256, (8, 8), dtype=np.uint8)
     cfg = train.TrainConfig(m=8, hidden=(32,), lr=0.05, epochs=200, seed=7, batch_size=1)
-    model, trace = train.train_autoencoder([img], cfg)
+    result = train.train_autoencoder([img], cfg)
+    model, trace = result.model, result.ae_losses
     init = train.init_model(64, cfg, np.random.default_rng(7))
     assert len(trace) == 200
     assert trace[-1] < 0.25 * train.reconstruction_loss(init, [img])
@@ -92,20 +93,20 @@ def test_single_image_overfit():
 def test_zero_epochs_returns_init():
     img = np.random.default_rng(4).integers(0, 256, (6, 6), dtype=np.uint8)
     cfg = train.TrainConfig(m=4, hidden=(8,), epochs=0, seed=5)
-    model, trace = train.train_autoencoder([img], cfg)
+    result = train.train_autoencoder([img], cfg)
     init = train.init_model(36, cfg, np.random.default_rng(5))
-    assert trace == []
-    for a, b in zip(model.encoder + model.decoder, init.encoder + init.decoder):
+    assert result.ae_losses == []
+    for a, b in zip(result.model.encoder + result.model.decoder, init.encoder + init.decoder):
         assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
 
 
 def test_trainer_deterministic():
     imgs = [np.random.default_rng(i).integers(0, 256, (8, 8), dtype=np.uint8) for i in range(4)]
     cfg = train.TrainConfig(m=6, hidden=(16,), epochs=30, seed=9, batch_size=2)
-    m1, t1 = train.train_autoencoder(imgs, cfg)
-    m2, t2 = train.train_autoencoder(imgs, cfg)
-    assert t1 == t2
-    for a, b in zip(m1.encoder + m1.decoder, m2.encoder + m2.decoder):
+    r1 = train.train_autoencoder(imgs, cfg)
+    r2 = train.train_autoencoder(imgs, cfg)
+    assert r1.ae_losses == r2.ae_losses
+    for a, b in zip(r1.model.encoder + r1.model.decoder, r2.model.encoder + r2.model.decoder):
         assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
 
 
@@ -142,26 +143,26 @@ def test_gan_objective_empty_batch():
         train.gan_objective([], [0.5])
 
 
-def test_adversarial_lambda_zero_matches_autoencoder():
+def test_lambda_zero_builds_no_discriminator():
     imgs = [np.random.default_rng(i).integers(0, 256, (8, 8), dtype=np.uint8) for i in range(6)]
     cfg = train.TrainConfig(m=5, hidden=(12,), epochs=15, seed=11, batch_size=3, lam=0.0)
-    plain, _ = train.train_autoencoder(imgs, cfg)
-    result = train.train_adversarial(imgs, cfg)
-    for a, b in zip(plain.encoder + plain.decoder, result.model.encoder + result.model.decoder):
-        assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
+    result = train.train_autoencoder(imgs, cfg)
+    assert result.discriminator == [] and result.disc_losses == []
+    assert len(result.ae_losses) == 15
 
 
 def test_adversarial_smoke():
     rng = np.random.default_rng(21)
     imgs = [rng.integers(0, 256, (16, 16), dtype=np.uint8) for _ in range(32)]
     cfg = train.TrainConfig(m=12, hidden=(32,), epochs=50, seed=2, batch_size=8, lam=0.1)
-    result = train.train_adversarial(imgs, cfg)
+    result = train.train_autoencoder(imgs, cfg)
+    assert len(result.disc_losses) == len(result.ae_losses) == 50
     assert all(np.isfinite(v) for v in result.ae_losses)
     assert all(np.isfinite(v) for v in result.disc_losses)
     X = train._dataset_matrix(imgs)
     fake = train._forward(result.model, X)[-1]
-    p_real = train.disc_probabilities(result.discriminator, X)
-    p_fake = train.disc_probabilities(result.discriminator, fake)
+    p_real = codec.forward(result.discriminator, X, codec.sigmoid)[-1].ravel()
+    p_fake = codec.forward(result.discriminator, fake, codec.sigmoid)[-1].ravel()
     acc = (np.sum(p_real > 0.5) + np.sum(p_fake <= 0.5)) / (len(p_real) + len(p_fake))
     assert 0.4 <= acc <= 1.0
 
@@ -169,7 +170,7 @@ def test_adversarial_smoke():
 def test_neural_model_file_round_trip(tmp_path):
     img = np.random.default_rng(6).integers(0, 256, (8, 8), dtype=np.uint8)
     cfg = train.TrainConfig(m=5, hidden=(10,), epochs=5, seed=3, batch_size=1)
-    model, _ = train.train_autoencoder([img], cfg)
+    model = train.train_autoencoder([img], cfg).model
     path = tmp_path / "model.lscm"
     codec.save_model(model, path)
     loaded = codec.load_model(path)

@@ -160,3 +160,12 @@ def test_cli_import_loads_only_what_encrypt_and_decrypt_run():
         "print(latentseal.TrainConfig.__module__, 'latentseal.train' in sys.modules)"
     )
     assert _fresh_python(code).splitlines() == ["[]", "latentseal.train True"]
+
+
+def test_every_exported_name_resolves():
+    # the training names resolve through the module's lazy __getattr__
+    import latentseal
+
+    missing = [name for name in latentseal.__all__ if getattr(latentseal, name, None) is None]
+    assert missing == []
+    assert {"TrainConfig", "gan_objective", "train_autoencoder"} <= set(latentseal.__all__)

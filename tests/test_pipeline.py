@@ -142,9 +142,9 @@ def test_evaluate_lossy_psnr_matches_direct(keypair, sym_key):
     assert report.mse == pytest.approx(float(np.mean((direct.astype(float) - img) ** 2)))
 
 
-def _forged_blob(width, height, m=4):
-    # packed by hand: _pack_header refuses the sizes parse must be shown to refuse
-    header = pipeline.PAYLOAD_MAGIC + struct.pack("<BBHHH", pipeline.PAYLOAD_VERSION, 0, m, width, height)
+def _forged_blob(width, height, m=4, codec_id=0):
+    # packed by hand: _pack_header refuses the fields parse must be shown to refuse
+    header = pipeline.PAYLOAD_MAGIC + struct.pack("<BBHHH", pipeline.PAYLOAD_VERSION, codec_id, m, width, height)
     return header + bytes(4 * m + ecies.OVERHEAD)
 
 
@@ -164,11 +164,18 @@ def test_compress_encrypt_refuses_oversized_image_before_encoding(keypair, sym_k
         pipeline.compress_encrypt(img, codec.dct_model(100), sym_key, keypair.public_bytes)
 
 
+HEADER_CASES = [  # (codec_id, m, width, height)
+    (0, 0, 8, 8), (0, 1, 0, 8), (0, 1, 8, 0), (0, 65535, 8, 8), (0, 65535, 256, 256), (0, 1, 65535, 256),
+    (0, 1, 4097, 4096), (0, 1, 4096, 4096), (0, 64, 8, 8), (0, 65, 8, 8), (1, 65, 8, 8), (2, 1, 8, 8), (255, 1, 8, 8),
+]
+
+
 @pytest.mark.parametrize(
-    "m,width,height",
-    [(0, 8, 8), (1, 0, 8), (1, 8, 0), (65535, 8, 8), (1, 65535, 256), (1, 4097, 4096), (1, 4096, 4096)],
+    "codec_id,m,width,height",
+    HEADER_CASES,
+    ids=[f"{m}-{w}-{h}" + (f"-codec{c}" if c else "") for c, m, w, h in HEADER_CASES],  # a DCT case is named m-width-height
 )
-def test_sender_and_receiver_share_the_header_rules(m, width, height):
+def test_sender_and_receiver_share_the_header_rules(codec_id, m, width, height):
     def accepts(step):
         try:
             step()
@@ -176,9 +183,10 @@ def test_sender_and_receiver_share_the_header_rules(m, width, height):
             return False
         return True
 
-    packed = accepts(lambda: pipeline._pack_header(pipeline.PAYLOAD_VERSION, 0, m, width, height))
-    parsed = accepts(lambda: pipeline.EncryptedPayload.parse(_forged_blob(width, height, m)))
-    assert packed == parsed == (1 <= m and 1 <= width and 1 <= height and width * height <= 1 << 24)
+    packed = accepts(lambda: pipeline._pack_header(codec_id, m, width, height))
+    parsed = accepts(lambda: pipeline.EncryptedPayload.parse(_forged_blob(width, height, m, codec_id)))
+    dct_fits = codec_id == 1 or m <= width * height
+    assert packed == parsed == (codec_id in (0, 1) and 1 <= m and 1 <= width and 1 <= height and width * height <= 1 << 24 and dct_fits)
 
 
 def test_neural_payload_size_checked_before_open(keypair, sym_key):
