@@ -143,12 +143,9 @@ def cmd_henon_plot(args) -> int:
 
 
 def cmd_send(args) -> int:
-    host, _, port = args.dest.rpartition(":")
-    if not host or not port.isdigit():
-        raise IoError(f"destination must be host:port, got {args.dest!r}")
     from . import transfer
 
-    transfer.send_file(args.payload, host, int(port), args.throttle)
+    transfer.send_file(args.payload, *args.dest, args.throttle)
     print("sent")
     return EXIT_OK
 
@@ -185,8 +182,19 @@ _NON_NEGATIVE = _checked(int, "an integer >= 0", lambda v: v >= 0)
 _PORT = _checked(int, "a port in 0..65535", lambda v: 0 <= v <= 0xFFFF)
 _POSITIVE_FINITE = _checked(float, "a finite number > 0", lambda v: 0 < v < math.inf)
 _NON_NEGATIVE_FINITE = _checked(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+_SECONDS = _checked(float, "seconds in (0, 86400]", lambda v: 0 < v <= 86400)  # settimeout overflows near 9.2e9 s
+_RATE = _checked(float, "a finite number >= 1", lambda v: 1 <= v < math.inf)  # bytes/s; tiny rates overflow sleep
+_SIDE = _checked(int, f"an integer in 1..{math.isqrt(images.MAX_PIXELS)}", lambda v: 1 <= v * v <= images.MAX_PIXELS)
 _M = _checked(int, "an integer in 1..65535", lambda v: 1 <= v <= 0xFFFF)  # the payload header's range
 _POINTS = _checked(int, "an integer in 0..1000000", lambda v: 0 <= v <= 1_000_000)  # henon-plot's CSV, ~40 MB
+
+
+def _host_port(text: str) -> tuple[str, int]:
+    host, _, port = text.rpartition(":")
+    return host, int(port) if port.isascii() and port.isdigit() else -1
+
+
+_DEST = _checked(_host_port, "host:port with a port in 0..65535", lambda d: d[0] and 0 <= d[1] <= 0xFFFF)
 
 
 @functools.cache
@@ -255,20 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("send", help="send a payload file over TCP")
     p.add_argument("payload")
-    p.add_argument("dest", help="host:port")
-    p.add_argument("--throttle", type=_POSITIVE_FINITE, default=None, help="bytes per second")
+    p.add_argument("dest", type=_DEST, help="host:port")
+    p.add_argument("--throttle", type=_RATE, default=None, help="bytes per second")
     p.set_defaults(func=cmd_send)
 
     p = sub.add_parser("recv", help="receive one payload over TCP")
     p.add_argument("port", type=_PORT)
     p.add_argument("--out", required=True)
-    p.add_argument("--timeout", type=_POSITIVE_FINITE, default=30.0)
+    p.add_argument("--timeout", type=_SECONDS, default=30.0)
     p.set_defaults(func=cmd_recv)
 
     p = sub.add_parser("make-dataset", help="generate synthetic training images")
     p.add_argument("out_dir")
     p.add_argument("--count", type=_NON_NEGATIVE, default=32)
-    p.add_argument("--size", type=_POSITIVE, default=32)
+    p.add_argument("--size", type=_SIDE, default=32)
     p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.set_defaults(func=cmd_make_dataset)
 

@@ -1,8 +1,8 @@
 """Latent codecs: map 8-bit grayscale images to m-element vectors and back.
 
-Two codecs honor the same contract.  The deterministic reference codec
-keeps the first m zigzag coefficients of the orthonormal 2-D DCT of the
-normalized image.  The neural codec is a small fully-connected
+Two codecs honor the same contract, and CodecModel runs both.  The DCT
+codec keeps the first m zigzag coefficients of the orthonormal 2-D DCT of
+the normalized image.  The neural codec is a small fully-connected
 autoencoder (tanh hidden layers, sigmoid output) trained in train.py.
 
 The DCT is two numpy products with orthonormal DCT-II basis matrices, cut
@@ -155,7 +155,7 @@ def quantize(pixels: np.ndarray) -> np.ndarray:
     """Round half-to-even and clamp to the 8-bit range.
 
     Rounds and clamps `pixels` in place, so it must be a float array the
-    caller owns; both callers, dct_decode and neural_decode, pass a fresh
+    caller owns; both callers, dct_decode and CodecModel.decode, pass a fresh
     one.  Working in place spares the two image-sized float temporaries
     that rint and clip would otherwise allocate on every decode.
     """
@@ -194,12 +194,23 @@ class CodecModel:
     def encode(self, img: np.ndarray) -> np.ndarray:
         if self.kind == "dct":
             return dct_encode(img, self.m)
-        return neural_encode(self, img)
+        x = check_image(img).astype(np.float64).ravel() / 255.0
+        if x.size != self.input_size:
+            raise ShapeMismatchError(f"image has {x.size} pixels, model expects {self.input_size}")
+        z = forward(self.encoder, x, None)[-1]
+        return z.astype(np.float32).astype(np.float64)
 
     def decode(self, v: np.ndarray, width: int, height: int) -> np.ndarray:
         if self.kind == "dct":
             return dct_decode(v, width, height)
-        return neural_decode(self, v, width, height)
+        v = np.asarray(v, dtype=np.float64)
+        if v.size != self.m:
+            raise ShapeMismatchError(f"latent size {v.size}, model expects {self.m}")
+        out = forward(self.decoder, v, sigmoid)[-1]
+        out *= 255.0
+        if out.size != width * height:
+            raise ShapeMismatchError(f"decoder emits {out.size} pixels, header says {width * height}")
+        return quantize(out.reshape(height, width))
 
 
 def dct_model(m: int) -> CodecModel:
@@ -226,34 +237,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp is only taken of -|x|."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
-
-
-def neural_encode(model: CodecModel, img: np.ndarray) -> np.ndarray:
-    img = check_image(img)
-    if model.kind != "neural":
-        raise ShapeMismatchError("model is not a neural codec")
-    x = img.astype(np.float64).ravel() / 255.0
-    if x.size != model.input_size:
-        raise ShapeMismatchError(
-            f"image has {x.size} pixels, model expects {model.input_size}"
-        )
-    z = forward(model.encoder, x, None)[-1]
-    return z.astype(np.float32).astype(np.float64)
-
-
-def neural_decode(model: CodecModel, v: np.ndarray, width: int, height: int) -> np.ndarray:
-    if model.kind != "neural":
-        raise ShapeMismatchError("model is not a neural codec")
-    v = np.asarray(v, dtype=np.float64)
-    if v.size != model.m:
-        raise ShapeMismatchError(f"latent size {v.size}, model expects {model.m}")
-    out = forward(model.decoder, v, sigmoid)[-1]
-    out *= 255.0
-    if out.size != width * height:
-        raise ShapeMismatchError(
-            f"decoder emits {out.size} pixels, header says {width * height}"
-        )
-    return quantize(out.reshape(height, width))
 
 
 MODEL_CAP = 256 << 20  # bytes; a 256x256 autoencoder at hidden 128 is about 134 MB
@@ -291,7 +274,8 @@ def _parse_layers(data: bytes, off: int, layers: list[Layer]) -> int:
 def _parse_model(data: bytes, path) -> CodecModel:
     """The model in data, the bytes of the .lscm file at path: the header, then
     for a neural codec an encoder and a decoder stack of 1..MAX_LAYERS layers
-    each, ending where data ends. Anything else, or over MODEL_CAP bytes, is an IoError."""
+    each, a cycle of layer shapes through m (the decoder rebuilds the encoder's
+    input), ending where data ends. Anything else, or over MODEL_CAP bytes, is an IoError."""
     if len(data) > MODEL_CAP or data[:4] != MODEL_MAGIC:
         raise IoError(f"not a codec model file of at most {MODEL_CAP} bytes: {path}")
     encoder, decoder = [], []
@@ -311,8 +295,8 @@ def _parse_model(data: bytes, path) -> CodecModel:
     chain = encoder + decoder
     if not all(np.isfinite(layer.W).all() and np.isfinite(layer.b).all() for layer in chain):
         raise IoError(f"non-finite model weights in {path}")
-    if encoder[-1].W.shape[0] != m or any(p.W.shape[0] != n.W.shape[1] for p, n in zip(chain, chain[1:])):
-        raise IoError(f"layer shapes {[layer.W.shape for layer in chain]} do not chain through m={m} in {path}")
+    if encoder[-1].W.shape[0] != m or any(p.W.shape[0] != n.W.shape[1] for p, n in zip(chain, chain[1:] + chain[:1])):
+        raise IoError(f"layer shapes {[layer.W.shape for layer in chain]} do not cycle through m={m} in {path}")
     return CodecModel(kind="neural", m=m, encoder=encoder, decoder=decoder)
 
 

@@ -1,9 +1,9 @@
 """ECIES over secp256r1: ephemeral ECDH KEM + AES-256-GCM DEM.
 
-Ciphertext is the tuple {K, C, T}: a 33-byte compressed ephemeral
-public key, a ciphertext the same length as the plaintext, and a
-16-byte authentication tag.  Key and nonce are disjoint segments of
-HKDF-SHA-256 output keyed on the shared secret concatenated with K.
+A ciphertext is the bytes K || C || T: a 33-byte compressed ephemeral
+public key, then AES-GCM's output, C the length of the plaintext and a
+16-byte tag T.  Key and nonce are disjoint segments of HKDF-SHA-256
+output keyed on the shared secret concatenated with K.
 
 Two bounded caches (128 entries each) hold per-key state that a stream of
 messages to or from the same party would otherwise rebuild every time:
@@ -33,22 +33,6 @@ KDF_INFO = b"latentseal-v1"
 KEY_LEN = 33  # compressed point
 TAG_LEN = 16
 OVERHEAD = KEY_LEN + TAG_LEN
-
-
-@dataclass(frozen=True)
-class EciesCiphertext:
-    K: bytes  # compressed ephemeral public key
-    C: bytes  # same length as plaintext
-    T: bytes  # GCM tag
-
-    def serialize(self) -> bytes:
-        return self.K + self.C + self.T
-
-    @classmethod
-    def parse(cls, data: bytes) -> "EciesCiphertext":
-        if len(data) < OVERHEAD + 1:
-            raise InvalidPointError("ciphertext too short")
-        return cls(data[:KEY_LEN], data[KEY_LEN:-TAG_LEN], data[-TAG_LEN:])
 
 
 @dataclass(frozen=True)
@@ -119,8 +103,8 @@ def _derive_key_nonce(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes]:
 
 def ecies_encrypt(
     plaintext: bytes, pub: bytes, eph_seed: bytes | None = None, aad: bytes = b""
-) -> EciesCiphertext:
-    """Encrypt under a 33-byte compressed recipient public key.
+) -> bytes:
+    """Seal to K || C || T under a 33-byte compressed recipient public key.
 
     Optional associated data is authenticated but not encrypted; the
     pipeline uses it to bind its payload header to the tag.
@@ -132,17 +116,19 @@ def ecies_encrypt(
     eph_pub = _compress(eph.public_key())
     shared = eph.exchange(ec.ECDH(), recipient)
     key, nonce = _derive_key_nonce(shared, eph_pub)
-    sealed = AESGCM(key).encrypt(nonce, plaintext, aad or None)
-    return EciesCiphertext(eph_pub, sealed[:-TAG_LEN], sealed[-TAG_LEN:])
+    return eph_pub + AESGCM(key).encrypt(nonce, plaintext, aad or None)
 
 
-def ecies_decrypt(ct: EciesCiphertext, private_scalar: int, aad: bytes = b"") -> bytes:
-    """Open {K, C, T}; raises AuthFailureError on any tag mismatch."""
-    eph_pub = _load_point(ct.K)  # chosen by the sender: never cached
+def ecies_decrypt(ct: bytes, private_scalar: int, aad: bytes = b"") -> bytes:
+    """Open K || C || T: InvalidPointError if short or K is bad, AuthFailureError on any tag mismatch."""
+    if len(ct) < OVERHEAD + 1:
+        raise InvalidPointError("ciphertext too short")
+    eph_key = ct[:KEY_LEN]
+    eph_pub = _load_point(eph_key)  # chosen by the sender: never cached
     shared = _private_key(private_scalar).exchange(ec.ECDH(), eph_pub)
-    key, nonce = _derive_key_nonce(shared, ct.K)
+    key, nonce = _derive_key_nonce(shared, eph_key)
     try:
-        return AESGCM(key).decrypt(nonce, ct.C + ct.T, aad or None)
+        return AESGCM(key).decrypt(nonce, ct[KEY_LEN:], aad or None)
     except InvalidTag as e:
         raise AuthFailureError("authentication tag mismatch") from e
 

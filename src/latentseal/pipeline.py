@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import KIND_DCT, KIND_NEURAL, CodecModel, check_image
-from .ecies import OVERHEAD, EciesCiphertext, ecies_decrypt, ecies_encrypt
+from .ecies import OVERHEAD, ecies_decrypt, ecies_encrypt
 from .errors import BadHeaderError, MTooLargeError, ShapeMismatchError
 from .henon import SymKey, deshuffle, permutation_for_key, shuffle
 from .images import MAX_PIXELS
@@ -52,13 +52,13 @@ class EncryptedPayload:
     m: int
     width: int
     height: int
-    ciphertext: EciesCiphertext
+    ciphertext: bytes  # K || C || T
 
     def header_bytes(self) -> bytes:
         return _pack_header(self.codec_id, self.m, self.width, self.height)
 
     def serialize(self) -> bytes:
-        return self.header_bytes() + self.ciphertext.serialize()
+        return self.header_bytes() + self.ciphertext
 
     @classmethod
     def parse(cls, data: bytes) -> "EncryptedPayload":
@@ -71,15 +71,7 @@ class EncryptedPayload:
         body = data[HEADER_LEN:]
         if len(body) != 4 * m + OVERHEAD:
             raise BadHeaderError(f"body length {len(body)} inconsistent with m={m}")
-        return cls(codec_id, m, width, height, EciesCiphertext.parse(body))
-
-
-def _serialize_latent(v: np.ndarray) -> bytes:
-    return np.asarray(v, dtype="<f4").tobytes()
-
-
-def _deserialize_latent(data: bytes) -> np.ndarray:
-    return np.frombuffer(data, dtype="<f4").astype(np.float64)
+        return cls(codec_id, m, width, height, body)
 
 
 def compress_encrypt(
@@ -99,7 +91,7 @@ def compress_encrypt(
         header = _pack_header(codec.codec_id, codec.m, w, h)
         latent = codec.encode(img)
         shuffled = shuffle(latent, permutation_for_key(sym, codec.m))
-        ct = ecies_encrypt(_serialize_latent(shuffled), pub, eph_seed, aad=header)
+        ct = ecies_encrypt(shuffled.astype("<f4").tobytes(), pub, eph_seed, aad=header)
         return EncryptedPayload(codec.codec_id, codec.m, w, h, ct)
 
     return timed(run)
@@ -124,7 +116,7 @@ def decrypt_reconstruct(
 
     def run() -> np.ndarray:
         plain = ecies_decrypt(payload.ciphertext, priv, aad=payload.header_bytes())
-        shuffled = _deserialize_latent(plain)
+        shuffled = np.frombuffer(plain, dtype="<f4").astype(np.float64)
         perm = permutation_for_key(sym, payload.m)
         latent = deshuffle(shuffled, perm)
         return codec.decode(latent, payload.width, payload.height)

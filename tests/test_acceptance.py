@@ -77,16 +77,16 @@ def test_ecies_suite():
         ct = ecies.ecies_encrypt(pt, kp.public_bytes)
         if ecies.ecies_decrypt(ct, kp.private_scalar) != pt:
             report("ecies: 1000 round trips / 100 tamper bits / length law", False, "round trip")
-        if len(ct.serialize()) != n + 49:
+        if len(ct) != n + 49:
             report("ecies: 1000 round trips / 100 tamper bits / length law", False, "length law")
-    blob = ecies.ecies_encrypt(bytes(64), kp.public_bytes).serialize()
+    blob = ecies.ecies_encrypt(bytes(64), kp.public_bytes)
     caught = 0
     for _ in range(100):
         bit = int(rng.integers(len(blob) * 8))
         t = bytearray(blob)
         t[bit // 8] ^= 1 << (bit % 8)
         try:
-            ecies.ecies_decrypt(ecies.EciesCiphertext.parse(bytes(t)), kp.private_scalar)
+            ecies.ecies_decrypt(bytes(t), kp.private_scalar)
         except (AuthFailureError, InvalidPointError):
             caught += 1
     report("ecies: 1000 round trips / 100 tamper bits / length law", caught == 100, f"{caught}/100 tampers caught")
@@ -112,7 +112,7 @@ def test_compression_ratio_structure():
     payload, _ = pipeline.compress_encrypt(
         img, codec.dct_model(100), henon.SymKey(0.1, 0.1), kp.public_bytes
     )
-    body = len(payload.ciphertext.serialize())
+    body = len(payload.ciphertext)
     report("compression structure: 65,536 pixels -> 100 elements, 449-byte body", body == 449, f"{body} bytes")
 
 

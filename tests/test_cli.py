@@ -418,6 +418,13 @@ def test_usage_error_exit_code():
         ("recv 9 --out out --timeout -1", "--timeout"),
         ("recv 9 --out out --timeout inf", "--timeout"),
         ("send p.lsp 127.0.0.1:9 --throttle 0", "--throttle"),
+        ("send p.lsp 127.0.0.1:9 --throttle 1e-300", "--throttle"),  # would overflow time.sleep
+        ("recv 0 --out out --timeout 1e10", "--timeout"),  # would overflow settimeout
+        ("send p.lsp 127.0.0.1:74536", "dest"),  # getaddrinfo would wrap it to port 9000
+        ("send p.lsp 127.0.0.1:²", "dest"),  # a digit that int() refuses
+        ("send p.lsp 127.0.0.1:-1", "dest"),
+        ("send p.lsp :9", "dest"),
+        ("send p.lsp 127.0.0.1", "dest"),
         ("henon-plot --sym k.sym --n -5 --out out", "--n"),
         ("henon-plot --sym k.sym --n 1000001 --out out", "--n"),
         ("train data out --batch-size 0", "--batch-size"),
@@ -436,6 +443,7 @@ def test_usage_error_exit_code():
         ("train data out --lam nan", "--lam"),
         ("make-dataset out --count -3", "--count"),
         ("make-dataset out --size 0", "--size"),
+        ("make-dataset out --size 4097", "--size"),  # 4097 x 4097 is over MAX_PIXELS
         ("make-dataset out --seed -1", "--seed"),
         ("keygen out --seed -1", "--seed"),
     ],
@@ -448,6 +456,19 @@ def test_out_of_range_number_is_usage_error(tmp_path, monkeypatch, command, opti
     err = capsys.readouterr().err
     assert f"error: argument {option}: want " in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_argument_bounds_at_their_limits(capsys):
+    # parsed only: at the old bounds, recv would wait a day for a sender
+    parse = cli.build_parser().parse_args
+    assert parse(["send", "p.lsp", "::1:65535", "--throttle", "1"]).dest == ("::1", 65535)
+    assert parse(["recv", "0", "--out", "out", "--timeout", "86400"]).timeout == 86400
+    assert parse(["make-dataset", "out", "--size", "4096"]).size == 4096
+    for argv in (["send", "p.lsp", "::1:65536"], ["send", "p.lsp", "h:9", "--throttle", "0.99"],
+                 ["recv", "0", "--out", "out", "--timeout", "86401"]):
+        with pytest.raises(SystemExit):
+            parse(argv)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_parser_built_once_and_calls_repeat(tmp_path, keys, capsys):

@@ -42,23 +42,23 @@ def test_encrypt_decrypt_round_trip(keypair):
 def test_golden_ciphertext(keypair):
     kp = ecies.keygen(bytes(32))
     ct = ecies.ecies_encrypt(b"golden plaintext", kp.public_bytes, eph_seed=bytes(range(32)))
-    assert ct.serialize().hex() == GOLDEN_CT
+    assert ct.hex() == GOLDEN_CT
 
 
 def test_fresh_ephemerals(keypair):
     a = ecies.ecies_encrypt(b"same bytes", keypair.public_bytes)
     b = ecies.ecies_encrypt(b"same bytes", keypair.public_bytes)
-    assert a.K != b.K
-    assert a.C != b.C
+    assert a[: ecies.KEY_LEN] != b[: ecies.KEY_LEN]
+    assert a[ecies.KEY_LEN : -ecies.TAG_LEN] != b[ecies.KEY_LEN : -ecies.TAG_LEN]
 
 
 def test_length_law(keypair):
     pt = bytes(400)
     ct = ecies.ecies_encrypt(pt, keypair.public_bytes)
-    assert len(ct.serialize()) == 449
-    assert len(ct.C) == 400
-    assert len(ct.K) == 33
-    assert len(ct.T) == 16
+    assert len(ct) == 449
+    K, C, T = ct[:33], ct[33:-16], ct[-16:]
+    assert K[0] in (2, 3)  # a compressed point's prefix
+    assert (len(K), len(C), len(T)) == (33, 400, 16)
 
 
 def test_empty_plaintext_rejected(keypair):
@@ -83,15 +83,22 @@ def test_invalid_public_key():
 def test_single_bit_tamper(keypair):
     rng = np.random.default_rng(99)
     pt = bytes(rng.integers(0, 256, 40, dtype=np.uint8))
-    blob = ecies.ecies_encrypt(pt, keypair.public_bytes).serialize()
+    blob = ecies.ecies_encrypt(pt, keypair.public_bytes)
     for _ in range(100):
         bit = int(rng.integers(len(blob) * 8))
         tampered = bytearray(blob)
         tampered[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises((AuthFailureError, InvalidPointError)):
-            ecies.ecies_decrypt(
-                ecies.EciesCiphertext.parse(bytes(tampered)), keypair.private_scalar
-            )
+            ecies.ecies_decrypt(bytes(tampered), keypair.private_scalar)
+
+
+def test_every_prefix_and_an_extra_byte_fail_closed(keypair):
+    ct = ecies.ecies_encrypt(b"prefix", keypair.public_bytes)
+    for cut in [*range(len(ct)), None]:
+        data = ct + b"\x00" if cut is None else ct[:cut]
+        with pytest.raises((AuthFailureError, InvalidPointError)):
+            ecies.ecies_decrypt(data, keypair.private_scalar)
+    assert ecies.ecies_decrypt(ct, keypair.private_scalar) == b"prefix"
 
 
 @settings(max_examples=50, deadline=None)
@@ -100,7 +107,7 @@ def test_round_trip_property(plaintext):
     kp = ecies.keygen(bytes([3]) * 32)
     ct = ecies.ecies_encrypt(plaintext, kp.public_bytes)
     assert ecies.ecies_decrypt(ct, kp.private_scalar) == plaintext
-    assert len(ct.serialize()) == len(plaintext) + ecies.OVERHEAD
+    assert len(ct) == len(plaintext) + ecies.OVERHEAD
 
 
 def test_large_round_trip(keypair):
@@ -112,7 +119,7 @@ def test_large_round_trip(keypair):
 def test_deterministic_under_eph_seed(keypair):
     a = ecies.ecies_encrypt(b"fixed", keypair.public_bytes, eph_seed=bytes(32))
     b = ecies.ecies_encrypt(b"fixed", keypair.public_bytes, eph_seed=bytes(32))
-    assert a.serialize() == b.serialize()
+    assert a == b
 
 
 def test_key_file_round_trip(tmp_path, keypair):
@@ -181,7 +188,7 @@ def test_fresh_keys_are_valid_and_distinct(keypair):
     assert kp.public_bytes == ecies._compress(ecies._private_key(kp.private_scalar).public_key())
     a = ecies.ecies_encrypt(b"fresh", keypair.public_bytes)
     b = ecies.ecies_encrypt(b"fresh", keypair.public_bytes)
-    assert a.K != b.K
+    assert a[: ecies.KEY_LEN] != b[: ecies.KEY_LEN]
     assert ecies.ecies_decrypt(a, keypair.private_scalar) == b"fresh"
 
 

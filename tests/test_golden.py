@@ -77,7 +77,7 @@ def _neural_latents():
     return np.stack([model.encode(img) for img in _neural_dataset()])
 
 
-def _neural_decodes():
+def _neural_reconstructions():
     model = _neural_model()
     return np.stack([model.decode(v, 8, 8) for v in _neural_latents()])
 
@@ -111,7 +111,7 @@ CASES = {
     "dct_random_m400.payload": lambda tmp: _random(400)[1],
     "dct_random_m400.pixels": lambda tmp: _random(400)[2],
     "neural.latents": lambda tmp: _neural_latents(),
-    "neural.decodes": lambda tmp: _neural_decodes(),
+    "neural.decodes": lambda tmp: _neural_reconstructions(),
     "neural.ae_trace": lambda tmp: np.array(train.train_autoencoder(_neural_dataset(), NEURAL_CONFIG).ae_losses),
     "neural.adversarial_trace": lambda tmp: _adversarial_trace(),
     "neural.lscm": _saved_model,

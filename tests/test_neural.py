@@ -17,11 +17,11 @@ def zero_model(n=16, m=4, hidden=8):
 
 def test_zero_weight_encode_is_zero():
     img = np.random.default_rng(0).integers(0, 256, (4, 4), dtype=np.uint8)
-    assert np.all(codec.neural_encode(zero_model(), img) == 0.0)
+    assert np.all(zero_model().encode(img) == 0.0)
 
 
 def test_zero_weight_decode_is_128():
-    rec = codec.neural_decode(zero_model(), np.random.default_rng(1).standard_normal(4), 4, 4)
+    rec = zero_model().decode(np.random.default_rng(1).standard_normal(4), 4, 4)
     # sigmoid(0)*255 = 127.5 rounds half-to-even to 128
     assert np.all(rec == 128)
 
@@ -48,11 +48,11 @@ def test_sigmoid_bitwise_equals_masked_oracle():
 def test_shape_mismatches():
     model = zero_model()
     with pytest.raises(ShapeMismatchError):
-        codec.neural_encode(model, np.zeros((5, 5), dtype=np.uint8))
+        model.encode(np.zeros((5, 5), dtype=np.uint8))
     with pytest.raises(ShapeMismatchError):
-        codec.neural_decode(model, np.zeros(5), 4, 4)
+        model.decode(np.zeros(5), 4, 4)
     with pytest.raises(ShapeMismatchError):
-        codec.neural_decode(model, np.zeros(4), 3, 3)
+        model.decode(np.zeros(4), 3, 3)
 
 
 def test_gradients_match_finite_differences():
@@ -86,7 +86,7 @@ def test_single_image_overfit():
     init = train.init_model(64, cfg, np.random.default_rng(7))
     assert len(trace) == 200
     assert trace[-1] < 0.25 * train.reconstruction_loss(init, [img])
-    rec = codec.neural_decode(model, codec.neural_encode(model, img), 8, 8)
+    rec = model.decode(model.encode(img), 8, 8)
     assert np.abs(rec.astype(float) - img).mean() < 16.0
 
 
@@ -175,12 +175,12 @@ def test_neural_model_file_round_trip(tmp_path):
     codec.save_model(model, path)
     loaded = codec.load_model(path)
     assert loaded.kind == "neural" and loaded.m == 5
-    assert np.array_equal(codec.neural_encode(loaded, img), codec.neural_encode(model, img))
-    v = codec.neural_encode(model, img)
-    assert np.array_equal(codec.neural_decode(loaded, v, 8, 8), codec.neural_decode(model, v, 8, 8))
+    assert np.array_equal(loaded.encode(img), model.encode(img))
+    v = model.encode(img)
+    assert np.array_equal(loaded.decode(v, 8, 8), model.decode(v, 8, 8))
 
 
-def test_neural_decode_matches_copying_quantize():
+def test_neural_codec_decode_matches_copying_quantize():
     # zero weights make every pixel sigmoid(bias) * 255: 127.5 (a tie), 255, 0 and near-ties
     model = zero_model()
     model.decoder[-1].b[:] = [0.0, 40.0, -40.0, -800.0, 800.0, 1.0, -1.0, -5.0, 5.0, -6.3, 6.3, 0.01, 0, 0, 0, 0]
@@ -188,7 +188,7 @@ def test_neural_decode_matches_copying_quantize():
     kept = v.copy()
     pixels = codec.forward(model.decoder, v, codec.sigmoid)[-1] * 255.0
     expected = np.clip(np.rint(pixels), 0, 255).astype(np.uint8).reshape(4, 4)
-    assert np.array_equal(codec.neural_decode(model, v, 4, 4), expected)
+    assert np.array_equal(model.decode(v, 4, 4), expected)
     assert np.array_equal(v, kept)
 
 
@@ -251,6 +251,21 @@ def test_save_and_load_refuse_a_stack_over_max_layers(tmp_path, encoder_layers, 
     assert not path.exists()
     path.write_bytes(_header(2) + codec._layers_bytes(model.encoder) + codec._layers_bytes(model.decoder))
     with pytest.raises(IoError, match=f"{codec.MAX_LAYERS + 1} layers"):
+        codec.load_model(path)
+
+
+@pytest.mark.parametrize("n_out", [25, 9])
+def test_save_and_load_refuse_a_decoder_that_cannot_rebuild_the_input(tmp_path, n_out):
+    # encoder 16 -> 4 with decoder 4 -> 25 used to load and seal a 4x4 image,
+    # failing only after the ECIES open ("decoder emits 25 pixels, header says 16")
+    model = zero_model()
+    model.decoder[-1] = Layer(np.zeros((n_out, 8)), np.zeros(n_out))
+    path = tmp_path / "mismatch.lscm"
+    with pytest.raises(IoError, match="do not cycle through m=4"):
+        codec.save_model(model, path)
+    assert not path.exists()
+    path.write_bytes(_header(4) + codec._layers_bytes(model.encoder) + codec._layers_bytes(model.decoder))
+    with pytest.raises(IoError, match="do not cycle through m=4"):
         codec.load_model(path)
 
 
