@@ -8,6 +8,7 @@ renamed on success, so no error path leaves a partial file behind.
 
 import argparse
 import functools
+import gc
 import math
 import sys
 from pathlib import Path
@@ -295,5 +296,17 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The program's entry: `latentseal` and `python -m latentseal.cli`.
+
+    Everything imported by now lives until exit, so it is frozen out of the
+    collector's reach, and interpreter shutdown does not walk it again.
+    main never freezes: callers that run it in-process, many times, keep
+    their heap collectable.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -46,6 +46,22 @@ def _pack_header(codec_id: int, m: int, width: int, height: int) -> bytes:
     return PAYLOAD_MAGIC + struct.pack(_HEADER_FIELDS, PAYLOAD_VERSION, codec_id, m, width, height)
 
 
+def header_fields(header: bytes, length: int) -> tuple[int, int, int, int]:
+    """(codec_id, m, width, height) of a payload of length bytes that starts
+    with header, by decrypt's rules: the magic, the version, the field rules
+    and a body of 4m + OVERHEAD bytes.  Anything else raises BadHeaderError.
+    Only the first HEADER_LEN bytes of header are read."""
+    if len(header) < HEADER_LEN or header[:4] != PAYLOAD_MAGIC:
+        raise BadHeaderError("missing payload magic")
+    version, codec_id, m, width, height = struct.unpack(_HEADER_FIELDS, header[4:HEADER_LEN])
+    if version != PAYLOAD_VERSION:
+        raise BadHeaderError(f"unsupported payload version {version}")
+    _check_header_fields(codec_id, m, width, height, BadHeaderError, BadHeaderError)
+    if length - HEADER_LEN != 4 * m + OVERHEAD:
+        raise BadHeaderError(f"body length {length - HEADER_LEN} inconsistent with m={m}")
+    return codec_id, m, width, height
+
+
 @dataclass(frozen=True)
 class EncryptedPayload:
     codec_id: int
@@ -62,16 +78,7 @@ class EncryptedPayload:
 
     @classmethod
     def parse(cls, data: bytes) -> "EncryptedPayload":
-        if len(data) < HEADER_LEN or data[:4] != PAYLOAD_MAGIC:
-            raise BadHeaderError("missing payload magic")
-        version, codec_id, m, width, height = struct.unpack(_HEADER_FIELDS, data[4:HEADER_LEN])
-        if version != PAYLOAD_VERSION:
-            raise BadHeaderError(f"unsupported payload version {version}")
-        _check_header_fields(codec_id, m, width, height, BadHeaderError, BadHeaderError)
-        body = data[HEADER_LEN:]
-        if len(body) != 4 * m + OVERHEAD:
-            raise BadHeaderError(f"body length {len(body)} inconsistent with m={m}")
-        return cls(codec_id, m, width, height, body)
+        return cls(*header_fields(data, len(data)), data[HEADER_LEN:])
 
 
 def compress_encrypt(

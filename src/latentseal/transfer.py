@@ -3,17 +3,17 @@
 Wire format: 4-byte big-endian length prefix followed by the payload
 bytes.  A frame must be a payload that decrypt accepts: at most FRAME_CAP
 (pipeline.PAYLOAD_CAP, 262 201 bytes), which send_file checks before
-reading its file, and passing EncryptedPayload.parse (magic, version,
-header fields, a body of 4m + 49 bytes), which the receiver checks before
-it returns or writes anything.
+reading its file, and passing EncryptedPayload.parse's header rules (magic,
+version, header fields, a body of 4m + 49 bytes), which the receiver checks
+on the length prefix and the 12 header bytes, before it waits for the body.
 """
 
 import socket
 import struct
 import time
 
-from .errors import FrameTooLargeError, IoError, atomic_write, read_file
-from .pipeline import PAYLOAD_CAP, EncryptedPayload
+from .errors import BadHeaderError, FrameTooLargeError, IoError, atomic_write, read_file
+from .pipeline import HEADER_LEN, PAYLOAD_CAP, header_fields
 
 FRAME_CAP = PAYLOAD_CAP
 CHUNK = 4096
@@ -56,7 +56,8 @@ def recv_bytes(port: int, host: str = "", timeout: float = 30.0) -> bytes:
     timeout (seconds, > 0) bounds the wait for a connection, and then the
     whole frame: a sender that trickles bytes cannot hold the receiver
     longer (IoError).  A frame over FRAME_CAP raises FrameTooLargeError, and
-    one that EncryptedPayload.parse refuses raises its BadHeaderError.
+    one that EncryptedPayload.parse refuses raises its BadHeaderError, as
+    soon as the length prefix and the header show it.
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -72,9 +73,11 @@ def recv_bytes(port: int, host: str = "", timeout: float = 30.0) -> bytes:
             (length,) = struct.unpack(">I", _recv_exact(conn, 4, deadline))
             if length > FRAME_CAP:
                 raise FrameTooLargeError(f"announced frame of {length} bytes")
-            data = _recv_exact(conn, length, deadline)
-    EncryptedPayload.parse(data)
-    return data
+            if length < HEADER_LEN:
+                raise BadHeaderError(f"announced frame of {length} bytes is shorter than a payload header")
+            header = _recv_exact(conn, HEADER_LEN, deadline)
+            header_fields(header, length)
+            return header + _recv_exact(conn, length - HEADER_LEN, deadline)
 
 
 def send_file(path, host: str, port: int, throttle: float | None = None) -> None:

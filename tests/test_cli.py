@@ -1,12 +1,16 @@
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latentseal import cli, codec, ecies, henon, images, pipeline
-from latentseal.cli import EXIT_AUTH, EXIT_FORMAT, EXIT_IO, EXIT_OK
+from latentseal.cli import EXIT_AUTH, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE
 
 
 def run(args):
@@ -504,3 +508,52 @@ def test_oversized_key_file_exit_code(tmp_path, keys, dct_model_path, suffix, ca
     ])
     assert rc == EXIT_IO
     assert f"key.{suffix}" in capsys.readouterr().err
+
+
+def run_program(args):
+    """`python -m latentseal.cli args` in a new process, as a user runs it, importing latentseal from this checkout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "latentseal.cli", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_program_writes_what_main_writes(tmp_path, dct_model_path, test_image, capsys):
+    written = {}
+    for side in ("program", "main"):
+        d = tmp_path / side
+        d.mkdir()
+        k = str(d / "key")
+        steps = [
+            (["keygen", k, "--seed", "42"], "wrote "),
+            (["encrypt", str(test_image), "--model", str(dct_model_path), "--sym", k + ".sym", "--pub", k + ".pub",
+              "--out", str(d / "img.lsp")], "encrypt_s="),
+            (["decrypt", str(d / "img.lsp"), "--model", str(dct_model_path), "--sym", k + ".sym", "--priv", k + ".priv",
+              "--out", str(d / "recon.pgm")], "decrypt_s="),
+        ]
+        for argv, printed in steps:
+            if side == "program":
+                proc = run_program(argv)
+                code, out = proc.returncode, proc.stdout
+            else:
+                code, out = cli.main(argv), capsys.readouterr().out
+            assert (code, out.startswith(printed)) == (EXIT_OK, True), (side, argv, out)
+        written[side] = {path.name: path.read_bytes() for path in d.iterdir()}
+    # each encrypt draws a fresh ephemeral key, so the payloads agree in header and length only
+    sealed = written["program"].pop("img.lsp"), written["main"].pop("img.lsp")
+    assert sealed[0][: pipeline.HEADER_LEN] == sealed[1][: pipeline.HEADER_LEN]
+    assert len(sealed[0]) == len(sealed[1])
+    assert sorted(written["program"]) == ["key.priv", "key.pub", "key.sym", "recon.pgm"]
+    assert written["program"] == written["main"]
+
+
+def test_program_exit_codes(tmp_path, keys, dct_model_path, test_image):
+    missing = run_program(["encrypt", str(test_image), "--model", str(dct_model_path), "--sym", str(tmp_path / "none.sym"),
+                           "--pub", str(keys) + ".pub", "--out", str(tmp_path / "out.lsp")])
+    out_of_range = run_program(["make-model", str(tmp_path / "m.lscm"), "--m", "0"])
+    assert (missing.returncode, out_of_range.returncode) == (EXIT_IO, EXIT_USAGE)
+    assert "error: cannot read" in missing.stderr and "none.sym" in missing.stderr
+    assert "error: argument --m: want " in out_of_range.stderr
+    assert "Traceback" not in missing.stderr + out_of_range.stderr
+    assert not (tmp_path / "out.lsp").exists() and not (tmp_path / "m.lscm").exists()

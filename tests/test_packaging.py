@@ -1,4 +1,5 @@
 import ast
+import gc
 import os
 import re
 import subprocess
@@ -29,26 +30,19 @@ def test_dependencies_match_imports():
     assert declared == _third_party_imports()
 
 
-def _file_reads() -> set[tuple[str, str]]:
-    """(module, function) of every open() for reading, read_bytes() and read_text() call in the package."""
+def _callers(is_target) -> set[tuple[str, str]]:
+    """(module, function) of every call in the package for which is_target(name, call) holds."""
     found = set()
-
-    def is_read(call: ast.Call) -> bool:
-        func = call.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "open":
-            mode = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
-            # no mode is "r", and a mode that is not a literal counts as a read
-            return not (mode and isinstance(mode[0], ast.Constant) and "r" not in mode[0].value)
-        return name in ("read_bytes", "read_text")
 
     def visit(node, module, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, child.name)
                 continue
-            if isinstance(child, ast.Call) and is_read(child):
-                found.add((module, function))
+            if isinstance(child, ast.Call):
+                func = child.func
+                if is_target(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None), child):
+                    found.add((module, function))
             visit(child, module, function)
 
     for path in (ROOT / "src" / "latentseal").glob("*.py"):
@@ -56,8 +50,28 @@ def _file_reads() -> set[tuple[str, str]]:
     return found
 
 
+def _is_read(name: str, call: ast.Call) -> bool:
+    """An open() for reading, a read_bytes() or a read_text()."""
+    if name == "open":
+        mode = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+        # no mode is "r", and a mode that is not a literal counts as a read
+        return not (mode and isinstance(mode[0], ast.Constant) and "r" not in mode[0].value)
+    return name in ("read_bytes", "read_text")
+
+
 def test_outside_files_are_read_through_one_capped_reader():
-    assert _file_reads() == {("errors", "read_file")}
+    assert _callers(_is_read) == {("errors", "read_file")}
+
+
+def test_only_the_program_entry_freezes_the_heap():
+    # a frozen heap is never collected again, which only a process that is
+    # about to exit can afford; library callers of cli.main must not pay it
+    assert _callers(lambda name, call: name == "freeze") == {("cli", "run")}
+
+
+def test_installed_script_is_the_program_entry():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"latentseal": "latentseal.cli:run"}
 
 
 def _cache_breaches() -> list[str]:
@@ -118,6 +132,28 @@ def _fresh_python(code: str) -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+def test_run_freezes_the_heap_then_exits_with_mains_code():
+    code = (
+        "import gc\n"
+        "from latentseal import cli\n"
+        "cli.main = lambda argv=None: print(gc.get_freeze_count() > 0) or 7\n"
+        "try:\n"
+        "    cli.run()\n"
+        "except SystemExit as e:\n"
+        "    print(e.code)\n"
+    )
+    assert _fresh_python(code).splitlines() == ["True", "7"]
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
+    from latentseal import cli
+
+    assert gc.get_freeze_count() == 0
+    assert cli.main(["keygen", str(tmp_path / "k"), "--seed", "1"]) == 0
+    assert cli.main(["make-model", str(tmp_path / "d.lscm"), "--m", "4"]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -129,9 +129,10 @@ def test_disconnect_mid_frame_writes_nothing(tmp_path):
     t = threading.Thread(target=receiver)
     t.start()
     time.sleep(0.05)
+    frame = legal_frame(100)
     with socket.create_connection(("127.0.0.1", port)) as sock:
-        sock.sendall((1000).to_bytes(4, "big") + PAYLOAD_MAGIC + bytes(10))
-        # close early: only 14 of 1000 announced bytes were sent
+        sock.sendall(len(frame).to_bytes(4, "big") + frame[:14])
+        # close early: a legal header, then only 2 of the 449 body bytes
     t.join(timeout=10)
     assert isinstance(result["error"], IoError)
     assert not out.exists()
@@ -221,3 +222,35 @@ def test_send_paces_only_when_throttled(monkeypatch):
     assert sleeps == []
     assert run_transfer(frame, throttle=1e9) == frame
     assert len(sleeps) == 3 and all(s >= 0 for s in sleeps)
+
+
+@pytest.mark.parametrize(
+    "announced, header",
+    [(transfer.FRAME_CAP, legal_frame(100)[:12]), (11, b"")],
+    ids=["header-for-a-shorter-body", "shorter-than-a-header"],
+)
+def test_frame_length_the_header_refuses_is_refused_before_the_body(tmp_path, announced, header):
+    # the sender announces a frame it never sends: the receiver must refuse
+    # on the length and the header, not wait out its timeout for the body
+    port = free_port()
+    out = tmp_path / "never.lsp"
+    result = {}
+
+    def receiver():
+        start = time.monotonic()
+        try:
+            transfer.recv_file(port, out, host="127.0.0.1", timeout=3)
+        except Exception as e:
+            result["error"] = e
+        result["elapsed"] = time.monotonic() - start
+
+    t = threading.Thread(target=receiver)
+    t.start()
+    time.sleep(0.05)
+    with socket.create_connection(("127.0.0.1", port)) as sock:
+        sock.sendall(announced.to_bytes(4, "big") + header)
+        t.join(timeout=10)
+    assert not t.is_alive()
+    assert isinstance(result["error"], BadHeaderError)
+    assert result["elapsed"] < 1.0
+    assert list(tmp_path.iterdir()) == []
