@@ -1,6 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 2 usage, 3 io, 4 crypto-auth, 5 format, 6 divergence.
+Exit codes: 0 ok, 2 usage, and otherwise the exit_code of the error raised:
+4 crypto-auth (AuthFailureError, InvalidPointError); 5 format (BadHeaderError,
+FrameTooLargeError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError);
+6 divergence (DivergenceError); 3 io for every other LatentSealError and OSError.
 Every output file is written by errors.atomic_write, directly or through
 the library's save/write functions: a temp name in the target directory
 renamed on success, so no error path leaves a partial file behind.
@@ -10,40 +13,19 @@ import argparse
 import functools
 import gc
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import codec, ecies, henon, images, pipeline
-from .errors import (
-    AuthFailureError,
-    BadHeaderError,
-    DivergenceError,
-    FrameTooLargeError,
-    InvalidPointError,
-    IoError,
-    LatentSealError,
-    MTooLargeError,
-    ShapeMismatchError,
-    atomic_write,
-    read_file,
-)
+# the error classes own their exit codes; EXIT_AUTH, EXIT_DIVERGENCE and EXIT_FORMAT are re-exported for callers
+from .errors import EXIT_AUTH, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO, IoError, LatentSealError, atomic_write, read_file
 from .metrics import QualityReport
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_IO = 3
-EXIT_AUTH = 4
-EXIT_FORMAT = 5
-EXIT_DIVERGENCE = 6
-
-_EXIT_CODES = [
-    ((AuthFailureError, InvalidPointError), EXIT_AUTH),
-    ((DivergenceError,), EXIT_DIVERGENCE),
-    ((BadHeaderError, FrameTooLargeError, MTooLargeError, ShapeMismatchError), EXIT_FORMAT),
-    ((IoError, OSError), EXIT_IO),
-]
 
 
 def cmd_keygen(args) -> int:
@@ -53,10 +35,10 @@ def cmd_keygen(args) -> int:
     else:
         kp = ecies.keygen(rng.bytes(32))
     sym = henon.random_sym_key(rng)
-    prefix = Path(args.out_prefix)
-    ecies.save_private_key(kp, prefix.with_suffix(".priv"))
-    ecies.save_public_key(kp, prefix.with_suffix(".pub"))
-    henon.save_sym_key(sym, prefix.with_suffix(".sym"))
+    prefix = args.out_prefix  # suffixes are appended: alice.v2 gives alice.v2.priv
+    ecies.save_private_key(kp, prefix + ".priv")
+    ecies.save_public_key(kp, prefix + ".pub")
+    henon.save_sym_key(sym, prefix + ".sym")
     print(f"wrote {prefix}.priv {prefix}.pub {prefix}.sym")
     return EXIT_OK
 
@@ -187,6 +169,7 @@ _SECONDS = _checked(float, "seconds in (0, 86400]", lambda v: 0 < v <= 86400)  #
 _RATE = _checked(float, "a finite number >= 1", lambda v: 1 <= v < math.inf)  # bytes/s; tiny rates overflow sleep
 _SIDE = _checked(int, f"an integer in 1..{math.isqrt(images.MAX_PIXELS)}", lambda v: 1 <= v * v <= images.MAX_PIXELS)
 _M = _checked(int, "an integer in 1..65535", lambda v: 1 <= v <= 0xFFFF)  # the payload header's range
+_PREFIX = _checked(str, "a prefix that ends in a file name, not a separator", lambda p: os.path.basename(p) != "")
 _POINTS = _checked(int, "an integer in 0..1000000", lambda v: 0 <= v <= 1_000_000)  # henon-plot's CSV, ~40 MB
 
 
@@ -209,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate .priv/.pub/.sym key files")
-    p.add_argument("out_prefix")
+    p.add_argument("out_prefix", type=_PREFIX)
     p.add_argument("--seed", type=_NON_NEGATIVE, default=None)
     p.set_defaults(func=cmd_keygen)
 
@@ -290,10 +273,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (LatentSealError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        for excs, code in _EXIT_CODES:
-            if isinstance(e, excs):
-                return code
-        return EXIT_IO
+        return getattr(e, "exit_code", EXIT_IO)  # an OSError has none
 
 
 def run() -> None:

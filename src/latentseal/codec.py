@@ -198,7 +198,8 @@ class CodecModel:
         if x.size != self.input_size:
             raise ShapeMismatchError(f"image has {x.size} pixels, model expects {self.input_size}")
         z = forward(self.encoder, x, None)[-1]
-        return z.astype(np.float32).astype(np.float64)
+        with np.errstate(over="ignore"):  # past float32's range a value becomes inf, which compress_encrypt refuses
+            return z.astype(np.float32).astype(np.float64)
 
     def decode(self, v: np.ndarray, width: int, height: int) -> np.ndarray:
         if self.kind == "dct":

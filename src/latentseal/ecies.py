@@ -134,7 +134,7 @@ def ecies_decrypt(ct: bytes, private_scalar: int, aad: bytes = b"") -> bytes:
 
 
 def save_private_key(kp: EciesKeypair, path) -> None:
-    atomic_write(path, (kp.private_scalar.to_bytes(32, "big").hex() + "\n").encode())
+    atomic_write(path, (kp.private_scalar.to_bytes(32, "big").hex() + "\n").encode(), 0o600)
 
 
 def save_public_key(kp: EciesKeypair, path) -> None:
@@ -156,7 +156,7 @@ def load_public_key(path) -> bytes:
     data = read_file(path, KEY_FILE_CAP)
     try:
         data = bytes.fromhex(data.decode())
-    except ValueError as e:
-        raise IoError(f"bad public key file: {path}") from e
-    _load_point(data)  # reject off-curve points at load time
+        _load_point(data)  # reject off-curve points at load time
+    except (ValueError, InvalidPointError) as e:
+        raise IoError(f"bad public key file: {path}: {e}") from e
     return data

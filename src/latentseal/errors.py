@@ -1,17 +1,25 @@
 """Exception hierarchy shared by all latentseal modules, the one file writer,
-and the one reader of files from outside: keys, images, models and payloads."""
+and the one reader of files from outside: keys, images, models and payloads.
+Each error class owns the exit code the CLI returns for it, 3 unless it says otherwise."""
 
+import functools
 import os
 import stat
-import tempfile
+
+EXIT_IO = 3
+EXIT_AUTH = 4
+EXIT_FORMAT = 5
+EXIT_DIVERGENCE = 6
 
 
 class LatentSealError(Exception):
     """Base class for every error raised by this package."""
+    exit_code = EXIT_IO
 
 
 class DivergenceError(LatentSealError):
     """A Henon orbit left the guarded region |x|,|y| <= 100."""
+    exit_code = EXIT_DIVERGENCE
 
 
 class LengthMismatchError(LatentSealError):
@@ -20,18 +28,22 @@ class LengthMismatchError(LatentSealError):
 
 class InvalidPointError(LatentSealError):
     """An encoded ephemeral public key is not a valid curve point."""
+    exit_code = EXIT_AUTH
 
 
 class AuthFailureError(LatentSealError):
     """AEAD tag verification failed: tampering or wrong private key."""
+    exit_code = EXIT_AUTH
 
 
 class MTooLargeError(LatentSealError):
     """Requested latent size exceeds the number of image pixels."""
+    exit_code = EXIT_FORMAT
 
 
 class ShapeMismatchError(LatentSealError):
     """Image or vector dimensions do not match the model."""
+    exit_code = EXIT_FORMAT
 
 
 class NonFiniteLossError(LatentSealError):
@@ -52,34 +64,44 @@ class WindowTooLargeError(LatentSealError):
 
 class BadHeaderError(LatentSealError):
     """Payload header is malformed, truncated, or inconsistent."""
+    exit_code = EXIT_FORMAT
 
 
 class FrameTooLargeError(LatentSealError):
     """Transfer frame is longer than the largest legal payload."""
+    exit_code = EXIT_FORMAT
+
+
+class NonFiniteLatentError(LatentSealError):
+    """A latent to seal, or one opened from a payload, holds NaN or infinity."""
+    exit_code = EXIT_FORMAT
 
 
 class IoError(LatentSealError):
     """File could not be read, parsed, or written."""
 
 
-def atomic_write(path, data: bytes) -> None:
+def atomic_write(path, data: bytes, mode: int = 0o666) -> None:
     """Write data to path through a temp file in the same directory and a rename.
 
+    The file gets mode, less the umask, as a new file would: 0o666 by default,
+    0o600 for secret keys, also when it replaces a file of another mode.
     On any failure neither a partial file nor the temp file is left
     behind, and the OSError is raised as IoError.
     """
     path = os.fspath(path)
-    tmp = None
+    tmp = f"{path}.{os.urandom(8).hex()}"
+    created = False
     try:
-        directory, name = os.path.split(path)
-        fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".")
-        with os.fdopen(fd, "wb") as f:
+        # "x" creates tmp or fails, and the kernel gives the new file mode less the umask
+        with open(tmp, "xb", opener=functools.partial(os.open, mode=mode)) as f:
+            created = True
             f.write(data)
         os.replace(tmp, path)
     except OSError as e:
-        if tmp is not None and os.path.exists(tmp):
+        if created:
             os.unlink(tmp)
-        raise IoError(str(e)) from e
+        raise IoError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 KEY_FILE_CAP = 4096  # bytes; a .pub is 67, a .priv 65 and a .sym about 70

@@ -153,7 +153,7 @@ def deshuffle(v: np.ndarray, p: np.ndarray) -> np.ndarray:
 def save_sym_key(key: SymKey, path) -> None:
     """Text format: 'x0 y0' / optional 'a b' / optional burn_in."""
     text = f"{key.x0!r} {key.y0!r}\n{key.a!r} {key.b!r}\n{key.burn_in}\n"
-    atomic_write(path, text.encode())
+    atomic_write(path, text.encode(), 0o600)
 
 
 def load_sym_key(path) -> SymKey:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .codec import KIND_DCT, KIND_NEURAL, CodecModel, check_image
 from .ecies import OVERHEAD, ecies_decrypt, ecies_encrypt
-from .errors import BadHeaderError, MTooLargeError, ShapeMismatchError
+from .errors import BadHeaderError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError
 from .henon import SymKey, deshuffle, permutation_for_key, shuffle
 from .images import MAX_PIXELS
 from .metrics import QualityReport, mse, psnr, ssim, timed
@@ -62,6 +62,14 @@ def header_fields(header: bytes, length: int) -> tuple[int, int, int, int]:
     return codec_id, m, width, height
 
 
+def _finite(latent: np.ndarray) -> np.ndarray:
+    """latent, if every value is finite: the rule for latents sealed and opened
+    alike, since anyone holding the public key can seal a NaN under a legal header."""
+    if not np.isfinite(latent).all():
+        raise NonFiniteLatentError(f"{np.count_nonzero(~np.isfinite(latent))} of {latent.size} latent values are not finite")
+    return latent
+
+
 @dataclass(frozen=True)
 class EncryptedPayload:
     codec_id: int
@@ -96,7 +104,7 @@ def compress_encrypt(
         # before any encoding; the header rides as AEAD associated data, so
         # any header tampering that survives parsing still fails authentication
         header = _pack_header(codec.codec_id, codec.m, w, h)
-        latent = codec.encode(img)
+        latent = _finite(codec.encode(img))
         shuffled = shuffle(latent, permutation_for_key(sym, codec.m))
         ct = ecies_encrypt(shuffled.astype("<f4").tobytes(), pub, eph_seed, aad=header)
         return EncryptedPayload(codec.codec_id, codec.m, w, h, ct)
@@ -123,7 +131,7 @@ def decrypt_reconstruct(
 
     def run() -> np.ndarray:
         plain = ecies_decrypt(payload.ciphertext, priv, aad=payload.header_bytes())
-        shuffled = np.frombuffer(plain, dtype="<f4").astype(np.float64)
+        shuffled = _finite(np.frombuffer(plain, dtype="<f4")).astype(np.float64)
         perm = permutation_for_key(sym, payload.m)
         latent = deshuffle(shuffled, perm)
         return codec.decode(latent, payload.width, payload.height)

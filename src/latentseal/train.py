@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecModel, Layer, check_image, forward, sigmoid
-from .errors import EmptyBatchError, NonFiniteLossError, ShapeMismatchError
+from .codec import MODEL_CAP, CodecModel, Layer, check_image, forward, sigmoid
+from .errors import EmptyBatchError, IoError, NonFiniteLossError, ShapeMismatchError
 
 PROB_CLAMP = 1e-12
 DISC_LR = 0.05  # discriminator ascent step
+DISC_HIDDEN = (32,)  # discriminator hidden layer widths
 
 
 def gan_objective(d_real: np.ndarray, d_fake: np.ndarray) -> float:
@@ -40,9 +41,7 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     batch_size: int = 8
-    # adversarial extras
-    disc_hidden: tuple[int, ...] = (32,)
-    lam: float = 0.0
+    lam: float = 0.0  # adversarial loss weight
 
 
 @dataclass
@@ -62,8 +61,14 @@ def _init_layers(dims: list[int], rng: np.random.Generator) -> list[Layer]:
 
 
 def init_model(input_size: int, config: TrainConfig, rng: np.random.Generator) -> CodecModel:
+    """A random model, refused (IoError, as save_model would refuse it) before any
+    weight is drawn if its .lscm file would exceed MODEL_CAP bytes."""
     enc_dims = [input_size, *config.hidden, config.m]
-    dec_dims = [config.m, *reversed(config.hidden), input_size]
+    dec_dims = enc_dims[::-1]
+    # the header, then per stack a layer count and per layer its shape, weights and biases
+    size = 10 + sum(4 + sum(8 + 8 * n_out * (n_in + 1) for n_in, n_out in zip(d, d[1:])) for d in (enc_dims, dec_dims))
+    if size > MODEL_CAP:
+        raise IoError(f"a model of layer widths {enc_dims} takes {size} bytes, over the {MODEL_CAP}-byte model cap")
     return CodecModel(
         kind="neural",
         m=config.m,
@@ -146,7 +151,7 @@ def train_autoencoder(dataset: list[np.ndarray], config: TrainConfig) -> TrainRe
     rng = np.random.default_rng(config.seed)
     d_rng = np.random.default_rng((config.seed, 0x9E3779B9))
     model = init_model(X.shape[1], config, rng)
-    disc = _init_layers([X.shape[1], *config.disc_hidden, 1], d_rng) if config.lam != 0 else []
+    disc = _init_layers([X.shape[1], *DISC_HIDDEN, 1], d_rng) if config.lam != 0 else []
     result = TrainResult(model, [], [], disc)
     for _ in range(config.epochs):
         if disc:

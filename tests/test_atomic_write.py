@@ -1,4 +1,8 @@
 import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,3 +46,21 @@ def test_read_file_refuses_special_files_without_blocking(kind, tmp_path):
         path.mkdir()
     with pytest.raises(IoError, match="special.lsp"):
         read_file(path, 4096)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes and umask")
+def test_outputs_get_the_umask_mode_and_secret_keys_0600(tmp_path):
+    # run in a child under umask 022, so this process's own umask is neither read nor changed
+    for suffix in (".priv", ".sym"):  # an existing 0644 file must not keep its mode
+        (tmp_path / f"k{suffix}").write_text("old\n")
+        (tmp_path / f"k{suffix}").chmod(0o644)
+    code = (
+        "import sys; from latentseal import cli\n"
+        f"sys.exit(cli.main(['keygen', {str(tmp_path / 'k')!r}]) or cli.main(['make-model', {str(tmp_path / 'm.lscm')!r}]))"
+    )
+    src = str(Path(codec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, umask=0o022, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {"k.priv": 0o600, "k.sym": 0o600, "k.pub": 0o644, "m.lscm": 0o644}

@@ -4,13 +4,14 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latentseal import cli, codec, ecies, henon, images, pipeline
-from latentseal.cli import EXIT_AUTH, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE
+from latentseal import cli, codec, ecies, errors, henon, images, pipeline
+from latentseal.cli import EXIT_AUTH, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE
 
 
 def run(args):
@@ -46,6 +47,16 @@ def test_keygen_writes_three_files(tmp_path):
     assert ecies.keygen(None) is not None  # entropy path sanity
     assert ecies.EciesKeypair(priv, pub)  # loadable pair
     henon.load_sym_key(prefix.with_suffix(".sym")).validate()
+
+
+def test_keygen_appends_suffixes_to_a_dotted_prefix(tmp_path, capsys):
+    for version in ("v2", "v3"):
+        assert run(["keygen", str(tmp_path / f"alice.{version}"), "--seed", "1"]) == EXIT_OK
+        printed = capsys.readouterr().out.split()[1:]
+        assert printed == [str(tmp_path / f"alice.{version}{suffix}") for suffix in (".priv", ".pub", ".sym")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"alice.{v}{suffix}" for v in ("v2", "v3") for suffix in (".priv", ".pub", ".sym")
+    ]
 
 
 def test_keygen_distinct_without_seed(tmp_path):
@@ -205,6 +216,49 @@ def test_decrypt_of_a_basis_over_the_cap_exit_code(tmp_path, keys):
     assert not out.exists()
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize(
+    "value,code", [(np.nan, EXIT_FORMAT), (np.inf, EXIT_FORMAT), (-np.inf, EXIT_FORMAT), (F32_MAX, EXIT_OK), (-F32_MAX, EXIT_OK)]
+)
+def test_decrypt_of_a_non_finite_latent_exit_code(tmp_path, keys, dct_model_path, value, code):
+    # anyone holding the .pub can seal any latent under a legal header; past the tag it is outside input
+    header = pipeline._pack_header(codec.KIND_DCT, 100, 64, 64)
+    pub = ecies.load_public_key(str(keys) + ".pub")
+    payload = tmp_path / "forged.lsp"
+    payload.write_bytes(header + ecies.ecies_encrypt(np.full(100, value, dtype="<f4").tobytes(), pub, aad=header))
+    out = tmp_path / "r.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run([
+            "decrypt", str(payload),
+            "--model", str(dct_model_path),
+            "--sym", str(keys) + ".sym",
+            "--priv", str(keys) + ".priv",
+            "--out", str(out),
+        ])
+    assert rc == code
+    assert out.exists() == (code == EXIT_OK)
+
+
+@pytest.mark.parametrize("text", ["02" + "ff" * 32, "0011"], ids=["off-curve", "short"])
+def test_encrypt_with_a_public_key_that_is_no_point_exit_code(tmp_path, keys, dct_model_path, test_image, text, capsys):
+    pub = tmp_path / "bad.pub"
+    pub.write_text(text + "\n")
+    out = tmp_path / "o.lsp"
+    rc = run([
+        "encrypt", str(test_image),
+        "--model", str(dct_model_path),
+        "--sym", str(keys) + ".sym",
+        "--pub", str(pub),
+        "--out", str(out),
+    ])
+    assert rc == EXIT_IO
+    assert "bad.pub" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_make_dataset_and_evaluate(tmp_path, keys, capsys):
     data_dir = tmp_path / "data"
     assert run(["make-dataset", str(data_dir), "--count", "4", "--size", "16", "--seed", "1"]) == EXIT_OK
@@ -331,6 +385,20 @@ def test_train_on_images_of_different_sizes_exit_code(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_train_of_a_model_over_the_cap_exit_code(tmp_path, capsys):
+    # a billion hidden units would take 477 GiB of weights: refused before any is drawn
+    data_dir = tmp_path / "data"
+    images.make_dataset(data_dir, 2, 8, 0)
+    model = tmp_path / "nn.lscm"
+    start = time.perf_counter()
+    rc = run(["train", str(data_dir), str(model), "--hidden", "1000000000", "--epochs", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert "model cap" in err and "Traceback" not in err
+    assert not model.exists()
+
+
 def test_send_recv_cli(tmp_path, keys, dct_model_path, test_image):
     payload = tmp_path / "p.lsp"
     run([
@@ -450,6 +518,7 @@ def test_usage_error_exit_code():
         ("make-dataset out --size 4097", "--size"),  # 4097 x 4097 is over MAX_PIXELS
         ("make-dataset out --seed -1", "--seed"),
         ("keygen out --seed -1", "--seed"),
+        ("keygen kg/", "out_prefix"),  # would write kg.priv beside the directory
     ],
 )
 def test_out_of_range_number_is_usage_error(tmp_path, monkeypatch, command, option, capsys):
@@ -557,3 +626,42 @@ def test_program_exit_codes(tmp_path, keys, dct_model_path, test_image):
     assert "error: argument --m: want " in out_of_range.stderr
     assert "Traceback" not in missing.stderr + out_of_range.stderr
     assert not (tmp_path / "out.lsp").exists() and not (tmp_path / "m.lscm").exists()
+
+
+# every LatentSealError class and the exit code the CLI returns for it; a new class must be added here
+EXIT_CODES = {
+    errors.LatentSealError: EXIT_IO,
+    errors.AuthFailureError: EXIT_AUTH,
+    errors.InvalidPointError: EXIT_AUTH,
+    errors.BadHeaderError: EXIT_FORMAT,
+    errors.FrameTooLargeError: EXIT_FORMAT,
+    errors.MTooLargeError: EXIT_FORMAT,
+    errors.NonFiniteLatentError: EXIT_FORMAT,
+    errors.ShapeMismatchError: EXIT_FORMAT,
+    errors.DivergenceError: EXIT_DIVERGENCE,
+    errors.DimMismatchError: EXIT_IO,
+    errors.EmptyBatchError: EXIT_IO,
+    errors.IoError: EXIT_IO,
+    errors.LengthMismatchError: EXIT_IO,
+    errors.NonFiniteLossError: EXIT_IO,
+    errors.WindowTooLargeError: EXIT_IO,
+}
+
+
+def _with_subclasses(cls) -> set:
+    return {cls}.union(*map(_with_subclasses, cls.__subclasses__()))
+
+
+def test_every_error_class_owns_its_documented_exit_code():
+    assert _with_subclasses(errors.LatentSealError) == set(EXIT_CODES)
+    assert {cls: cls.exit_code for cls in EXIT_CODES} == EXIT_CODES
+
+
+@pytest.mark.parametrize("error,code", [*EXIT_CODES.items(), (OSError, EXIT_IO)], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_main_returns_the_exit_code_of_the_error_a_command_raises(tmp_path, monkeypatch, error, code, capsys):
+    def fail(m):
+        raise error("injected")
+
+    monkeypatch.setattr(codec, "dct_model", fail)
+    assert run(["make-model", str(tmp_path / "m.lscm")]) == code
+    assert capsys.readouterr().err == "error: injected\n"

@@ -3,13 +3,16 @@
 Each target gets valid files mutated (a bit flipped, cut short, extended,
 or a header or layer field set at or near its bounds) and random bytes.
 Only a LatentSealError may escape, and every case must finish within
-CASE_SECONDS.
+CASE_SECONDS.  What a payload's tag authenticates is outside input too:
+anyone holding the public key can seal any latent, so one target opens
+hostile latents sealed under legal headers, with RuntimeWarning an error.
 """
 
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +159,40 @@ def _load_and_use(path):
 def test_load_model(scratch, data):
     scratch.write_bytes(data)
     only_latentseal_errors(_load_and_use, scratch)
+
+
+# --- latents past the tag --------------------------------------------------
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_EDGES = [np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1.1754942e-38, F32_MAX, -F32_MAX, 0.0, 1.0]
+CODECS = {"dct": (codec.dct_model(10), 8, 8), "neural": (codec._parse_model(NEURAL, "neural.lscm"), 2, 2)}
+
+
+def latents(m: int) -> st.SearchStrategy[bytes]:
+    """4m bytes of plaintext: random, or m float32 values that are non-finite, subnormal or extreme."""
+    edges = st.lists(st.sampled_from(F32_EDGES), min_size=m, max_size=m)
+    return st.binary(min_size=4 * m, max_size=4 * m) | edges.map(lambda v: np.array(v, dtype="<f4").tobytes())
+
+
+def _seal_and_open(model, width: int, height: int, plain: bytes):
+    header = pipeline._pack_header(model.codec_id, model.m, width, height)
+    sealed = ecies.ecies_encrypt(plain, KEYPAIR.public_bytes, aad=header)
+    payload = pipeline.EncryptedPayload(model.codec_id, model.m, width, height, sealed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return pipeline.decrypt_reconstruct(payload, model, SYM, KEYPAIR.private_scalar)[0]
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+@FUZZ
+@given(data=st.data())
+def test_latent_past_the_tag(name, data):
+    model, width, height = CODECS[name]
+    plain = data.draw(latents(model.m))
+    img = only_latentseal_errors(_seal_and_open, model, width, height, plain)
+    assert (img is not None) == bool(np.isfinite(np.frombuffer(plain, dtype="<f4")).all())
+    if img is not None:
+        assert img.shape == (height, width) and img.dtype == np.uint8
 
 
 # --- keys ------------------------------------------------------------------

@@ -9,6 +9,7 @@ Print the current digests with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,8 +84,9 @@ def _neural_reconstructions():
 
 
 def _adversarial_trace():
-    config = train.TrainConfig(**{**vars(NEURAL_CONFIG), "lam": 0.1, "disc_hidden": (8,)})
-    result = train.train_autoencoder(_neural_dataset(), config)
+    config = train.TrainConfig(**{**vars(NEURAL_CONFIG), "lam": 0.1})
+    with mock.patch.object(train, "DISC_HIDDEN", (8,)):  # the width the digest was recorded at
+        result = train.train_autoencoder(_neural_dataset(), config)
     return np.array([result.ae_losses, result.disc_losses])
 
 

@@ -167,6 +167,24 @@ def test_adversarial_smoke():
     assert 0.4 <= acc <= 1.0
 
 
+def test_discriminator_widths_are_a_constant():
+    imgs = [np.random.default_rng(i).integers(0, 256, (4, 4), dtype=np.uint8) for i in range(4)]
+    result = train.train_autoencoder(imgs, train.TrainConfig(m=3, hidden=(6,), epochs=1, lam=0.1))
+    assert [layer.W.shape[0] for layer in result.discriminator] == [*train.DISC_HIDDEN, 1] == [32, 1]
+    assert "disc_hidden" not in vars(train.TrainConfig())
+
+
+def test_init_model_refuses_what_save_model_would_refuse_before_drawing_weights(tmp_path, monkeypatch):
+    config = train.TrainConfig(m=3, hidden=(5, 4))
+    path = tmp_path / "model.lscm"
+    codec.save_model(train.init_model(16, config, np.random.default_rng(0)), path)
+    monkeypatch.setattr(train, "MODEL_CAP", path.stat().st_size)  # the cap a model of exactly this size meets
+    train.init_model(16, config, np.random.default_rng(0))
+    monkeypatch.setattr(train, "MODEL_CAP", path.stat().st_size - 1)
+    with pytest.raises(IoError, match="model cap"):
+        train.init_model(16, config, np.random.default_rng(0))
+
+
 def test_neural_model_file_round_trip(tmp_path):
     img = np.random.default_rng(6).integers(0, 256, (8, 8), dtype=np.uint8)
     cfg = train.TrainConfig(m=5, hidden=(10,), epochs=5, seed=3, batch_size=1)

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from latentseal import codec, ecies, henon, pipeline
-from latentseal.errors import AuthFailureError, BadHeaderError, MTooLargeError, ShapeMismatchError
+from latentseal.errors import AuthFailureError, BadHeaderError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError
 from latentseal.images import smooth_gradient
 from latentseal.metrics import ssim
 
@@ -201,3 +202,15 @@ def test_neural_payload_size_checked_before_open(keypair, sym_key):
         pipeline.decrypt_reconstruct(forged, model, sym_key, keypair.private_scalar)
     out, _ = pipeline.decrypt_reconstruct(payload, model, sym_key, keypair.private_scalar)
     assert out.shape == (4, 4)
+
+
+def test_sender_refuses_a_latent_past_float32_range_before_sealing(keypair, sym_key, monkeypatch):
+    # finite float64 weights can still encode to a value float32 cannot hold, which the wire would carry as inf
+    enc = [codec.Layer(np.zeros((2, 4)), np.array([1e39, 0.0]))]
+    dec = [codec.Layer(np.zeros((4, 2)), np.zeros(4))]
+    model = codec.CodecModel(kind="neural", m=2, encoder=enc, decoder=dec)
+    monkeypatch.setattr(pipeline, "ecies_encrypt", lambda *args, **kwargs: pytest.fail("sealed"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteLatentError, match="1 of 2"):
+            pipeline.compress_encrypt(np.zeros((2, 2), dtype=np.uint8), model, sym_key, keypair.public_bytes)
