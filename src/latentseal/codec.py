@@ -16,7 +16,9 @@ sliced.  So, for example, every grid with both sides of 28 or more shares
 one zigzag order and one box side per m up to 400.
 
 Both encoders round their latent values to the nearest 32-bit float so
-the pipeline's 4-byte wire serialization is an exact round trip.
+the pipeline's 4-byte wire serialization is an exact round trip.  This
+module owns the .lscm model file's layout, and so model_size, its byte
+count; the image check and the quantizer belong to images.
 """
 
 import math
@@ -26,22 +28,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IoError, MTooLargeError, ShapeMismatchError, atomic_write, read_file
-from .images import MAX_PIXELS
+from .errors import IoError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError, atomic_write, read_file
+from .images import MAX_PIXELS, check_image, quantize
 
 MODEL_MAGIC = b"LSCM"
 MODEL_VERSION = 1
+_MODEL_HEADER = "<BBI"  # version, codec kind and m, after the magic
+_LAYERS_AT = len(MODEL_MAGIC) + struct.calcsize(_MODEL_HEADER)  # offset of a neural model's first layer stack
 KIND_DCT = 0
 KIND_NEURAL = 1
-
-
-def check_image(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img)
-    if img.ndim != 2 or img.size == 0:
-        raise ShapeMismatchError(f"expected non-empty 2-D image, got shape {img.shape}")
-    if img.dtype != np.uint8:
-        raise ShapeMismatchError(f"expected uint8 pixels, got {img.dtype}")
-    return img
 
 
 def zigzag_indices(height: int, width: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -151,19 +146,6 @@ def dct_decode_float(v: np.ndarray, width: int, height: int) -> np.ndarray:
     return out
 
 
-def quantize(pixels: np.ndarray) -> np.ndarray:
-    """Round half-to-even and clamp to the 8-bit range.
-
-    Rounds and clamps `pixels` in place, so it must be a float array the
-    caller owns; both callers, dct_decode and CodecModel.decode, pass a fresh
-    one.  Working in place spares the two image-sized float temporaries
-    that rint and clip would otherwise allocate on every decode.
-    """
-    np.rint(pixels, out=pixels)
-    np.clip(pixels, 0, 255, out=pixels)
-    return pixels.astype(np.uint8)
-
-
 def dct_decode(v: np.ndarray, width: int, height: int) -> np.ndarray:
     return quantize(dct_decode_float(v, width, height))
 
@@ -197,9 +179,9 @@ class CodecModel:
         x = check_image(img).astype(np.float64).ravel() / 255.0
         if x.size != self.input_size:
             raise ShapeMismatchError(f"image has {x.size} pixels, model expects {self.input_size}")
-        z = forward(self.encoder, x, None)[-1]
-        with np.errstate(over="ignore"):  # past float32's range a value becomes inf, which compress_encrypt refuses
-            return z.astype(np.float32).astype(np.float64)
+        # huge finite weights, or a value past float32's range, give inf or NaN, which compress_encrypt refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return forward(self.encoder, x, None)[-1].astype(np.float32).astype(np.float64)
 
     def decode(self, v: np.ndarray, width: int, height: int) -> np.ndarray:
         if self.kind == "dct":
@@ -207,10 +189,13 @@ class CodecModel:
         v = np.asarray(v, dtype=np.float64)
         if v.size != self.m:
             raise ShapeMismatchError(f"latent size {v.size}, model expects {self.m}")
-        out = forward(self.decoder, v, sigmoid)[-1]
-        out *= 255.0
+        with np.errstate(over="ignore", invalid="ignore"):  # huge finite weights give inf - inf, refused below
+            out = forward(self.decoder, v, sigmoid)[-1]
         if out.size != width * height:
             raise ShapeMismatchError(f"decoder emits {out.size} pixels, header says {width * height}")
+        if not np.isfinite(out).all():
+            raise NonFiniteLatentError(f"{np.count_nonzero(~np.isfinite(out))} of {out.size} decoded pixels are not finite")
+        out *= 255.0
         return quantize(out.reshape(height, width))
 
 
@@ -253,6 +238,13 @@ def _layers_bytes(layers: list[Layer]) -> bytes:
     return b"".join(parts)
 
 
+def model_size(*stacks: list[int]) -> int:
+    """Bytes of the neural .lscm file whose layer stacks have these widths, input
+    first: the header, then per stack a layer count and per layer its shape,
+    weights and biases, as save_model writes them."""
+    return _LAYERS_AT + sum(4 + sum(8 + 8 * n_out * (n_in + 1) for n_in, n_out in zip(d, d[1:])) for d in stacks)
+
+
 def _parse_layers(data: bytes, off: int, layers: list[Layer]) -> int:
     """Append the layer stack at data[off:] to layers and return the offset after it.
     Arrays are copied out of data: views at its offsets would be unaligned."""
@@ -281,12 +273,12 @@ def _parse_model(data: bytes, path) -> CodecModel:
         raise IoError(f"not a codec model file of at most {MODEL_CAP} bytes: {path}")
     encoder, decoder = [], []
     try:
-        version, kind_id, m = struct.unpack_from("<BBI", data, 4)
+        version, kind_id, m = struct.unpack_from(_MODEL_HEADER, data, len(MODEL_MAGIC))
         if version != MODEL_VERSION:
             raise IoError(f"unsupported model version {version}")
         if kind_id not in (KIND_DCT, KIND_NEURAL):
             raise IoError(f"unknown codec kind {kind_id}")
-        off = _parse_layers(data, _parse_layers(data, 10, encoder), decoder) if kind_id == KIND_NEURAL else 10
+        off = _LAYERS_AT if kind_id == KIND_DCT else _parse_layers(data, _parse_layers(data, _LAYERS_AT, encoder), decoder)
     except struct.error as e:
         raise IoError(f"truncated model file: {path}") from e
     if off != len(data):
@@ -303,7 +295,7 @@ def _parse_model(data: bytes, path) -> CodecModel:
 
 def save_model(model: CodecModel, path) -> None:
     """Write model as .lscm, refusing (IoError) what load_model would refuse."""
-    data = MODEL_MAGIC + struct.pack("<BBI", MODEL_VERSION, model.codec_id, model.m)
+    data = MODEL_MAGIC + struct.pack(_MODEL_HEADER, MODEL_VERSION, model.codec_id, model.m)
     if model.kind == "neural":
         data += _layers_bytes(model.encoder) + _layers_bytes(model.decoder)
     _parse_model(data, path)

@@ -7,7 +7,8 @@ output keyed on the shared secret concatenated with K.
 
 Two bounded caches (128 entries each) hold per-key state that a stream of
 messages to or from the same party would otherwise rebuild every time:
-the loaded recipient point in ecies_encrypt, keyed by its 33 bytes, and
+the recipient point that load_public_key validates and ecies_encrypt
+uses, keyed by its 33 bytes, so it is decompressed once, and
 the private-key object in ecies_decrypt, keyed by its scalar.  The
 ephemeral key is different for every message and the ephemeral point K
 in a ciphertext is chosen by whoever sent it, so neither ever enters a
@@ -156,7 +157,7 @@ def load_public_key(path) -> bytes:
     data = read_file(path, KEY_FILE_CAP)
     try:
         data = bytes.fromhex(data.decode())
-        _load_point(data)  # reject off-curve points at load time
+        _recipient_point(data)  # reject off-curve points at load time
     except (ValueError, InvalidPointError) as e:
         raise IoError(f"bad public key file: {path}: {e}") from e
     return data

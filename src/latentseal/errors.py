@@ -73,7 +73,8 @@ class FrameTooLargeError(LatentSealError):
 
 
 class NonFiniteLatentError(LatentSealError):
-    """A latent to seal, or one opened from a payload, holds NaN or infinity."""
+    """A latent to seal, one opened from a payload, or a neural decoder's output
+    from one, holds NaN or infinity."""
     exit_code = EXIT_FORMAT
 
 

@@ -31,6 +31,7 @@ CLASSICAL_B = 0.3
 GUARD = 100.0
 DEFAULT_BURN_IN = 1000
 MAX_BURN_IN = 100_000  # bounds the orbit steps a key file makes every load run
+WEAK_KEY_SPAN = 100  # orbit values, and twin-orbit steps, that SymKey.validate checks
 
 
 @dataclass(frozen=True)
@@ -51,30 +52,29 @@ class SymKey:
         if not 0 <= self.burn_in <= MAX_BURN_IN:
             raise ValueError(f"burn_in must be in [0, {MAX_BURN_IN}]")
 
-    def validate(self, m: int = 100) -> None:
-        """Check the orbit survives burn_in + max(m, 101) steps without diverging
-        and that the key is not weak: its first m orbit values must be distinct
-        and, for m >= 2, must not sort into the identity permutation, which
-        would leave every shuffled latent in place.  The map must also be
-        chaotic where emission starts, or the permutation would not depend on
-        the key point: an orbit from the first emitted point, and one from that
-        point with x moved by 1e-9, must come 1e-3 apart within 100 steps (a
-        finite-time Lyapunov test).  Raises ValueError for a weak key.
+    def validate(self) -> None:
+        """Check the orbit survives burn_in + n + 1 steps without diverging, for
+        n = WEAK_KEY_SPAN, and that the key is not weak: its first n orbit
+        values must be distinct and must not sort into the identity
+        permutation, which would leave every shuffled latent in place.  The map
+        must also be chaotic where emission starts, or the permutation would
+        not depend on the key point: an orbit from the first emitted point, and
+        one from that point with x moved by 1e-9, must come 1e-3 apart within n
+        steps (a finite-time Lyapunov test).  Raises ValueError for a weak key.
         """
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        xs, ys = _orbit(self, max(m, 101))  # points 1..100 are the reference for the twin orbit
-        seq = xs[:m]
+        n = WEAK_KEY_SPAN
+        xs, ys = _orbit(self, n + 1)  # points 1..n are the reference for the twin orbit
+        seq = xs[:n]
         # not np.unique: its first call imports numpy.ma, a cost every cold CLI run would pay
         ordered = np.sort(seq)
         if np.any(ordered[1:] == ordered[:-1]):
-            raise ValueError(f"weak key: the first {m} orbit values repeat")
-        if m >= 2 and np.array_equal(ordered, seq):
-            raise ValueError(f"weak key: the length-{m} permutation is the identity")
-        twin = _orbit(SymKey(float(xs[0]) + 1e-9, float(ys[0]), self.a, self.b, burn_in=0), 100)
-        gap = np.abs(np.subtract(twin, (xs[1:101], ys[1:101]))).max()
+            raise ValueError(f"weak key: the first {n} orbit values repeat")
+        if np.array_equal(ordered, seq):
+            raise ValueError(f"weak key: the length-{n} permutation is the identity")
+        twin = _orbit(SymKey(float(xs[0]) + 1e-9, float(ys[0]), self.a, self.b, burn_in=0), n)
+        gap = np.abs(np.subtract(twin, (xs[1:], ys[1:]))).max()
         if gap < 1e-3:
-            raise ValueError(f"weak key: not chaotic, orbits 1e-9 apart stay within {gap:.2g} over 100 steps")
+            raise ValueError(f"weak key: not chaotic, orbits 1e-9 apart stay within {gap:.2g} over {n} steps")
 
 
 def _orbit(key: SymKey, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,8 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .codec import check_image
 from .errors import DimMismatchError, WindowTooLargeError
+from .images import check_image
 
 T = TypeVar("T")
 

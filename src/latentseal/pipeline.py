@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import KIND_DCT, KIND_NEURAL, CodecModel, check_image
+from .codec import KIND_DCT, KIND_NEURAL, CodecModel
 from .ecies import OVERHEAD, ecies_decrypt, ecies_encrypt
 from .errors import BadHeaderError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError
 from .henon import SymKey, deshuffle, permutation_for_key, shuffle
-from .images import MAX_PIXELS
+from .images import MAX_PIXELS, check_image
 from .metrics import QualityReport, mse, psnr, ssim, timed
 
 PAYLOAD_MAGIC = b"LSP1"

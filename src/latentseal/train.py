@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import MODEL_CAP, CodecModel, Layer, check_image, forward, sigmoid
+from .codec import MODEL_CAP, CodecModel, Layer, forward, model_size, sigmoid
 from .errors import EmptyBatchError, IoError, NonFiniteLossError, ShapeMismatchError
+from .images import check_image
 
 PROB_CLAMP = 1e-12
 DISC_LR = 0.05  # discriminator ascent step
@@ -65,8 +66,7 @@ def init_model(input_size: int, config: TrainConfig, rng: np.random.Generator) -
     weight is drawn if its .lscm file would exceed MODEL_CAP bytes."""
     enc_dims = [input_size, *config.hidden, config.m]
     dec_dims = enc_dims[::-1]
-    # the header, then per stack a layer count and per layer its shape, weights and biases
-    size = 10 + sum(4 + sum(8 + 8 * n_out * (n_in + 1) for n_in, n_out in zip(d, d[1:])) for d in (enc_dims, dec_dims))
+    size = model_size(enc_dims, dec_dims)
     if size > MODEL_CAP:
         raise IoError(f"a model of layer widths {enc_dims} takes {size} bytes, over the {MODEL_CAP}-byte model cap")
     return CodecModel(

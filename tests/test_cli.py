@@ -242,6 +242,26 @@ def test_decrypt_of_a_non_finite_latent_exit_code(tmp_path, keys, dct_model_path
     assert out.exists() == (code == EXIT_OK)
 
 
+def test_decrypt_with_a_neural_decoder_whose_output_overflows_exit_code(tmp_path, keys, capsys):
+    # finite weights load, but the decoder's products overflow to +inf and -inf, whose sum is NaN
+    enc = [codec.Layer(np.full((4, 4), 10.0), np.zeros(4))]
+    dec = [codec.Layer(np.tile([1e308, 1e308, -1e308, -1e308], (4, 1)), np.zeros(4))]
+    model = tmp_path / "huge.lscm"
+    codec.save_model(codec.CodecModel(kind="neural", m=4, encoder=enc, decoder=dec), model)
+    img = tmp_path / "in.pgm"
+    images.write_image(np.full((2, 2), 200, dtype=np.uint8), img)
+    payload = tmp_path / "p.lsp"
+    keyed = ["--model", str(model), "--sym", str(keys) + ".sym"]
+    assert run(["encrypt", str(img), *keyed, "--pub", str(keys) + ".pub", "--out", str(payload)]) == EXIT_OK
+    out = tmp_path / "r.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(["decrypt", str(payload), *keyed, "--priv", str(keys) + ".priv", "--out", str(out)])
+    assert rc == EXIT_FORMAT
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["02" + "ff" * 32, "0011"], ids=["off-curve", "short"])
 def test_encrypt_with_a_public_key_that_is_no_point_exit_code(tmp_path, keys, dct_model_path, test_image, text, capsys):
     pub = tmp_path / "bad.pub"

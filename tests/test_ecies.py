@@ -169,6 +169,20 @@ def test_invalid_recipient_point_rejected_every_call():
             ecies.ecies_encrypt(b"x", b"\x02" + b"\xff" * 32)
 
 
+def test_public_key_load_decompresses_the_point_once_and_refuses_a_bad_one_every_time(tmp_path, keypair):
+    path = tmp_path / "k.pub"
+    ecies.save_public_key(keypair, path)
+    ecies._recipient_point.cache_clear()
+    pub = ecies.load_public_key(path)
+    assert ecies._recipient_point.cache_info().currsize == 1
+    ecies.ecies_encrypt(b"msg", pub)
+    assert ecies._recipient_point.cache_info().misses == 1
+    path.write_text("02" + "ff" * 32 + "\n")  # not a curve point
+    for _ in range(2):
+        with pytest.raises(IoError, match="k.pub"):
+            ecies.load_public_key(path)
+
+
 def test_per_key_caches_bounded_and_hold_no_ephemeral_state(keypair):
     assert ecies._recipient_point.cache_info().maxsize == 128
     assert ecies._private_key.cache_info().maxsize == 128

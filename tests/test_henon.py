@@ -206,7 +206,7 @@ def test_weak_keys_rejected(tmp_path):
     # distinct values, but strictly increasing: the shuffle moves nothing
     rising = henon.SymKey(0.1, 0.0, 0.0, 1.0, burn_in=0)
     with pytest.raises(ValueError, match="identity"):
-        rising.validate(20)
+        rising.validate()
     path = tmp_path / "weak.sym"
     henon.save_sym_key(flat, path)
     with pytest.raises(IoError):

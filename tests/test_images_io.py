@@ -29,6 +29,16 @@ def test_p6_luma_conversion(tmp_path):
     assert img[0, 1] == round(0.587 * 255)
 
 
+def test_p6_luma_across_row_blocks_equals_the_whole_raster_expression(tmp_path):
+    rows = 2 * images.P6_BLOCK_ROWS + 88  # two full blocks and a partial one
+    rgb = np.random.default_rng(3).integers(0, 256, (rows, 3, 3), dtype=np.uint8)
+    path = tmp_path / "tall.ppm"
+    path.write_bytes(b"P6\n3 %d\n255\n" % rows + rgb.tobytes())
+    f = rgb.astype(np.float64)
+    whole = np.clip(np.rint(0.299 * f[..., 0] + 0.587 * f[..., 1] + 0.114 * f[..., 2]), 0, 255).astype(np.uint8)
+    assert np.array_equal(images.read_image(path), whole)
+
+
 def test_rejects_wrong_maxval(tmp_path):
     path = tmp_path / "m.pgm"
     path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))

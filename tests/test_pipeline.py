@@ -214,3 +214,14 @@ def test_sender_refuses_a_latent_past_float32_range_before_sealing(keypair, sym_
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteLatentError, match="1 of 2"):
             pipeline.compress_encrypt(np.zeros((2, 2), dtype=np.uint8), model, sym_key, keypair.public_bytes)
+
+
+def test_huge_finite_encoder_weights_are_refused_without_a_warning(keypair, sym_key):
+    # 4 x 1e308 overflows in the encoder's product, before the float32 rounding
+    enc = [codec.Layer(np.full((2, 4), 1e308), np.zeros(2))]
+    dec = [codec.Layer(np.zeros((4, 2)), np.zeros(4))]
+    model = codec.CodecModel(kind="neural", m=2, encoder=enc, decoder=dec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteLatentError):
+            pipeline.compress_encrypt(np.full((2, 2), 255, dtype=np.uint8), model, sym_key, keypair.public_bytes)
