@@ -15,7 +15,6 @@ import gc
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -52,7 +51,7 @@ def cmd_make_model(args) -> int:
 def cmd_train(args) -> int:
     from . import train  # imported here, like transfer: encrypt and decrypt never load it
 
-    paths = sorted(Path(args.dataset_dir).glob("*.pgm"))
+    paths = images.pgm_paths(args.dataset_dir)
     if not paths:
         raise IoError(f"no .pgm images in {args.dataset_dir}")
     dataset = [images.read_image(p) for p in paths]
@@ -99,7 +98,7 @@ def cmd_evaluate(args) -> int:
     sym = henon.load_sym_key(args.sym)
     pub = ecies.load_public_key(args.pub)
     priv = ecies.load_private_key(args.priv)
-    paths = sorted(Path(args.image_dir).glob("*.pgm"))
+    paths = images.pgm_paths(args.image_dir)
     rows = [QualityReport.CSV_HEADER]
     failures = 0
     for path in paths:

@@ -4,11 +4,14 @@ I/O and synthetic dataset generation.
 
 Images are binary P5 files (maxval 255).  Color P6 input is converted to
 luma on ingest with the BT.601 weights, P6_BLOCK_ROWS rows at a time, so a
-P6 costs about what a P5 of the same size costs.
+P6 costs about what a P5 of the same size costs.  The header, _HEADER, is
+the magic, then width, height and maxval, each after ASCII whitespace or
+"#" comments, then one whitespace byte; it ends within PNM_HEADER_CAP bytes.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ import numpy as np
 from .errors import IoError, ShapeMismatchError, atomic_write, read_file
 
 MAX_PIXELS = 1 << 24  # largest width * height read from a PGM or declared by a payload; bounds every image allocation
-PNM_CAP = 3 * MAX_PIXELS + 4096  # bytes: a P6 raster of MAX_PIXELS pixels and up to 4 KiB of header and comments
+PNM_HEADER_CAP = 4096  # bytes: the header and its comments, through the whitespace byte before the raster
+PNM_CAP = 3 * MAX_PIXELS + PNM_HEADER_CAP  # bytes: a P6 raster of MAX_PIXELS pixels and its header
 P6_BLOCK_ROWS = 256  # rows of a P6 raster converted to float at once: 24 MiB of float64 at 4096 columns
 
 
@@ -42,56 +46,41 @@ def quantize(pixels: np.ndarray) -> np.ndarray:
     return pixels.astype(np.uint8)
 
 
+# A comment runs to its newline or the window's end, and a token starts with no "#" and ends at whitespace:
+# so a header has one parse, and a refusal costs time linear in the window.
+_SKIP = rb"(?:\s|#[^\n]*(?:\n|\Z))*"
+_HEADER = re.compile(rb"P[56]%s([^\s#]\S*)\s%s([^\s#]\S*)\s%s([^\s#]\S*)\s" % (_SKIP, _SKIP, _SKIP))
+
+
 def _check_size(width: int, height: int, path) -> None:
     """The size rule for every image read or written: each side >= 1, 1 to MAX_PIXELS pixels."""
     if width < 1 or height < 1 or width * height > MAX_PIXELS:
         raise IoError(f"bad image size {width}x{height} in {path}: want 1 to {MAX_PIXELS} pixels")
 
 
-def _read_tokens(data: bytes, count: int):
-    """First `count` whitespace tokens after the 2-byte magic, skipping
-    comments, and the offset of the raster that follows them."""
-    tokens = []
-    i = 2
-    while len(tokens) < count:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise IoError("truncated graymap header")
-        tokens.append(data[start:i])
-    return tokens, i + 1  # single whitespace after maxval precedes raster
-
-
 def read_image(path) -> np.ndarray:
     """Read P5 (grayscale) or P6 (color, converted to luma) at maxval 255.
 
-    The file is read through errors.read_file, at most PNM_CAP bytes, and a
-    header that declares more than MAX_PIXELS pixels is refused.
+    The file is read through errors.read_file, at most PNM_CAP bytes; a header
+    that _HEADER does not match or that declares over MAX_PIXELS pixels is refused.
     """
     data = read_file(path, PNM_CAP)
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise IoError(f"not a binary PNM file: {path}")
+    header = _HEADER.match(data, 0, PNM_HEADER_CAP)
     try:
-        (w, h, maxval), offset = _read_tokens(data, 3)
-        width, height, maxval = int(w), int(h), int(maxval)
-    except (IoError, ValueError) as e:
+        width, height, maxval = map(int, header.groups())
+    except (AttributeError, ValueError) as e:  # no match, or a token that int() refuses
         raise IoError(f"bad PNM header in {path}") from e
     _check_size(width, height, path)
     if maxval != 255:
         raise IoError(f"only maxval 255 supported, got {maxval} in {path}")
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    if len(data) - offset < need:
+    if len(data) - header.end() < need:
         raise IoError(f"truncated raster in {path}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=header.end())
     if channels == 1:
         return pixels.reshape(height, width).copy()
     raster = pixels.reshape(height, width, 3)
@@ -145,6 +134,13 @@ def _synthetic_image(size: int, rng: np.random.Generator) -> np.ndarray:
         theta = rng.uniform(0, np.pi)
         g = 0.5 + 0.4 * np.sin(2 * np.pi * freq * (np.cos(theta) * u + np.sin(theta) * v) + phase)
     return quantize(g * 255.0)
+
+
+def pgm_paths(directory) -> list[Path]:
+    """The sorted *.pgm paths in directory, the images of train and evaluate; IoError if it is no directory."""
+    if not Path(directory).is_dir():
+        raise IoError(f"not a directory: {directory}")
+    return sorted(Path(directory).glob("*.pgm"))
 
 
 def make_dataset(out_dir, count: int, size: int, seed: int) -> list[Path]:

@@ -2,10 +2,11 @@
 
 Wire format: 4-byte big-endian length prefix followed by the payload
 bytes.  A frame must be a payload that decrypt accepts: at most FRAME_CAP
-(pipeline.PAYLOAD_CAP, 262 201 bytes), which send_file checks before
-reading its file, and passing EncryptedPayload.parse's header rules (magic,
-version, header fields, a body of 4m + 49 bytes), which the receiver checks
-on the length prefix and the 12 header bytes, before it waits for the body.
+(pipeline.PAYLOAD_CAP, 262 201 bytes), and passing EncryptedPayload.parse's
+header rules (magic, version, header fields, a body of 4m + 49 bytes).
+send_file checks the cap before reading its file and the header rules
+before connecting; the receiver checks both on the length prefix and the
+12 header bytes, before it waits for the body.
 """
 
 import socket
@@ -81,7 +82,9 @@ def recv_bytes(port: int, host: str = "", timeout: float = 30.0) -> bytes:
 
 
 def send_file(path, host: str, port: int, throttle: float | None = None) -> None:
-    send_bytes(read_file(path, PAYLOAD_CAP), host, port, throttle)
+    data = read_file(path, PAYLOAD_CAP)
+    header_fields(data, len(data))
+    send_bytes(data, host, port, throttle)
 
 
 def recv_file(port: int, out_path, host: str = "", timeout: float = 30.0) -> int:

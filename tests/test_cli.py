@@ -320,6 +320,27 @@ def test_evaluate_empty_dir(tmp_path, keys, dct_model_path):
     assert report.read_text() == "ssim,psnr_db,mse,encrypt_s,decrypt_s\n"
 
 
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_a_missing_image_directory_exit_code(tmp_path, keys, dct_model_path, command, capsys):
+    missing = tmp_path / "nosuchdir"
+    out = tmp_path / "out"
+    args = {
+        "evaluate": [
+            "evaluate", str(missing),
+            "--model", str(dct_model_path),
+            "--sym", str(keys) + ".sym",
+            "--pub", str(keys) + ".pub",
+            "--priv", str(keys) + ".priv",
+            "--out", str(out),
+        ],
+        "train": ["train", str(missing), str(out), "--epochs", "1"],
+    }[command]
+    assert run(args) == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"not a directory: {missing}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_henon_plot(tmp_path, keys):
     out = tmp_path / "traj.csv"
     assert run(["henon-plot", "--sym", str(keys) + ".sym", "--n", "10000", "--out", str(out)]) == EXIT_OK
@@ -478,6 +499,20 @@ def test_recv_of_a_frame_decrypt_refuses_exit_code(tmp_path, keys, dct_model_pat
     assert codes["recv"] == EXIT_FORMAT
     assert not out.exists()
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_send_of_a_payload_decrypt_refuses_connects_to_nobody_exit_code(tmp_path, capsys):
+    junk = tmp_path / "junk.lsp"
+    junk.write_bytes(np.random.default_rng(0).bytes(100))
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        assert run(["send", str(junk), "127.0.0.1:%d" % listener.getsockname()[1]]) == EXIT_FORMAT
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):  # no connection is waiting
+            listener.accept()
+    err = capsys.readouterr().err
+    assert "missing payload magic" in err and "Traceback" not in err
 
 
 def test_encrypt_with_a_million_empty_layers_exit_code(tmp_path, keys, test_image, capsys):

@@ -109,7 +109,11 @@ def test_payload_parse_and_open(data):
 def pnm_files(draw):
     magic = draw(st.sampled_from([b"P5", b"P6"]))
     width, height, maxval = draw(tokens(b"8")), draw(tokens(b"8")), draw(tokens(b"255"))
-    comment = draw(st.sampled_from([b"", b"# c\n", b"#"]))
+    # runs of about PNM_HEADER_CAP bytes and past it: a header grammar that can split them more than one way
+    # takes time exponential in their length to refuse
+    lengths = st.sampled_from([4090, images.PNM_HEADER_CAP, 5000]) | st.integers(1, 5000)
+    run = st.tuples(st.sampled_from([b"#", b"# c\n", b" ", b"\n", b"\t\r\x0b\x0c"]), lengths)
+    comment = draw(st.sampled_from([b"", b"# c\n", b"#"]) | run.map(lambda r: (r[0] * r[1])[: r[1]]))
     raster = draw(st.binary(max_size=256))
     return magic + b"\n" + comment + width + b" " + height + b"\n" + maxval + b"\n" + raster
 

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latentseal import images
 from latentseal.errors import IoError
@@ -105,3 +109,132 @@ def test_make_dataset_empty(tmp_path):
 def test_smooth_gradient_shape():
     img = images.smooth_gradient(64)
     assert img.shape == (64, 64) and img.dtype == np.uint8
+
+
+def test_pgm_paths_are_the_sorted_pgm_files_of_a_directory(tmp_path):
+    for name in ("b.pgm", "a.pgm", "c.ppm"):
+        (tmp_path / name).write_bytes(b"")
+    assert images.pgm_paths(tmp_path) == [tmp_path / "a.pgm", tmp_path / "b.pgm"]
+    for not_a_directory in (tmp_path / "missing", tmp_path / "a.pgm"):
+        with pytest.raises(IoError, match=str(not_a_directory)):
+            images.pgm_paths(not_a_directory)
+
+
+# --- the header grammar ----------------------------------------------------
+
+
+def _read_tokens(data: bytes, count: int):
+    """The byte-at-a-time header tokenizer that _HEADER replaced, kept as the reference.
+
+    First `count` whitespace tokens after the 2-byte magic, skipping
+    comments, and the offset of the raster that follows them."""
+    tokens = []
+    i = 2
+    while len(tokens) < count:
+        while i < len(data) and data[i : i + 1].isspace():
+            i += 1
+        if i < len(data) and data[i : i + 1] == b"#":
+            while i < len(data) and data[i : i + 1] != b"\n":
+                i += 1
+            continue
+        start = i
+        while i < len(data) and not data[i : i + 1].isspace():
+            i += 1
+        if start == i:
+            raise IoError("truncated graymap header")
+        tokens.append(data[start:i])
+    return tokens, i + 1  # single whitespace after maxval precedes raster
+
+
+def _reference_header(data: bytes):
+    """(width, height, maxval, raster offset) by the reference tokenizer, or None where it refuses."""
+    try:
+        (w, h, maxval), offset = _read_tokens(data, 3)
+        return int(w), int(h), int(maxval), offset
+    except (IoError, ValueError):
+        return None
+
+
+WHITESPACE = [bytes([b]) for b in b" \t\n\r\x0b\x0c"]
+ODD_SIDES = [b"-1", b"0", b"+2", b"-0", b"0_1", b"1_0", b"_1", b"2_", b"2#", b"#2", b"+", b"-"]
+SIDES = st.sampled_from([b"1", b"2", b"3"]) | st.sampled_from(ODD_SIDES)
+MAXVALS = st.sampled_from([b"255", b"255", b"255", b"+255", b"2_55", b"0255", b"254", b"-255", b"255#", b"25#5"])
+COMMENTS = st.tuples(
+    st.lists(st.sampled_from([b"#", b" ", b"c", b"\t", b"\r", b"1"]), max_size=8).map(b"".join),
+    st.sampled_from([b"\n", b"\n", b"\n", b""]),  # mostly ended by a newline, as a header that parses needs
+).map(lambda c: b"#" + c[0] + c[1])
+RUN_UNITS = WHITESPACE + [b"# c\n", b"#\n", b"#", b"#c"]
+RUNS = st.tuples(st.sampled_from(RUN_UNITS), st.integers(1, 4200)).map(lambda r: (r[0] * r[1])[: r[1]])  # r[1] bytes
+PIECE = st.one_of(st.sampled_from(WHITESPACE), st.sampled_from(WHITESPACE), COMMENTS, COMMENTS, RUNS)
+
+
+def _skip(min_size: int):
+    return st.lists(PIECE, min_size=min_size, max_size=4).map(b"".join)
+
+
+@st.composite
+def pnm_headers(draw):
+    """A magic, a header and a raster: either the three fields, each after whitespace, comments or
+    long runs of either, then one whitespace byte; or fields and separators in any order."""
+    if draw(st.integers(0, 3)):
+        fields = [draw(_skip(0)), draw(SIDES), draw(_skip(1)), draw(SIDES), draw(_skip(1)), draw(MAXVALS)]
+        header = b"".join(fields) + draw(st.sampled_from(WHITESPACE))
+    else:
+        header = b"".join(draw(st.lists(SIDES | MAXVALS | PIECE, max_size=10)))
+    return draw(st.sampled_from([b"P5", b"P6"])) + header + draw(st.binary(min_size=20, max_size=40))
+
+
+@pytest.fixture(scope="module")
+def pnm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("pnm") / "input.pnm"
+
+
+def _outcome(path):
+    """read_image(path) as (shape, pixel bytes), or the message of the IoError it raises."""
+    try:
+        img = images.read_image(path)
+    except IoError as e:
+        return str(e)
+    return img.shape, img.tobytes()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pnm_headers())
+def test_read_image_agrees_with_the_reference_tokenizer_within_the_header_window(pnm_path, data):
+    """Where the reference header ends within the window and before the end of the file, read_image
+    reads data as it reads the same raster under a canonical header of the reference's width, height
+    and maxval; elsewhere it refuses the header."""
+    reference = _reference_header(data)
+    pnm_path.write_bytes(data)
+    got = _outcome(pnm_path)
+    if reference is None or reference[3] > min(len(data), images.PNM_HEADER_CAP):
+        assert "bad PNM header" in got
+        return
+    width, height, maxval, offset = reference
+    pnm_path.write_bytes(data[:2] + b"\n%d %d\n%d\n" % (width, height, maxval) + data[offset:])
+    assert got == _outcome(pnm_path)
+
+
+@pytest.mark.parametrize("fill", [b"#" + b"c" * 64, b" ", b"9", b"#"], ids=["comment", "whitespace", "digits", "hashes"])
+def test_cap_sized_hostile_header_is_refused_within_a_second(tmp_path, fill):
+    assert images.PNM_CAP == 3 * images.MAX_PIXELS + images.PNM_HEADER_CAP
+    path = tmp_path / "hostile.pgm"
+    path.write_bytes((b"P5" + fill * (images.PNM_CAP // len(fill)))[: images.PNM_CAP])
+    start = time.perf_counter()
+    with pytest.raises(IoError, match="bad PNM header"):
+        images.read_image(path)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_header_ends_within_the_window(tmp_path):
+    tail = b"\n1 1 255\n"  # its last byte delimits the raster
+    path = tmp_path / "edge.pgm"
+    for length, accepted in ((images.PNM_HEADER_CAP, True), (images.PNM_HEADER_CAP + 1, False)):
+        header = b"P5\n#" + b"c" * (length - 4 - len(tail)) + tail
+        assert len(header) == length and _reference_header(header + b"\x07")[3] == length
+        path.write_bytes(header + b"\x07")
+        if accepted:
+            assert images.read_image(path).tolist() == [[7]]
+        else:
+            with pytest.raises(IoError, match="bad PNM header"):
+                images.read_image(path)

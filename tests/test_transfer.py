@@ -91,6 +91,19 @@ def test_send_file_refuses_oversized_file_unread(tmp_path, monkeypatch):
         transfer.send_file(path, "127.0.0.1", 1)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"", bytes(100), legal_frame(100)[:-1], legal_frame(100, version=PAYLOAD_VERSION + 1)],
+    ids=["empty", "no-magic", "short-body", "version"],
+)
+def test_send_file_refuses_a_payload_decrypt_refuses_before_connecting(tmp_path, monkeypatch, data):
+    path = tmp_path / "bad.lsp"
+    path.write_bytes(data)
+    monkeypatch.setattr(transfer.socket, "create_connection", lambda *a, **k: pytest.fail("connected"))
+    with pytest.raises(BadHeaderError):
+        transfer.send_file(path, "127.0.0.1", 1)
+
+
 def test_frame_cap_on_recv():
     port = free_port()
     result = {}
