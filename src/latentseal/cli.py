@@ -12,6 +12,7 @@ renamed on success, so no error path leaves a partial file behind.
 import argparse
 import functools
 import gc
+import itertools
 import math
 import os
 import sys
@@ -114,12 +115,18 @@ def cmd_evaluate(args) -> int:
     return EXIT_IO if failures else EXIT_OK
 
 
+_PLOT_BLOCK = 65536  # henon-plot rows formatted per block
+
+
 def cmd_henon_plot(args) -> int:
     sym = henon.load_sym_key(args.sym)
     points = henon.henon_trajectory(sym, args.n)
-    lines = ["x,y"]
-    lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in points)
-    atomic_write(args.out, ("\n".join(lines) + "\n").encode())
+    # formatted _PLOT_BLOCK rows at a time, so the CSV is never held whole
+    blocks = (
+        "".join(f"{x!r},{y!r}\n" for x, y in points[top : top + _PLOT_BLOCK].tolist()).encode()
+        for top in range(0, len(points), _PLOT_BLOCK)
+    )
+    atomic_write(args.out, itertools.chain([b"x,y\n"], blocks))
     print(f"wrote {len(points)} points to {args.out}")
     return EXIT_OK
 

@@ -82,13 +82,14 @@ class IoError(LatentSealError):
     """File could not be read, parsed, or written."""
 
 
-def atomic_write(path, data: bytes, mode: int = 0o666) -> None:
-    """Write data to path through a temp file in the same directory and a rename.
+def atomic_write(path, data, mode: int = 0o666) -> None:
+    """Write data, bytes or an iterable of byte blocks written in order, to path
+    through a temp file in the same directory and a rename.
 
     The file gets mode, less the umask, as a new file would: 0o666 by default,
     0o600 for secret keys, also when it replaces a file of another mode.
-    On any failure neither a partial file nor the temp file is left
-    behind, and the OSError is raised as IoError.
+    On any failure, an interrupt included, neither a partial file nor the temp
+    file is left behind; an OSError is raised as IoError, anything else unchanged.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(8).hex()}"
@@ -97,11 +98,13 @@ def atomic_write(path, data: bytes, mode: int = 0o666) -> None:
         # "x" creates tmp or fails, and the kernel gives the new file mode less the umask
         with open(tmp, "xb", opener=functools.partial(os.open, mode=mode)) as f:
             created = True
-            f.write(data)
+            f.writelines((data,) if isinstance(data, bytes) else data)
         os.replace(tmp, path)
-    except OSError as e:
+    except BaseException as e:
         if created:
             os.unlink(tmp)
+        if not isinstance(e, OSError):
+            raise
         raise IoError(f"cannot write {path}: {e.strerror or e}") from e
 
 

@@ -8,6 +8,7 @@ exactly lossless: the only loss in the chain is the codec's.
 """
 
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .ecies import OVERHEAD, ecies_decrypt, ecies_encrypt
 from .errors import BadHeaderError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError
 from .henon import SymKey, deshuffle, permutation_for_key, shuffle
 from .images import MAX_PIXELS, check_image
-from .metrics import QualityReport, mse, psnr, ssim, timed
+from .metrics import QualityReport, mse, psnr, ssim
 
 PAYLOAD_MAGIC = b"LSP1"
 PAYLOAD_VERSION = 1
@@ -97,19 +98,16 @@ def compress_encrypt(
     eph_seed: bytes | None = None,
 ) -> tuple[EncryptedPayload, float]:
     """Encode, shuffle, seal; returns the payload and elapsed seconds."""
-
-    def run() -> EncryptedPayload:
-        h, w = check_image(img).shape
-        # packed first, so an image or m that a receiver must refuse fails
-        # before any encoding; the header rides as AEAD associated data, so
-        # any header tampering that survives parsing still fails authentication
-        header = _pack_header(codec.codec_id, codec.m, w, h)
-        latent = _finite(codec.encode(img))
-        shuffled = shuffle(latent, permutation_for_key(sym, codec.m))
-        ct = ecies_encrypt(shuffled.astype("<f4").tobytes(), pub, eph_seed, aad=header)
-        return EncryptedPayload(codec.codec_id, codec.m, w, h, ct)
-
-    return timed(run)
+    start = time.perf_counter()
+    h, w = check_image(img).shape
+    # packed first, so an image or m that a receiver must refuse fails
+    # before any encoding; the header rides as AEAD associated data, so
+    # any header tampering that survives parsing still fails authentication
+    header = _pack_header(codec.codec_id, codec.m, w, h)
+    latent = _finite(codec.encode(img))
+    shuffled = shuffle(latent, permutation_for_key(sym, codec.m))
+    ct = ecies_encrypt(shuffled.astype("<f4").tobytes(), pub, eph_seed, aad=header)
+    return EncryptedPayload(codec.codec_id, codec.m, w, h, ct), time.perf_counter() - start
 
 
 def decrypt_reconstruct(
@@ -128,15 +126,11 @@ def decrypt_reconstruct(
         raise ShapeMismatchError(
             f"payload declares {payload.width}x{payload.height}, model decodes {codec.input_size} pixels"
         )
-
-    def run() -> np.ndarray:
-        plain = ecies_decrypt(payload.ciphertext, priv, aad=payload.header_bytes())
-        shuffled = _finite(np.frombuffer(plain, dtype="<f4")).astype(np.float64)
-        perm = permutation_for_key(sym, payload.m)
-        latent = deshuffle(shuffled, perm)
-        return codec.decode(latent, payload.width, payload.height)
-
-    return timed(run)
+    start = time.perf_counter()
+    plain = ecies_decrypt(payload.ciphertext, priv, aad=payload.header_bytes())
+    shuffled = _finite(np.frombuffer(plain, dtype="<f4")).astype(np.float64)
+    latent = deshuffle(shuffled, permutation_for_key(sym, payload.m))
+    return codec.decode(latent, payload.width, payload.height), time.perf_counter() - start
 
 
 def evaluate(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from latentseal import codec, henon, images, transfer
-from latentseal.errors import IoError, read_file
+from latentseal.errors import IoError, atomic_write, read_file
 
 
 def _recv_file(path, monkeypatch):
@@ -32,6 +32,29 @@ def test_failed_write_leaves_no_file(writer, tmp_path, monkeypatch):
     with pytest.raises(IoError):
         WRITERS[writer](target, monkeypatch)
     assert sorted(tmp_path.iterdir()) == before
+
+
+def _interrupted():
+    yield b"first block"
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "data, error", [(object(), TypeError), (_interrupted, KeyboardInterrupt)], ids=["not-bytes", "interrupt"]
+)
+def test_a_write_that_fails_without_an_oserror_leaves_the_directory_as_it_was(data, error, tmp_path):
+    # raised unchanged, not as IoError, and the temp file is gone as after an OSError
+    (tmp_path / "out").write_bytes(b"old")
+    with pytest.raises(error):
+        atomic_write(tmp_path / "out", data() if callable(data) else data)
+    assert [(p.name, p.read_bytes()) for p in tmp_path.iterdir()] == [("out", b"old")]
+
+
+def test_byte_blocks_are_written_in_order(tmp_path):
+    atomic_write(tmp_path / "out", iter([b"x,y\n", b"", b"1,2\n", bytearray(b"3,4\n")]))
+    atomic_write(tmp_path / "one", b"x,y\n")
+    assert (tmp_path / "out").read_bytes() == b"x,y\n1,2\n3,4\n"
+    assert (tmp_path / "one").read_bytes() == b"x,y\n"
 
 
 @pytest.mark.parametrize("kind", ["fifo", "directory"])

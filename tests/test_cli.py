@@ -361,6 +361,17 @@ def test_henon_plot_zero_points(tmp_path, keys):
     assert out.read_text() == "x,y\n"
 
 
+@pytest.mark.parametrize("block", [7, cli._PLOT_BLOCK])
+def test_henon_plot_blocks_give_the_bytes_of_one_joined_csv(tmp_path, keys, block, monkeypatch):
+    # the CSV is formatted in blocks of rows; a block of 7 splits 1000 rows unevenly
+    monkeypatch.setattr(cli, "_PLOT_BLOCK", block)
+    out = tmp_path / "traj.csv"
+    assert run(["henon-plot", "--sym", str(keys) + ".sym", "--n", "1000", "--out", str(out)]) == EXIT_OK
+    points = henon.henon_trajectory(henon.load_sym_key(str(keys) + ".sym"), 1000)
+    lines = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in points]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 @pytest.mark.parametrize(
     "text",
     ["nan 0.1\n", "0.1 0.1\n1.4 0.3\n-1\n", "0.1 0.1\n1.4 0.3\n3000000\n", "0.1 0.1\n0.0 0.0\n1000\n"],

@@ -1,12 +1,16 @@
 import hashlib
+import hmac
 
 import numpy as np
 import pytest
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentseal import ecies
+from latentseal import codec, ecies, henon, images, pipeline
 from latentseal.errors import AuthFailureError, InvalidPointError, IoError
 
 GOLDEN_SCALAR = 0x66687AADF862BD776C8FC18B8E9F8E20089714856EE233B3902A591D0D5F2925
@@ -238,3 +242,42 @@ def test_new_key_rejection_path_matches_sha256_oracle():
     assert candidate != seed
     scalar, priv = ecies._new_key(seed)
     assert scalar == int.from_bytes(candidate, "big") == priv.private_numbers().private_value
+
+
+def _hkdf_sha256(ikm: bytes, info: bytes, length: int) -> bytes:
+    """RFC 5869 HKDF with SHA-256 and no salt (HashLen zero bytes), on hmac alone."""
+    prk = hmac.new(bytes(32), ikm, hashlib.sha256).digest()
+    okm, block = b"", b""
+    for counter in range(1, -(-length // 32) + 1):
+        block = hmac.new(prk, block + info + bytes((counter,)), hashlib.sha256).digest()
+        okm += block
+    return okm[:length]
+
+
+def test_hkdf_oracle_matches_rfc5869_case_3():
+    # RFC 5869 appendix A.3: SHA-256, no salt, no info
+    okm = _hkdf_sha256(bytes([0x0B]) * 22, b"", 42)
+    assert okm.hex() == (
+        "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"
+    )
+
+
+def test_sealed_payload_opens_by_the_stated_composition(keypair, sym_key):
+    # the README's composition, checked without ecies's KDF or AEAD code: ECDH with the
+    # ephemeral point K, HKDF-SHA-256 over shared secret || K with info latentseal-v1, key
+    # the first 32 and nonce the last 12 of 44 bytes, the 12-byte header as associated data
+    img = images.smooth_gradient(64)
+    model = codec.dct_model(100)
+    payload, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes, eph_seed=bytes(range(1, 33)))
+    header, ct = payload.header_bytes(), payload.ciphertext
+    assert len(header) == 12 and payload.serialize() == header + ct
+    eph = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), ct[:33])
+    shared = ec.derive_private_key(keypair.private_scalar, ec.SECP256R1()).exchange(ec.ECDH(), eph)
+    okm = _hkdf_sha256(shared + ct[:33], b"latentseal-v1", 44)
+    key, nonce = okm[:32], okm[32:]
+    plain = AESGCM(key).decrypt(nonce, ct[33:], header)
+    latent = henon.shuffle(model.encode(img), henon.permutation_for_key(sym_key, 100))
+    assert plain == latent.astype("<f4").tobytes()
+    for i in range(len(header)):  # each header byte is bound by the tag
+        with pytest.raises(InvalidTag):
+            AESGCM(key).decrypt(nonce, ct[33:], header[:i] + bytes([header[i] ^ 1]) + header[i + 1 :])

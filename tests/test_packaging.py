@@ -63,6 +63,25 @@ def test_outside_files_are_read_through_one_capped_reader():
     assert _callers(_is_read) == {("errors", "read_file")}
 
 
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _is_write(name: str, call: ast.Call) -> bool:
+    """An open() with a w, x, a or + mode, an os.open() whose flags name one that
+    writes, a write_bytes() or write_text(), or numpy's save, savetxt or tofile."""
+    if name != "open":
+        return name in ("write_bytes", "write_text", "save", "savetxt", "tofile")
+    if getattr(getattr(call.func, "value", None), "id", None) == "os":
+        return any(getattr(n, "attr", None) in _WRITE_FLAGS for arg in call.args[1:] for n in ast.walk(arg))
+    mode = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    # a mode that is not a literal counts as a write
+    return bool(mode) and not (isinstance(mode[0], ast.Constant) and not set("wxa+") & set(mode[0].value))
+
+
+def test_every_file_is_written_through_the_one_writer():
+    assert _callers(_is_write) == {("errors", "atomic_write")}
+
+
 def test_only_the_program_entry_freezes_the_heap():
     # a frozen heap is never collected again, which only a process that is
     # about to exit can afford; library callers of cli.main must not pay it
