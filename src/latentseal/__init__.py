@@ -3,7 +3,7 @@
 from .codec import CodecModel, dct_decode, dct_encode, dct_model, load_model, save_model
 from .ecies import EciesKeypair, ecies_decrypt, ecies_encrypt, keygen
 from .henon import SymKey, deshuffle, henon_sequence, permutation_from_sequence, shuffle
-from .metrics import QualityReport, mse, psnr, ssim, timed
+from .metrics import QualityReport, mse, psnr, ssim
 from .pipeline import EncryptedPayload, compress_encrypt, decrypt_reconstruct, evaluate
 
 __version__ = "0.1.0"
@@ -44,6 +44,5 @@ __all__ = [
     "save_model",
     "shuffle",
     "ssim",
-    "timed",
     "train_autoencoder",
 ]

@@ -1,4 +1,4 @@
-"""Image quality metrics (SSIM, MSE, PSNR) of 8-bit images, and wall-clock timing.
+"""Image quality metrics (SSIM, MSE, PSNR) of 8-bit images.
 
 Every metric takes two non-empty 2-D uint8 arrays of one shape, the only
 images the chain reads, encodes and decodes; anything else is refused.
@@ -22,16 +22,12 @@ named by the bits of w are added end to end.
 """
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import DimMismatchError, WindowTooLargeError
 from .images import check_image
-
-T = TypeVar("T")
 
 C1 = (0.01 * 255.0) ** 2
 C2 = (0.03 * 255.0) ** 2
@@ -170,13 +166,6 @@ def _ssim_windows(a, b, w) -> float:
     den *= var_a
     num /= den
     return float(np.mean(num))
-
-
-def timed(f: Callable[[], T]) -> tuple[T, float]:
-    """Run f, returning (result, monotonic wall seconds)."""
-    start = time.perf_counter()
-    result = f()
-    return result, time.perf_counter() - start
 
 
 @dataclass

@@ -77,13 +77,19 @@ def init_model(input_size: int, config: TrainConfig, rng: np.random.Generator) -
     )
 
 
-def _dataset_matrix(dataset: list[np.ndarray]) -> np.ndarray:
+def _checked(dataset: list[np.ndarray]) -> list[np.ndarray]:
+    """The dataset, once it is non-empty and its images are 2-D uint8 arrays of one shape."""
     if not dataset:
         raise ValueError("dataset must be non-empty")
     shapes = {check_image(img).shape for img in dataset}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"dataset images differ in shape: {shapes}")
-    return np.stack([img.astype(np.float64).ravel() / 255.0 for img in dataset])
+    return dataset
+
+
+def _dataset_matrix(dataset: list[np.ndarray]) -> np.ndarray:
+    X = np.stack(dataset).reshape(len(dataset), -1).astype(np.float64)
+    return np.divide(X, 255.0, out=X)  # in place: the set is held in floats once
 
 
 def _forward(model: CodecModel, X: np.ndarray):
@@ -134,7 +140,7 @@ def loss_and_gradients(model: CodecModel, X: np.ndarray):
 
 
 def reconstruction_loss(model: CodecModel, dataset: list[np.ndarray]) -> float:
-    return _reconstruction(model, _dataset_matrix(dataset))[1]
+    return _reconstruction(model, _dataset_matrix(_checked(dataset)))[1]
 
 
 def _apply_sgd(chain: list[Layer], grads, lr: float, sign: float = -1.0) -> None:
@@ -147,10 +153,10 @@ def train_autoencoder(dataset: list[np.ndarray], config: TrainConfig) -> TrainRe
     """SGD on pixel MSE.  When config.lam != 0 each epoch first takes a
     discriminator-ascent pass, drawing from its own RNG stream so that the
     autoencoder's initial weights and batch order do not depend on lam."""
-    X = _dataset_matrix(dataset)
     rng = np.random.default_rng(config.seed)
     d_rng = np.random.default_rng((config.seed, 0x9E3779B9))
-    model = init_model(X.shape[1], config, rng)
+    model = init_model(np.size(_checked(dataset)[0]), config, rng)  # the cap, before any float is made
+    X = _dataset_matrix(dataset)
     disc = _init_layers([X.shape[1], *DISC_HIDDEN, 1], d_rng) if config.lam != 0 else []
     result = TrainResult(model, [], [], disc)
     for _ in range(config.epochs):

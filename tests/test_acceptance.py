@@ -5,19 +5,18 @@ lines.  Thresholds are pinned here and nowhere else.
 """
 
 import math
-import socket
 import struct
-import threading
 import time
 
 import numpy as np
 import pytest
 
-from latentseal import codec, ecies, henon, metrics, pipeline, train, transfer
+from latentseal import codec, ecies, henon, metrics, pipeline, train
 from latentseal.errors import AuthFailureError, DivergenceError, InvalidPointError
 from latentseal.images import smooth_gradient
 
 from test_dct import dct2
+from test_transfer import run_transfer
 
 
 def report(name, ok, detail=""):
@@ -227,36 +226,14 @@ def test_timing_report():
     )
 
 
-def _transfer(data, throttle=None):
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
-    result = {}
-
-    def receiver():
-        try:
-            result["data"] = transfer.recv_bytes(port, host="127.0.0.1", timeout=15)
-        except Exception as e:
-            result["error"] = e
-
-    t = threading.Thread(target=receiver)
-    t.start()
-    time.sleep(0.05)
-    transfer.send_bytes(data, "127.0.0.1", port, throttle=throttle)
-    t.join(timeout=20)
-    if "error" in result:
-        raise result["error"]
-    return result["data"]
-
-
 def test_transfer_acceptance():
     def frame(m, body):  # a legal payload header and a body of 4m + 49 bytes
         return pipeline.PAYLOAD_MAGIC + struct.pack("<BBHHH", pipeline.PAYLOAD_VERSION, 0, m, 256, 256) + body
 
     payload = frame(100, bytes(np.random.default_rng(5).integers(0, 256, 449, dtype=np.uint8)))  # 461 bytes
-    ok_loopback = _transfer(payload) == payload
+    ok_loopback = run_transfer(payload) == payload
     start = time.monotonic()
-    _transfer(frame(1132, bytes(4577)), throttle=1000)  # 4589 bytes
+    run_transfer(frame(1132, bytes(4577)), throttle=1000)  # 4589 bytes
     elapsed = time.monotonic() - start
     expected = 4589 / 1000
     ok_throttle = abs(elapsed - expected) <= 0.2 * expected + 0.3  # pacing slack + setup

@@ -23,6 +23,8 @@ from latentseal import codec, ecies, henon, images, pipeline, transfer
 from latentseal.codec import Layer
 from latentseal.errors import LatentSealError
 
+from test_transfer import free_port
+
 CASE_SECONDS = 2.0
 FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -235,15 +237,9 @@ def test_load_public_and_private_key(scratch, data):
 # --- TCP frames ------------------------------------------------------------
 
 
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
 def _receive(wire: bytes):
     """recv_bytes of what a sender writes as wire (length prefix included) and then closes on."""
-    port = _free_port()
+    port = free_port()
     result = {}
 
     def receiver():

@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -244,21 +243,6 @@ def test_window_too_large():
     a = np.zeros((4, 4), dtype=np.uint8)
     with pytest.raises(WindowTooLargeError):
         metrics.ssim(a, a, 5)
-
-
-def test_timed_noop_and_sleep():
-    _, s = metrics.timed(lambda: None)
-    assert 0.0 <= s < 0.01
-    _, s = metrics.timed(lambda: time.sleep(0.05))
-    assert 0.05 <= s <= 0.5
-
-
-def test_timed_nesting_composes():
-    def inner():
-        return metrics.timed(lambda: time.sleep(0.01))
-
-    (_, inner_s), outer_s = metrics.timed(inner)
-    assert outer_s >= inner_s
 
 
 def test_quality_report_csv():

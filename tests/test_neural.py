@@ -1,5 +1,6 @@
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,34 @@ def test_init_model_refuses_what_save_model_would_refuse_before_drawing_weights(
     monkeypatch.setattr(train, "MODEL_CAP", path.stat().st_size - 1)
     with pytest.raises(IoError, match="model cap"):
         train.init_model(16, config, np.random.default_rng(0))
+
+
+def test_train_refuses_an_over_cap_model_before_building_the_float_matrix(monkeypatch):
+    monkeypatch.setattr(train, "MODEL_CAP", 1)
+    monkeypatch.setattr(train, "_dataset_matrix", lambda dataset: pytest.fail("built the float matrix"))
+    config = train.TrainConfig(m=2, hidden=(4,))
+    img = np.zeros((4, 4), dtype=np.uint8)
+    # the refusal order: an empty set, then mixed shapes, then the cap
+    with pytest.raises(ValueError):
+        train.train_autoencoder([], config)
+    with pytest.raises(ShapeMismatchError):
+        train.train_autoencoder([img, np.zeros((4, 5), dtype=np.uint8)], config)
+    with pytest.raises(IoError, match="model cap"):
+        train.train_autoencoder([img, img], config)
+
+
+def test_dataset_matrix_holds_the_set_in_floats_once():
+    rng = np.random.default_rng(4)
+    imgs = [rng.integers(0, 256, (64, 64), dtype=np.uint8) for _ in range(16)]
+    tracemalloc.start()
+    try:
+        X = train._dataset_matrix(imgs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * X.nbytes
+    # each pixel takes the same IEEE operations as one float copy per image did
+    assert X.tobytes() == np.stack([img.astype(np.float64).ravel() / 255.0 for img in imgs]).tobytes()
 
 
 def test_neural_model_file_round_trip(tmp_path):

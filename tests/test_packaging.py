@@ -224,3 +224,21 @@ def test_every_exported_name_resolves():
     missing = [name for name in latentseal.__all__ if getattr(latentseal, name, None) is None]
     assert missing == []
     assert {"TrainConfig", "gan_objective", "train_autoencoder"} <= set(latentseal.__all__)
+
+
+def test_every_exported_name_is_used_inside_the_package():
+    # loaded somewhere in src/latentseal/ outside the package root and outside the body of its own def or class
+    import latentseal
+
+    used = set()
+    for path in (ROOT / "src" / "latentseal").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            loads = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            }
+            used |= loads - {getattr(stmt, "name", None)}
+    assert [name for name in latentseal.__all__ if name not in used] == []

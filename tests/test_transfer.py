@@ -65,16 +65,11 @@ def test_loopback_file_round_trip(tmp_path):
 
 
 def test_throttle_pacing():
+    # 4589 bytes at 1000 B/s take 3.37-5.81 s in test_acceptance::test_transfer_acceptance
     small = legal_frame(100, bytes(1))  # 461 bytes at 1000 B/s -> < 1 s
     start = time.monotonic()
     run_transfer(small, throttle=1000)
     assert time.monotonic() - start < 1.0
-    big = legal_frame(1132, bytes(1))  # 4589 bytes at 1000 B/s -> >= 4 s
-    start = time.monotonic()
-    run_transfer(big, throttle=1000)
-    elapsed = time.monotonic() - start
-    assert elapsed >= 4.0 * 0.8  # 20% slack
-    assert elapsed == pytest.approx(4.589, rel=0.5)
 
 
 def test_frame_cap_on_send():
