@@ -5,20 +5,13 @@ public key, then AES-GCM's output, C the length of the plaintext and a
 16-byte tag T.  Key and nonce are disjoint segments of HKDF-SHA-256
 output keyed on the shared secret concatenated with K.
 
-Two bounded caches (128 entries each) hold per-key state that a stream of
-messages to or from the same party would otherwise rebuild every time:
-the recipient point that load_public_key validates and ecies_encrypt
-uses, keyed by its 33 bytes, so it is decompressed once, and
-the private-key object in ecies_decrypt, keyed by its scalar.  The
-ephemeral key is different for every message and the ephemeral point K
-in a ciphertext is chosen by whoever sent it, so neither ever enters a
-cache: caching them would buy nothing, and would let a sender flood out
-the entries worth keeping.  Exceptions are not cached, so an invalid
-point is rejected on every call.
+The long-term keys travel as key objects: load_public_key decodes and
+checks the recipient point, and load_private_key range-checks the
+scalar.  A caller that seals or opens many messages loads each key once
+and passes the object; this module keeps no per-key state.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -53,18 +46,6 @@ def _load_point(data: bytes) -> ec.EllipticCurvePublicKey:
         return ec.EllipticCurvePublicKey.from_encoded_point(CURVE, data)
     except ValueError as e:
         raise InvalidPointError(str(e)) from e
-
-
-@lru_cache(maxsize=128)
-def _recipient_point(pub: bytes) -> ec.EllipticCurvePublicKey:
-    """_load_point for a recipient's long-term public key, memoised."""
-    return _load_point(pub)
-
-
-@lru_cache(maxsize=128)
-def _private_key(scalar: int) -> ec.EllipticCurvePrivateKey:
-    """Key object of a recipient's long-term private scalar, memoised."""
-    return ec.derive_private_key(scalar, CURVE)
 
 
 def _new_key(seed: bytes) -> tuple[int, ec.EllipticCurvePrivateKey]:
@@ -103,30 +84,28 @@ def _derive_key_nonce(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes]:
 
 
 def ecies_encrypt(
-    plaintext: bytes, pub: bytes, eph_seed: bytes | None = None, aad: bytes = b""
+    plaintext: bytes, pub: ec.EllipticCurvePublicKey, eph_seed: bytes | None = None, aad: bytes = b""
 ) -> bytes:
-    """Seal to K || C || T under a 33-byte compressed recipient public key.
+    """Seal to K || C || T under the recipient's public key.
 
     Optional associated data is authenticated but not encrypted; the
     pipeline uses it to bind its payload header to the tag.
     """
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
-    recipient = _recipient_point(bytes(pub))
     eph = ec.generate_private_key(CURVE) if eph_seed is None else _new_key(eph_seed)[1]
     eph_pub = _compress(eph.public_key())
-    shared = eph.exchange(ec.ECDH(), recipient)
+    shared = eph.exchange(ec.ECDH(), pub)
     key, nonce = _derive_key_nonce(shared, eph_pub)
     return eph_pub + AESGCM(key).encrypt(nonce, plaintext, aad or None)
 
 
-def ecies_decrypt(ct: bytes, private_scalar: int, aad: bytes = b"") -> bytes:
+def ecies_decrypt(ct: bytes, priv: ec.EllipticCurvePrivateKey, aad: bytes = b"") -> bytes:
     """Open K || C || T: InvalidPointError if short or K is bad, AuthFailureError on any tag mismatch."""
     if len(ct) < OVERHEAD + 1:
         raise InvalidPointError("ciphertext too short")
     eph_key = ct[:KEY_LEN]
-    eph_pub = _load_point(eph_key)  # chosen by the sender: never cached
-    shared = _private_key(private_scalar).exchange(ec.ECDH(), eph_pub)
+    shared = priv.exchange(ec.ECDH(), _load_point(eph_key))
     key, nonce = _derive_key_nonce(shared, eph_key)
     try:
         return AESGCM(key).decrypt(nonce, ct[KEY_LEN:], aad or None)
@@ -142,7 +121,7 @@ def save_public_key(kp: EciesKeypair, path) -> None:
     atomic_write(path, (kp.public_bytes.hex() + "\n").encode())
 
 
-def load_private_key(path) -> int:
+def load_private_key(path) -> ec.EllipticCurvePrivateKey:
     data = read_file(path, KEY_FILE_CAP)
     try:
         scalar = int(data, 16)
@@ -150,14 +129,12 @@ def load_private_key(path) -> int:
         raise IoError(f"bad private key file: {path}") from e
     if not 1 <= scalar < CURVE_ORDER:
         raise IoError(f"private scalar out of range: {path}")
-    return scalar
+    return ec.derive_private_key(scalar, CURVE)
 
 
-def load_public_key(path) -> bytes:
+def load_public_key(path) -> ec.EllipticCurvePublicKey:
     data = read_file(path, KEY_FILE_CAP)
     try:
-        data = bytes.fromhex(data.decode())
-        _recipient_point(data)  # reject off-curve points at load time
+        return _load_point(bytes.fromhex(data.decode()))
     except (ValueError, InvalidPointError) as e:
         raise IoError(f"bad public key file: {path}: {e}") from e
-    return data

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from .codec import KIND_DCT, KIND_NEURAL, CodecModel
 from .ecies import OVERHEAD, ecies_decrypt, ecies_encrypt
@@ -94,7 +95,7 @@ def compress_encrypt(
     img: np.ndarray,
     codec: CodecModel,
     sym: SymKey,
-    pub: bytes,
+    pub: ec.EllipticCurvePublicKey,
     eph_seed: bytes | None = None,
 ) -> tuple[EncryptedPayload, float]:
     """Encode, shuffle, seal; returns the payload and elapsed seconds."""
@@ -111,7 +112,7 @@ def compress_encrypt(
 
 
 def decrypt_reconstruct(
-    payload: EncryptedPayload, codec: CodecModel, sym: SymKey, priv: int
+    payload: EncryptedPayload, codec: CodecModel, sym: SymKey, priv: ec.EllipticCurvePrivateKey
 ) -> tuple[np.ndarray, float]:
     """Open, deshuffle, decode; returns the image and elapsed seconds.
 
@@ -137,8 +138,8 @@ def evaluate(
     img: np.ndarray,
     codec: CodecModel,
     sym: SymKey,
-    pub: bytes,
-    priv: int,
+    pub: ec.EllipticCurvePublicKey,
+    priv: ec.EllipticCurvePrivateKey,
     window: int | None = None,
 ) -> QualityReport:
     """One report row: quality of the round trip plus both timings; window is ssim's."""

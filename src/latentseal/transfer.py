@@ -18,19 +18,28 @@ from .pipeline import HEADER_LEN, PAYLOAD_CAP, header_fields
 
 FRAME_CAP = PAYLOAD_CAP
 CHUNK = 4096
+TIMEOUT = 30.0  # seconds: send's bound on the connect and on each chunk, recv's default
 
 
 def send_bytes(data: bytes, host: str, port: int, throttle: float | None = None) -> None:
-    """Connect and send one frame in CHUNK-byte pieces; throttle is bytes per second."""
+    """Connect and send one frame in CHUNK-byte pieces; throttle is bytes per second.
+
+    TIMEOUT bounds the connect and each chunk, so a receiver that stops
+    reading raises IoError instead of holding the sender forever.
+    """
     if len(data) > FRAME_CAP:
         raise FrameTooLargeError(f"{len(data)} bytes exceeds {FRAME_CAP}")
-    with socket.create_connection((host, port)) as sock:
-        sock.sendall(struct.pack(">I", len(data)))
-        start = time.monotonic()
-        for off in range(0, len(data), CHUNK):
-            sock.sendall(data[off : off + CHUNK])
-            if throttle is not None:  # sleep until the pacing schedule catches up
-                time.sleep(max(0.0, min(off + CHUNK, len(data)) / throttle - (time.monotonic() - start)))
+    sent = 0
+    try:
+        with socket.create_connection((host, port), timeout=TIMEOUT) as sock:
+            sock.sendall(struct.pack(">I", len(data)))
+            start = time.monotonic()
+            for sent in range(0, len(data), CHUNK):
+                sock.sendall(data[sent : sent + CHUNK])
+                if throttle is not None:  # sleep until the pacing schedule catches up
+                    time.sleep(max(0.0, min(sent + CHUNK, len(data)) / throttle - (time.monotonic() - start)))
+    except TimeoutError as e:
+        raise IoError(f"send to {host}:{port} timed out after {sent} of {len(data)} bytes") from e
 
 
 def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
@@ -51,7 +60,7 @@ def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
     return bytes(buf)
 
 
-def recv_bytes(port: int, host: str = "", timeout: float = 30.0) -> bytes:
+def recv_bytes(port: int, host: str = "", timeout: float = TIMEOUT) -> bytes:
     """Accept one connection and return its one frame, a legal payload.
 
     timeout (seconds, > 0) bounds the wait for a connection, and then the
@@ -60,10 +69,7 @@ def recv_bytes(port: int, host: str = "", timeout: float = 30.0) -> bytes:
     one that EncryptedPayload.parse refuses raises its BadHeaderError, as
     soon as the length prefix and the header show it.
     """
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
-        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        srv.bind((host, port))
-        srv.listen(1)
+    with socket.create_server((host, port), backlog=1) as srv:
         srv.settimeout(timeout)
         try:
             conn, _ = srv.accept()
@@ -87,7 +93,7 @@ def send_file(path, host: str, port: int, throttle: float | None = None) -> None
     send_bytes(data, host, port, throttle)
 
 
-def recv_file(port: int, out_path, host: str = "", timeout: float = 30.0) -> int:
+def recv_file(port: int, out_path, host: str = "", timeout: float = TIMEOUT) -> int:
     data = recv_bytes(port, host, timeout)
     atomic_write(out_path, data)
     return len(data)

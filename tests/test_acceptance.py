@@ -15,6 +15,7 @@ from latentseal import codec, ecies, henon, metrics, pipeline, train
 from latentseal.errors import AuthFailureError, DivergenceError, InvalidPointError
 from latentseal.images import smooth_gradient
 
+from conftest import key_objects
 from test_dct import dct2
 from test_transfer import run_transfer
 
@@ -68,48 +69,48 @@ def test_key_sensitivity():
 
 
 def test_ecies_suite():
-    kp = ecies.keygen(bytes([1]) * 32)
+    pub, priv = key_objects(ecies.keygen(bytes([1]) * 32))
     rng = np.random.default_rng(7)
     for _ in range(1000):
         n = int(rng.integers(1, 200))
         pt = bytes(rng.integers(0, 256, n, dtype=np.uint8))
-        ct = ecies.ecies_encrypt(pt, kp.public_bytes)
-        if ecies.ecies_decrypt(ct, kp.private_scalar) != pt:
+        ct = ecies.ecies_encrypt(pt, pub)
+        if ecies.ecies_decrypt(ct, priv) != pt:
             report("ecies: 1000 round trips / 100 tamper bits / length law", False, "round trip")
         if len(ct) != n + 49:
             report("ecies: 1000 round trips / 100 tamper bits / length law", False, "length law")
-    blob = ecies.ecies_encrypt(bytes(64), kp.public_bytes)
+    blob = ecies.ecies_encrypt(bytes(64), pub)
     caught = 0
     for _ in range(100):
         bit = int(rng.integers(len(blob) * 8))
         t = bytearray(blob)
         t[bit // 8] ^= 1 << (bit % 8)
         try:
-            ecies.ecies_decrypt(bytes(t), kp.private_scalar)
+            ecies.ecies_decrypt(bytes(t), priv)
         except (AuthFailureError, InvalidPointError):
             caught += 1
     report("ecies: 1000 round trips / 100 tamper bits / length law", caught == 100, f"{caught}/100 tampers caught")
 
 
 def test_crypto_layer_losslessness():
-    kp = ecies.keygen(bytes([2]) * 32)
+    pub, priv = key_objects(ecies.keygen(bytes([2]) * 32))
     rng = np.random.default_rng(50)
     model = codec.dct_model(32)
     ok = True
     for _ in range(50):
         img = rng.integers(0, 256, (16, 16), dtype=np.uint8)
         sym = henon.random_sym_key(rng)
-        payload, _ = pipeline.compress_encrypt(img, model, sym, kp.public_bytes)
-        rec, _ = pipeline.decrypt_reconstruct(payload, model, sym, kp.private_scalar)
+        payload, _ = pipeline.compress_encrypt(img, model, sym, pub)
+        rec, _ = pipeline.decrypt_reconstruct(payload, model, sym, priv)
         ok &= np.array_equal(rec, model.decode(model.encode(img), 16, 16))
     report("crypto-layer losslessness over 50 random images/keys", ok)
 
 
 def test_compression_ratio_structure():
-    kp = ecies.keygen(bytes([3]) * 32)
+    pub, _ = key_objects(ecies.keygen(bytes([3]) * 32))
     img = smooth_gradient(256)  # 65,536 pixels
     payload, _ = pipeline.compress_encrypt(
-        img, codec.dct_model(100), henon.SymKey(0.1, 0.1), kp.public_bytes
+        img, codec.dct_model(100), henon.SymKey(0.1, 0.1), pub
     )
     body = len(payload.ciphertext)
     report("compression structure: 65,536 pixels -> 100 elements, 449-byte body", body == 449, f"{body} bytes")
@@ -211,12 +212,12 @@ def test_figure1_trajectory():
 
 
 def test_timing_report():
-    kp = ecies.keygen(bytes([4]) * 32)
+    pub, priv = key_objects(ecies.keygen(bytes([4]) * 32))
     sym = henon.SymKey(0.1, 0.1)
     model = codec.dct_model(100)
     img = smooth_gradient(256)
-    pipeline.compress_encrypt(img, model, sym, kp.public_bytes)  # warm jit/caches
-    rep = pipeline.evaluate(img, model, sym, kp.public_bytes, kp.private_scalar)
+    pipeline.compress_encrypt(img, model, sym, pub)  # warm jit/caches
+    rep = pipeline.evaluate(img, model, sym, pub, priv)
     row = rep.csv_row()
     ok = len(row.split(",")) == 5 and rep.encrypt_seconds < 2.0
     report(

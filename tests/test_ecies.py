@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from latentseal import codec, ecies, henon, images, pipeline
 from latentseal.errors import AuthFailureError, InvalidPointError, IoError
 
+from conftest import key_objects
+
 GOLDEN_SCALAR = 0x66687AADF862BD776C8FC18B8E9F8E20089714856EE233B3902A591D0D5F2925
 GOLDEN_PUB = "03893829bebc73eb4d24d7ed2f1444c907080834bd33671436269280bc603037af"
 GOLDEN_CT = (
@@ -38,102 +40,102 @@ def test_keygen_seed_length():
         ecies.keygen(b"short")
 
 
-def test_encrypt_decrypt_round_trip(keypair):
-    ct = ecies.ecies_encrypt(b"attack at dawn", keypair.public_bytes)
-    assert ecies.ecies_decrypt(ct, keypair.private_scalar) == b"attack at dawn"
+def test_encrypt_decrypt_round_trip(public_key, private_key):
+    ct = ecies.ecies_encrypt(b"attack at dawn", public_key)
+    assert ecies.ecies_decrypt(ct, private_key) == b"attack at dawn"
 
 
-def test_golden_ciphertext(keypair):
-    kp = ecies.keygen(bytes(32))
-    ct = ecies.ecies_encrypt(b"golden plaintext", kp.public_bytes, eph_seed=bytes(range(32)))
+def test_golden_ciphertext():
+    pub, _ = key_objects(ecies.keygen(bytes(32)))
+    ct = ecies.ecies_encrypt(b"golden plaintext", pub, eph_seed=bytes(range(32)))
     assert ct.hex() == GOLDEN_CT
 
 
-def test_fresh_ephemerals(keypair):
-    a = ecies.ecies_encrypt(b"same bytes", keypair.public_bytes)
-    b = ecies.ecies_encrypt(b"same bytes", keypair.public_bytes)
+def test_fresh_ephemerals(public_key):
+    a = ecies.ecies_encrypt(b"same bytes", public_key)
+    b = ecies.ecies_encrypt(b"same bytes", public_key)
     assert a[: ecies.KEY_LEN] != b[: ecies.KEY_LEN]
     assert a[ecies.KEY_LEN : -ecies.TAG_LEN] != b[ecies.KEY_LEN : -ecies.TAG_LEN]
 
 
-def test_length_law(keypair):
+def test_length_law(public_key):
     pt = bytes(400)
-    ct = ecies.ecies_encrypt(pt, keypair.public_bytes)
+    ct = ecies.ecies_encrypt(pt, public_key)
     assert len(ct) == 449
     K, C, T = ct[:33], ct[33:-16], ct[-16:]
     assert K[0] in (2, 3)  # a compressed point's prefix
     assert (len(K), len(C), len(T)) == (33, 400, 16)
 
 
-def test_empty_plaintext_rejected(keypair):
+def test_empty_plaintext_rejected(public_key):
     with pytest.raises(ValueError):
-        ecies.ecies_encrypt(b"", keypair.public_bytes)
+        ecies.ecies_encrypt(b"", public_key)
 
 
-def test_wrong_private_key(keypair):
-    ct = ecies.ecies_encrypt(b"secret", keypair.public_bytes)
-    other = ecies.keygen(bytes([7]) * 32)
+def test_wrong_private_key(public_key):
+    ct = ecies.ecies_encrypt(b"secret", public_key)
+    _, other = key_objects(ecies.keygen(bytes([7]) * 32))
     with pytest.raises(AuthFailureError):
-        ecies.ecies_decrypt(ct, other.private_scalar)
+        ecies.ecies_decrypt(ct, other)
 
 
 def test_invalid_public_key():
     with pytest.raises(InvalidPointError):
-        ecies.ecies_encrypt(b"x", b"\x02" + b"\xff" * 32)  # x >= field prime
+        ecies._load_point(b"\x02" + b"\xff" * 32)  # x >= field prime
     with pytest.raises(InvalidPointError):
-        ecies.ecies_encrypt(b"x", b"\x05" + bytes(32))  # bad prefix
+        ecies._load_point(b"\x05" + bytes(32))  # bad prefix
 
 
-def test_single_bit_tamper(keypair):
+def test_single_bit_tamper(public_key, private_key):
     rng = np.random.default_rng(99)
     pt = bytes(rng.integers(0, 256, 40, dtype=np.uint8))
-    blob = ecies.ecies_encrypt(pt, keypair.public_bytes)
+    blob = ecies.ecies_encrypt(pt, public_key)
     for _ in range(100):
         bit = int(rng.integers(len(blob) * 8))
         tampered = bytearray(blob)
         tampered[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises((AuthFailureError, InvalidPointError)):
-            ecies.ecies_decrypt(bytes(tampered), keypair.private_scalar)
+            ecies.ecies_decrypt(bytes(tampered), private_key)
 
 
-def test_every_prefix_and_an_extra_byte_fail_closed(keypair):
-    ct = ecies.ecies_encrypt(b"prefix", keypair.public_bytes)
+def test_every_prefix_and_an_extra_byte_fail_closed(public_key, private_key):
+    ct = ecies.ecies_encrypt(b"prefix", public_key)
     for cut in [*range(len(ct)), None]:
         data = ct + b"\x00" if cut is None else ct[:cut]
         with pytest.raises((AuthFailureError, InvalidPointError)):
-            ecies.ecies_decrypt(data, keypair.private_scalar)
-    assert ecies.ecies_decrypt(ct, keypair.private_scalar) == b"prefix"
+            ecies.ecies_decrypt(data, private_key)
+    assert ecies.ecies_decrypt(ct, private_key) == b"prefix"
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.binary(min_size=1, max_size=4096))
 def test_round_trip_property(plaintext):
-    kp = ecies.keygen(bytes([3]) * 32)
-    ct = ecies.ecies_encrypt(plaintext, kp.public_bytes)
-    assert ecies.ecies_decrypt(ct, kp.private_scalar) == plaintext
+    pub, priv = key_objects(ecies.keygen(bytes([3]) * 32))
+    ct = ecies.ecies_encrypt(plaintext, pub)
+    assert ecies.ecies_decrypt(ct, priv) == plaintext
     assert len(ct) == len(plaintext) + ecies.OVERHEAD
 
 
-def test_large_round_trip(keypair):
+def test_large_round_trip(public_key, private_key):
     pt = bytes(np.random.default_rng(1).integers(0, 256, 64 * 1024, dtype=np.uint8))
-    ct = ecies.ecies_encrypt(pt, keypair.public_bytes)
-    assert ecies.ecies_decrypt(ct, keypair.private_scalar) == pt
+    ct = ecies.ecies_encrypt(pt, public_key)
+    assert ecies.ecies_decrypt(ct, private_key) == pt
 
 
-def test_deterministic_under_eph_seed(keypair):
-    a = ecies.ecies_encrypt(b"fixed", keypair.public_bytes, eph_seed=bytes(32))
-    b = ecies.ecies_encrypt(b"fixed", keypair.public_bytes, eph_seed=bytes(32))
+def test_deterministic_under_eph_seed(public_key):
+    a = ecies.ecies_encrypt(b"fixed", public_key, eph_seed=bytes(32))
+    b = ecies.ecies_encrypt(b"fixed", public_key, eph_seed=bytes(32))
     assert a == b
 
 
-def test_key_file_round_trip(tmp_path, keypair):
+def test_key_file_round_trip(tmp_path, keypair, public_key):
     priv, pub = tmp_path / "k.priv", tmp_path / "k.pub"
     ecies.save_private_key(keypair, priv)
     ecies.save_public_key(keypair, pub)
     assert priv.read_text() == keypair.private_scalar.to_bytes(32, "big").hex() + "\n"
     assert pub.read_text() == keypair.public_bytes.hex() + "\n"
-    assert ecies.load_private_key(priv) == keypair.private_scalar
-    assert ecies.load_public_key(pub) == keypair.public_bytes
+    assert ecies.load_private_key(priv).private_numbers().private_value == keypair.private_scalar
+    assert ecies.load_public_key(pub) == public_key
 
 
 def test_key_file_rejects_garbage(tmp_path):
@@ -145,69 +147,50 @@ def test_key_file_rejects_garbage(tmp_path):
         ecies.load_public_key(bad)
 
 
-def test_wrong_key_still_fails_after_right_key_opened(keypair):
-    ct = ecies.ecies_encrypt(b"cached", keypair.public_bytes)
-    assert ecies.ecies_decrypt(ct, keypair.private_scalar) == b"cached"
-    other = ecies.keygen(bytes([8]) * 32)
+def test_wrong_key_still_fails_after_right_key_opened(public_key, private_key):
+    ct = ecies.ecies_encrypt(b"cached", public_key)
+    assert ecies.ecies_decrypt(ct, private_key) == b"cached"
+    _, other = key_objects(ecies.keygen(bytes([8]) * 32))
     with pytest.raises(AuthFailureError):
-        ecies.ecies_decrypt(ct, other.private_scalar)
-    assert ecies.ecies_decrypt(ct, keypair.private_scalar) == b"cached"
+        ecies.ecies_decrypt(ct, other)
+    assert ecies.ecies_decrypt(ct, private_key) == b"cached"
 
 
 def test_two_recipients_open_only_their_own():
-    alice, bob = ecies.keygen(bytes([1]) * 32), ecies.keygen(bytes([2]) * 32)
+    alice, bob = key_objects(ecies.keygen(bytes([1]) * 32)), key_objects(ecies.keygen(bytes([2]) * 32))
     for _ in range(2):
-        to_alice = ecies.ecies_encrypt(b"for alice", alice.public_bytes)
-        to_bob = ecies.ecies_encrypt(b"for bob", bob.public_bytes)
-        assert ecies.ecies_decrypt(to_alice, alice.private_scalar) == b"for alice"
-        assert ecies.ecies_decrypt(to_bob, bob.private_scalar) == b"for bob"
+        to_alice = ecies.ecies_encrypt(b"for alice", alice[0])
+        to_bob = ecies.ecies_encrypt(b"for bob", bob[0])
+        assert ecies.ecies_decrypt(to_alice, alice[1]) == b"for alice"
+        assert ecies.ecies_decrypt(to_bob, bob[1]) == b"for bob"
         with pytest.raises(AuthFailureError):
-            ecies.ecies_decrypt(to_alice, bob.private_scalar)
+            ecies.ecies_decrypt(to_alice, bob[1])
         with pytest.raises(AuthFailureError):
-            ecies.ecies_decrypt(to_bob, alice.private_scalar)
+            ecies.ecies_decrypt(to_bob, alice[1])
 
 
 def test_invalid_recipient_point_rejected_every_call():
     for _ in range(3):
         with pytest.raises(InvalidPointError):
-            ecies.ecies_encrypt(b"x", b"\x02" + b"\xff" * 32)
+            ecies._load_point(b"\x02" + b"\xff" * 32)
 
 
-def test_public_key_load_decompresses_the_point_once_and_refuses_a_bad_one_every_time(tmp_path, keypair):
+def test_public_key_load_refuses_a_bad_point_every_time(tmp_path):
     path = tmp_path / "k.pub"
-    ecies.save_public_key(keypair, path)
-    ecies._recipient_point.cache_clear()
-    pub = ecies.load_public_key(path)
-    assert ecies._recipient_point.cache_info().currsize == 1
-    ecies.ecies_encrypt(b"msg", pub)
-    assert ecies._recipient_point.cache_info().misses == 1
     path.write_text("02" + "ff" * 32 + "\n")  # not a curve point
     for _ in range(2):
         with pytest.raises(IoError, match="k.pub"):
             ecies.load_public_key(path)
 
 
-def test_per_key_caches_bounded_and_hold_no_ephemeral_state(keypair):
-    assert ecies._recipient_point.cache_info().maxsize == 128
-    assert ecies._private_key.cache_info().maxsize == 128
-    ecies._recipient_point.cache_clear()
-    ecies._private_key.cache_clear()
-    for i in range(5):
-        ct = ecies.ecies_encrypt(b"msg", keypair.public_bytes, eph_seed=bytes([i + 1]) * 32)
-        assert ecies.ecies_decrypt(ct, keypair.private_scalar) == b"msg"
-    # one long-term point and one long-term key; no ephemeral scalar or point K
-    assert ecies._recipient_point.cache_info().currsize == 1
-    assert ecies._private_key.cache_info().currsize == 1
-
-
-def test_fresh_keys_are_valid_and_distinct(keypair):
+def test_fresh_keys_are_valid_and_distinct(public_key, private_key):
     kp = ecies.keygen()
     assert 1 <= kp.private_scalar < ecies.CURVE_ORDER
-    assert kp.public_bytes == ecies._compress(ecies._private_key(kp.private_scalar).public_key())
-    a = ecies.ecies_encrypt(b"fresh", keypair.public_bytes)
-    b = ecies.ecies_encrypt(b"fresh", keypair.public_bytes)
+    assert kp.public_bytes == ecies._compress(key_objects(kp)[1].public_key())
+    a = ecies.ecies_encrypt(b"fresh", public_key)
+    b = ecies.ecies_encrypt(b"fresh", public_key)
     assert a[: ecies.KEY_LEN] != b[: ecies.KEY_LEN]
-    assert ecies.ecies_decrypt(a, keypair.private_scalar) == b"fresh"
+    assert ecies.ecies_decrypt(a, private_key) == b"fresh"
 
 
 @pytest.mark.parametrize("suffix", ["pub", "priv"])
@@ -232,6 +215,35 @@ def test_compress_matches_cryptography_encoding():
         parities.add(expected[0])
     assert parities == {2, 3}
 
+
+# P-256's field prime p and coefficient b, typed in from FIPS 186-4 D.1.2.3; a = -3
+P256_P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
+P256_B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
+
+
+def _decompress(data: bytes) -> tuple[int, int] | None:
+    """SEC 1 v2 2.3.4: (x, y) of a 33-byte compressed P-256 point, or None if it encodes none."""
+    x = int.from_bytes(data[1:], "big")
+    if data[0] not in (2, 3) or x >= P256_P:
+        return None
+    rhs = (x**3 - 3 * x + P256_B) % P256_P
+    y = pow(rhs, (P256_P + 1) // 4, P256_P)  # the square root, if any, since p = 3 mod 4
+    if y * y % P256_P != rhs:
+        return None
+    return x, y if y & 1 == data[0] & 1 else P256_P - y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**256 - 1))  # about half of them points
+def test_point_decoder_agrees_with_sec1_decompression(prefix, x):
+    data = bytes([prefix]) + x.to_bytes(32, "big")
+    expected = _decompress(data)
+    if expected is None:
+        with pytest.raises(InvalidPointError):
+            ecies._load_point(data)
+    else:
+        n = ecies._load_point(data).public_numbers()
+        assert (n.x, n.y) == expected
 
 def test_new_key_rejection_path_matches_sha256_oracle():
     seed = b"\xff" * 32
@@ -262,17 +274,17 @@ def test_hkdf_oracle_matches_rfc5869_case_3():
     )
 
 
-def test_sealed_payload_opens_by_the_stated_composition(keypair, sym_key):
+def test_sealed_payload_opens_by_the_stated_composition(public_key, private_key, sym_key):
     # the README's composition, checked without ecies's KDF or AEAD code: ECDH with the
     # ephemeral point K, HKDF-SHA-256 over shared secret || K with info latentseal-v1, key
     # the first 32 and nonce the last 12 of 44 bytes, the 12-byte header as associated data
     img = images.smooth_gradient(64)
     model = codec.dct_model(100)
-    payload, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes, eph_seed=bytes(range(1, 33)))
+    payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key, eph_seed=bytes(range(1, 33)))
     header, ct = payload.header_bytes(), payload.ciphertext
     assert len(header) == 12 and payload.serialize() == header + ct
     eph = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), ct[:33])
-    shared = ec.derive_private_key(keypair.private_scalar, ec.SECP256R1()).exchange(ec.ECDH(), eph)
+    shared = private_key.exchange(ec.ECDH(), eph)
     okm = _hkdf_sha256(shared + ct[:33], b"latentseal-v1", 44)
     key, nonce = okm[:32], okm[32:]
     plain = AESGCM(key).decrypt(nonce, ct[33:], header)

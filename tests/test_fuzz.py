@@ -23,12 +23,14 @@ from latentseal import codec, ecies, henon, images, pipeline, transfer
 from latentseal.codec import Layer
 from latentseal.errors import LatentSealError
 
+from conftest import key_objects
 from test_transfer import free_port
 
 CASE_SECONDS = 2.0
 FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 KEYPAIR = ecies.keygen(bytes(range(32)))
+PUBLIC_KEY, PRIVATE_KEY = key_objects(KEYPAIR)
 SYM = henon.SymKey(0.123, 0.05)
 IMG = images.smooth_gradient(8)
 
@@ -88,14 +90,14 @@ def scratch(tmp_path_factory):
 
 # --- payloads --------------------------------------------------------------
 
-PAYLOAD = pipeline.compress_encrypt(IMG, codec.dct_model(10), SYM, KEYPAIR.public_bytes)[0].serialize()
+PAYLOAD = pipeline.compress_encrypt(IMG, codec.dct_model(10), SYM, PUBLIC_KEY)[0].serialize()
 PAYLOAD_FIELDS = [(4, "<B"), (5, "<B"), (6, "<H"), (8, "<H"), (10, "<H")]
 
 
 def _open_payload(data: bytes):
     payload = pipeline.EncryptedPayload.parse(data)
     assert payload.serialize() == data  # parsing is exact
-    return pipeline.decrypt_reconstruct(payload, codec.dct_model(payload.m), SYM, KEYPAIR.private_scalar)
+    return pipeline.decrypt_reconstruct(payload, codec.dct_model(payload.m), SYM, PRIVATE_KEY)
 
 
 @FUZZ
@@ -182,11 +184,11 @@ def latents(m: int) -> st.SearchStrategy[bytes]:
 
 def _seal_and_open(model, width: int, height: int, plain: bytes):
     header = pipeline._pack_header(model.codec_id, model.m, width, height)
-    sealed = ecies.ecies_encrypt(plain, KEYPAIR.public_bytes, aad=header)
+    sealed = ecies.ecies_encrypt(plain, PUBLIC_KEY, aad=header)
     payload = pipeline.EncryptedPayload(model.codec_id, model.m, width, height, sealed)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return pipeline.decrypt_reconstruct(payload, model, SYM, KEYPAIR.private_scalar)[0]
+        return pipeline.decrypt_reconstruct(payload, model, SYM, PRIVATE_KEY)[0]
 
 
 @pytest.mark.parametrize("name", sorted(CODECS))

@@ -16,6 +16,8 @@ import pytest
 
 from latentseal import cli, codec, ecies, henon, images, pipeline, train
 
+from conftest import key_objects
+
 KEY = henon.SymKey(0.123, 0.05)
 EPH_SEED = bytes([7]) * 32
 NEURAL_CONFIG = train.TrainConfig(m=4, hidden=(16,), epochs=20, seed=0, batch_size=4)
@@ -50,9 +52,9 @@ def _digest(value) -> str:
 def _dct_round_trip(img, m):
     """(latent, payload bytes, reconstructed pixels) under a seeded ephemeral key."""
     model = codec.dct_model(m)
-    kp = ecies.keygen(bytes(range(32)))
-    payload, _ = pipeline.compress_encrypt(img, model, KEY, kp.public_bytes, eph_seed=EPH_SEED)
-    pixels, _ = pipeline.decrypt_reconstruct(payload, model, KEY, kp.private_scalar)
+    pub, priv = key_objects(ecies.keygen(bytes(range(32))))
+    payload, _ = pipeline.compress_encrypt(img, model, KEY, pub, eph_seed=EPH_SEED)
+    pixels, _ = pipeline.decrypt_reconstruct(payload, model, KEY, priv)
     return model.encode(img), payload.serialize(), pixels
 
 

@@ -11,84 +11,86 @@ from latentseal.errors import AuthFailureError, BadHeaderError, MTooLargeError, 
 from latentseal.images import smooth_gradient
 from latentseal.metrics import ssim
 
+from conftest import key_objects
 
-def test_crypto_layer_losslessness(keypair, sym_key):
+
+def test_crypto_layer_losslessness(public_key, private_key, sym_key):
     rng = np.random.default_rng(0)
     model = codec.dct_model(20)
     for _ in range(50):
         img = rng.integers(0, 256, (8, 8), dtype=np.uint8)
         sym = henon.random_sym_key(rng)
-        payload, _ = pipeline.compress_encrypt(img, model, sym, keypair.public_bytes)
-        rec, _ = pipeline.decrypt_reconstruct(payload, model, sym, keypair.private_scalar)
+        payload, _ = pipeline.compress_encrypt(img, model, sym, public_key)
+        rec, _ = pipeline.decrypt_reconstruct(payload, model, sym, private_key)
         direct = model.decode(model.encode(img), 8, 8)
         assert np.array_equal(rec, direct)
 
 
-def test_payload_size_law(keypair, sym_key):
+def test_payload_size_law(public_key, sym_key):
     img = smooth_gradient(256)
     model = codec.dct_model(100)
-    payload, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes)
+    payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
     blob = payload.serialize()
     assert len(blob) == pipeline.HEADER_LEN + 4 * 100 + 49
     assert len(payload.ciphertext) == 449  # the 65536-pixel -> 100-element body
 
 
-def test_latent_integrity(keypair, sym_key):
+def test_latent_integrity(public_key, private_key, sym_key):
     img = smooth_gradient(64)
     model = codec.dct_model(50)
     latent = model.encode(img)
-    payload, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes)
+    payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
     plain = ecies.ecies_decrypt(
-        payload.ciphertext, keypair.private_scalar, aad=payload.header_bytes()
+        payload.ciphertext, private_key, aad=payload.header_bytes()
     )
     perm = henon.permutation_for_key(sym_key, 50)
     recovered = henon.deshuffle(np.frombuffer(plain, dtype="<f4").astype(np.float64), perm)
     assert np.array_equal(recovered, latent)
 
 
-def test_m1_edge_case(keypair):
+def test_m1_edge_case(public_key, private_key):
     img = np.random.default_rng(5).integers(0, 256, (8, 8), dtype=np.uint8)
     model = codec.dct_model(1)
     sym = henon.SymKey(0.1, 0.1)
-    payload, _ = pipeline.compress_encrypt(img, model, sym, keypair.public_bytes)
+    payload, _ = pipeline.compress_encrypt(img, model, sym, public_key)
     assert payload.m == 1
-    rec, _ = pipeline.decrypt_reconstruct(payload, model, sym, keypair.private_scalar)
+    rec, _ = pipeline.decrypt_reconstruct(payload, model, sym, private_key)
     assert np.array_equal(rec, model.decode(model.encode(img), 8, 8))
 
 
-def test_ephemeral_freshness(keypair, sym_key):
+def test_ephemeral_freshness(public_key, sym_key):
     img = smooth_gradient(32)
     model = codec.dct_model(10)
-    a, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes)
-    b, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes)
+    a, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
+    b, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
     assert a.serialize()[: pipeline.HEADER_LEN] == b.serialize()[: pipeline.HEADER_LEN]
     assert a.serialize()[pipeline.HEADER_LEN :] != b.serialize()[pipeline.HEADER_LEN :]
 
 
-def test_wrong_private_key(keypair, sym_key):
+def test_wrong_private_key(public_key, sym_key):
     img = smooth_gradient(32)
     model = codec.dct_model(10)
-    payload, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes)
-    other = ecies.keygen(bytes([9]) * 32)
+    payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
+    _, other = key_objects(ecies.keygen(bytes([9]) * 32))
     with pytest.raises(AuthFailureError):
-        pipeline.decrypt_reconstruct(payload, model, sym_key, other.private_scalar)
+        pipeline.decrypt_reconstruct(payload, model, sym_key, other)
 
 
-def test_wrong_sym_key_scrambles(keypair, sym_key):
+def test_wrong_sym_key_scrambles(public_key, private_key, sym_key):
     img = smooth_gradient(256)
     model = codec.dct_model(100)
-    payload, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes)
-    good, _ = pipeline.decrypt_reconstruct(payload, model, sym_key, keypair.private_scalar)
+    payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
+    good, _ = pipeline.decrypt_reconstruct(payload, model, sym_key, private_key)
     near_key = henon.SymKey(sym_key.x0 + 1e-9, sym_key.y0)
-    bad, _ = pipeline.decrypt_reconstruct(payload, model, near_key, keypair.private_scalar)
+    bad, _ = pipeline.decrypt_reconstruct(payload, model, near_key, private_key)
     assert not np.array_equal(good, bad)
     assert ssim(good, bad) < 0.9
 
 
-def test_header_tampering(keypair, sym_key):
+def test_header_tampering(public_key, private_key, sym_key):
     img = smooth_gradient(32)
     model = codec.dct_model(10)
-    payload, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes)
+    payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
     blob = payload.serialize()
     for i in range(pipeline.HEADER_LEN):
         tampered = bytearray(blob)
@@ -101,13 +103,13 @@ def test_header_tampering(keypair, sym_key):
         # parses fails authentication (or the codec-id check) instead
         # of silently emitting a wrong-size image
         with pytest.raises((AuthFailureError, ShapeMismatchError)):
-            pipeline.decrypt_reconstruct(parsed, model, sym_key, keypair.private_scalar)
+            pipeline.decrypt_reconstruct(parsed, model, sym_key, private_key)
 
 
-def test_truncated_payload(keypair, sym_key):
+def test_truncated_payload(public_key, sym_key):
     img = smooth_gradient(32)
     model = codec.dct_model(10)
-    payload, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes)
+    payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
     blob = payload.serialize()
     with pytest.raises(BadHeaderError):
         pipeline.EncryptedPayload.parse(blob[:-5])
@@ -117,28 +119,28 @@ def test_truncated_payload(keypair, sym_key):
         pipeline.EncryptedPayload.parse(blob[:8])
 
 
-def test_codec_id_mismatch(keypair, sym_key):
+def test_codec_id_mismatch(public_key, private_key, sym_key):
     img = smooth_gradient(32)
-    payload, _ = pipeline.compress_encrypt(img, codec.dct_model(10), sym_key, keypair.public_bytes)
+    payload, _ = pipeline.compress_encrypt(img, codec.dct_model(10), sym_key, public_key)
     neural = codec.CodecModel(kind="neural", m=10)
     with pytest.raises(ShapeMismatchError):
-        pipeline.decrypt_reconstruct(payload, neural, sym_key, keypair.private_scalar)
+        pipeline.decrypt_reconstruct(payload, neural, sym_key, private_key)
 
 
-def test_evaluate_lossless_path(keypair, sym_key):
+def test_evaluate_lossless_path(public_key, private_key, sym_key):
     img = np.random.default_rng(1).integers(0, 256, (8, 8), dtype=np.uint8)
     model = codec.dct_model(64)  # full rank: chain is exactly lossless
-    report = pipeline.evaluate(img, model, sym_key, keypair.public_bytes, keypair.private_scalar)
+    report = pipeline.evaluate(img, model, sym_key, public_key, private_key)
     assert report.mse == 0.0
     assert report.psnr == math.inf
     assert report.ssim == pytest.approx(1.0, abs=1e-12)
     assert report.encrypt_seconds > 0 and report.decrypt_seconds > 0
 
 
-def test_evaluate_lossy_psnr_matches_direct(keypair, sym_key):
+def test_evaluate_lossy_psnr_matches_direct(public_key, private_key, sym_key):
     img = smooth_gradient(64)
     model = codec.dct_model(30)
-    report = pipeline.evaluate(img, model, sym_key, keypair.public_bytes, keypair.private_scalar)
+    report = pipeline.evaluate(img, model, sym_key, public_key, private_key)
     direct = model.decode(model.encode(img), 64, 64)
     assert report.mse == pytest.approx(float(np.mean((direct.astype(float) - img) ** 2)))
 
@@ -158,11 +160,11 @@ def test_parse_rejects_declared_size_over_cap():
     assert pipeline.EncryptedPayload.parse(_forged_blob(4096, 4096)).width == 4096
 
 
-def test_compress_encrypt_refuses_oversized_image_before_encoding(keypair, sym_key, monkeypatch):
+def test_compress_encrypt_refuses_oversized_image_before_encoding(public_key, sym_key, monkeypatch):
     img = np.broadcast_to(np.uint8(0), (4097, 4097))  # a view: no image memory
     monkeypatch.setattr(codec.CodecModel, "encode", lambda *a: pytest.fail("encoded"))
     with pytest.raises(ShapeMismatchError):
-        pipeline.compress_encrypt(img, codec.dct_model(100), sym_key, keypair.public_bytes)
+        pipeline.compress_encrypt(img, codec.dct_model(100), sym_key, public_key)
 
 
 HEADER_CASES = [  # (codec_id, m, width, height)
@@ -190,21 +192,21 @@ def test_sender_and_receiver_share_the_header_rules(codec_id, m, width, height):
     assert packed == parsed == (codec_id in (0, 1) and 1 <= m and 1 <= width and 1 <= height and width * height <= 1 << 24 and dct_fits)
 
 
-def test_neural_payload_size_checked_before_open(keypair, sym_key):
+def test_neural_payload_size_checked_before_open(public_key, private_key, sym_key):
     img = np.random.default_rng(2).integers(0, 256, (4, 4), dtype=np.uint8)
     enc = [codec.Layer(np.zeros((4, 16)), np.zeros(4))]
     dec = [codec.Layer(np.zeros((16, 4)), np.zeros(16))]
     model = codec.CodecModel(kind="neural", m=4, encoder=enc, decoder=dec)
-    payload, _ = pipeline.compress_encrypt(img, model, sym_key, keypair.public_bytes)
+    payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
     forged = dataclasses.replace(payload, width=8, height=8)
     # a size mismatch, not the authentication failure the open would raise
     with pytest.raises(ShapeMismatchError):
-        pipeline.decrypt_reconstruct(forged, model, sym_key, keypair.private_scalar)
-    out, _ = pipeline.decrypt_reconstruct(payload, model, sym_key, keypair.private_scalar)
+        pipeline.decrypt_reconstruct(forged, model, sym_key, private_key)
+    out, _ = pipeline.decrypt_reconstruct(payload, model, sym_key, private_key)
     assert out.shape == (4, 4)
 
 
-def test_sender_refuses_a_latent_past_float32_range_before_sealing(keypair, sym_key, monkeypatch):
+def test_sender_refuses_a_latent_past_float32_range_before_sealing(public_key, sym_key, monkeypatch):
     # finite float64 weights can still encode to a value float32 cannot hold, which the wire would carry as inf
     enc = [codec.Layer(np.zeros((2, 4)), np.array([1e39, 0.0]))]
     dec = [codec.Layer(np.zeros((4, 2)), np.zeros(4))]
@@ -213,10 +215,10 @@ def test_sender_refuses_a_latent_past_float32_range_before_sealing(keypair, sym_
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteLatentError, match="1 of 2"):
-            pipeline.compress_encrypt(np.zeros((2, 2), dtype=np.uint8), model, sym_key, keypair.public_bytes)
+            pipeline.compress_encrypt(np.zeros((2, 2), dtype=np.uint8), model, sym_key, public_key)
 
 
-def test_huge_finite_encoder_weights_are_refused_without_a_warning(keypair, sym_key):
+def test_huge_finite_encoder_weights_are_refused_without_a_warning(public_key, sym_key):
     # 4 x 1e308 overflows in the encoder's product, before the float32 rounding
     enc = [codec.Layer(np.full((2, 4), 1e308), np.zeros(2))]
     dec = [codec.Layer(np.zeros((4, 2)), np.zeros(4))]
@@ -224,4 +226,4 @@ def test_huge_finite_encoder_weights_are_refused_without_a_warning(keypair, sym_
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteLatentError):
-            pipeline.compress_encrypt(np.full((2, 2), 255, dtype=np.uint8), model, sym_key, keypair.public_bytes)
+            pipeline.compress_encrypt(np.full((2, 2), 255, dtype=np.uint8), model, sym_key, public_key)

@@ -1,3 +1,4 @@
+import re
 import socket
 import struct
 import threading
@@ -262,3 +263,41 @@ def test_frame_length_the_header_refuses_is_refused_before_the_body(tmp_path, an
     assert isinstance(result["error"], BadHeaderError)
     assert result["elapsed"] < 1.0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_send_to_a_receiver_that_stops_reading_times_out(monkeypatch):
+    # 4 KiB buffers on both ends stand in for a slow link: with loopback's
+    # default buffers the kernel takes the whole frame and send returns at once
+    monkeypatch.setattr(transfer, "TIMEOUT", 0.5)
+    connect = socket.create_connection
+
+    def small_send_buffer(*args, **kwargs):
+        sock = connect(*args, **kwargs)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        return sock
+
+    monkeypatch.setattr(transfer.socket, "create_connection", small_send_buffer)
+    frame = legal_frame(0xFFFF)  # 262 201 bytes
+    result = {}
+
+    def sender(port):
+        try:
+            transfer.send_bytes(frame, "127.0.0.1", port)
+        except Exception as e:  # surfaced below
+            result["error"] = e
+
+    with socket.socket() as srv:
+        srv.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # inherited by the accepted socket
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(1)
+        t = threading.Thread(target=sender, args=(srv.getsockname()[1],), daemon=True)
+        start = time.monotonic()
+        t.start()
+        conn, _ = srv.accept()
+        with conn:  # accepted, never read
+            t.join(timeout=5)
+            elapsed = time.monotonic() - start
+    assert not t.is_alive(), "send still blocked"
+    assert isinstance(result.get("error"), IoError)
+    assert re.fullmatch(rf"send to 127\.0\.0\.1:\d+ timed out after \d+ of {len(frame)} bytes", str(result["error"]))
+    assert elapsed < transfer.TIMEOUT + 1
