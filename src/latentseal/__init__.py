@@ -1,7 +1,7 @@
 """latentseal: latent-space image compression with chaotic shuffling and ECIES."""
 
 from .codec import CodecModel, dct_decode, dct_encode, dct_model, load_model, save_model
-from .ecies import EciesKeypair, ecies_decrypt, ecies_encrypt, keygen
+from .ecies import ecies_decrypt, ecies_encrypt, keygen
 from .henon import SymKey, deshuffle, henon_sequence, permutation_from_sequence, shuffle
 from .metrics import QualityReport, mse, psnr, ssim
 from .pipeline import EncryptedPayload, compress_encrypt, decrypt_reconstruct, evaluate
@@ -20,7 +20,6 @@ def __getattr__(name):
 
 __all__ = [
     "CodecModel",
-    "EciesKeypair",
     "EncryptedPayload",
     "QualityReport",
     "SymKey",

@@ -30,14 +30,11 @@ EXIT_USAGE = 2
 
 def cmd_keygen(args) -> int:
     rng = np.random.default_rng(args.seed)
-    if args.seed is None:
-        kp = ecies.keygen()
-    else:
-        kp = ecies.keygen(rng.bytes(32))
+    priv = ecies.keygen(None if args.seed is None else rng.bytes(32))
     sym = henon.random_sym_key(rng)
     prefix = args.out_prefix  # suffixes are appended: alice.v2 gives alice.v2.priv
-    ecies.save_private_key(kp, prefix + ".priv")
-    ecies.save_public_key(kp, prefix + ".pub")
+    ecies.save_private_key(priv, prefix + ".priv")
+    ecies.save_public_key(priv.public_key(), prefix + ".pub")
     henon.save_sym_key(sym, prefix + ".sym")
     print(f"wrote {prefix}.priv {prefix}.pub {prefix}.sym")
     return EXIT_OK

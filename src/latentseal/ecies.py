@@ -11,8 +11,6 @@ scalar.  A caller that seals or opens many messages loads each key once
 and passes the object; this module keeps no per-key state.
 """
 
-from dataclasses import dataclass
-
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -29,12 +27,6 @@ TAG_LEN = 16
 OVERHEAD = KEY_LEN + TAG_LEN
 
 
-@dataclass(frozen=True)
-class EciesKeypair:
-    private_scalar: int
-    public_bytes: bytes  # 33-byte compressed point
-
-
 def _compress(pub: ec.EllipticCurvePublicKey) -> bytes:
     """SEC1 compressed point; cryptography's encoder would import its SSH module."""
     n = pub.public_numbers()
@@ -48,8 +40,8 @@ def _load_point(data: bytes) -> ec.EllipticCurvePublicKey:
         raise InvalidPointError(str(e)) from e
 
 
-def _new_key(seed: bytes) -> tuple[int, ec.EllipticCurvePrivateKey]:
-    """Scalar from a 32-byte seed and its key object.
+def _new_key(seed: bytes) -> ec.EllipticCurvePrivateKey:
+    """The private key whose scalar a 32-byte seed gives.
 
     Rejection-samples: out-of-range candidates are replaced by their
     SHA-256 digest until a valid scalar appears.
@@ -60,20 +52,15 @@ def _new_key(seed: bytes) -> tuple[int, ec.EllipticCurvePrivateKey]:
     while True:
         scalar = int.from_bytes(candidate, "big")
         if 1 <= scalar < CURVE_ORDER:
-            return scalar, ec.derive_private_key(scalar, CURVE)
+            return ec.derive_private_key(scalar, CURVE)
         digest = hashes.Hash(hashes.SHA256())
         digest.update(candidate)
         candidate = digest.finalize()
 
 
-def keygen(seed: bytes | None = None) -> EciesKeypair:
-    """Generate a keypair from fresh entropy; a 32-byte seed makes it deterministic."""
-    if seed is None:
-        priv = ec.generate_private_key(CURVE)
-        scalar = priv.private_numbers().private_value
-    else:
-        scalar, priv = _new_key(seed)
-    return EciesKeypair(scalar, _compress(priv.public_key()))
+def keygen(seed: bytes | None = None) -> ec.EllipticCurvePrivateKey:
+    """A private key from fresh entropy; a 32-byte seed makes it deterministic."""
+    return ec.generate_private_key(CURVE) if seed is None else _new_key(seed)
 
 
 def _derive_key_nonce(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes]:
@@ -93,7 +80,7 @@ def ecies_encrypt(
     """
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
-    eph = ec.generate_private_key(CURVE) if eph_seed is None else _new_key(eph_seed)[1]
+    eph = ec.generate_private_key(CURVE) if eph_seed is None else _new_key(eph_seed)
     eph_pub = _compress(eph.public_key())
     shared = eph.exchange(ec.ECDH(), pub)
     key, nonce = _derive_key_nonce(shared, eph_pub)
@@ -113,12 +100,12 @@ def ecies_decrypt(ct: bytes, priv: ec.EllipticCurvePrivateKey, aad: bytes = b"")
         raise AuthFailureError("authentication tag mismatch") from e
 
 
-def save_private_key(kp: EciesKeypair, path) -> None:
-    atomic_write(path, (kp.private_scalar.to_bytes(32, "big").hex() + "\n").encode(), 0o600)
+def save_private_key(priv: ec.EllipticCurvePrivateKey, path) -> None:
+    atomic_write(path, (priv.private_numbers().private_value.to_bytes(32, "big").hex() + "\n").encode(), 0o600)
 
 
-def save_public_key(kp: EciesKeypair, path) -> None:
-    atomic_write(path, (kp.public_bytes.hex() + "\n").encode())
+def save_public_key(pub: ec.EllipticCurvePublicKey, path) -> None:
+    atomic_write(path, (_compress(pub).hex() + "\n").encode())
 
 
 def load_private_key(path) -> ec.EllipticCurvePrivateKey:

@@ -1,29 +1,17 @@
 import numpy as np
 import pytest
-from cryptography.hazmat.primitives.asymmetric import ec
 
 from latentseal import ecies, henon, images
 
 
-def key_objects(kp: ecies.EciesKeypair) -> tuple[ec.EllipticCurvePublicKey, ec.EllipticCurvePrivateKey]:
-    """The key objects of kp, as the chain takes them, built by cryptography's own constructors."""
-    curve = ec.SECP256R1()
-    return ec.EllipticCurvePublicKey.from_encoded_point(curve, kp.public_bytes), ec.derive_private_key(kp.private_scalar, curve)
-
-
 @pytest.fixture(scope="session")
-def keypair():
+def private_key():
     return ecies.keygen(bytes(range(32)))
 
 
 @pytest.fixture(scope="session")
-def public_key(keypair):
-    return key_objects(keypair)[0]
-
-
-@pytest.fixture(scope="session")
-def private_key(keypair):
-    return key_objects(keypair)[1]
+def public_key(private_key):
+    return private_key.public_key()
 
 
 @pytest.fixture(scope="session")

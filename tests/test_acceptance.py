@@ -15,7 +15,6 @@ from latentseal import codec, ecies, henon, metrics, pipeline, train
 from latentseal.errors import AuthFailureError, DivergenceError, InvalidPointError
 from latentseal.images import smooth_gradient
 
-from conftest import key_objects
 from test_dct import dct2
 from test_transfer import run_transfer
 
@@ -69,7 +68,8 @@ def test_key_sensitivity():
 
 
 def test_ecies_suite():
-    pub, priv = key_objects(ecies.keygen(bytes([1]) * 32))
+    priv = ecies.keygen(bytes([1]) * 32)
+    pub = priv.public_key()
     rng = np.random.default_rng(7)
     for _ in range(1000):
         n = int(rng.integers(1, 200))
@@ -93,7 +93,8 @@ def test_ecies_suite():
 
 
 def test_crypto_layer_losslessness():
-    pub, priv = key_objects(ecies.keygen(bytes([2]) * 32))
+    priv = ecies.keygen(bytes([2]) * 32)
+    pub = priv.public_key()
     rng = np.random.default_rng(50)
     model = codec.dct_model(32)
     ok = True
@@ -107,7 +108,7 @@ def test_crypto_layer_losslessness():
 
 
 def test_compression_ratio_structure():
-    pub, _ = key_objects(ecies.keygen(bytes([3]) * 32))
+    pub = ecies.keygen(bytes([3]) * 32).public_key()
     img = smooth_gradient(256)  # 65,536 pixels
     payload, _ = pipeline.compress_encrypt(
         img, codec.dct_model(100), henon.SymKey(0.1, 0.1), pub
@@ -212,7 +213,8 @@ def test_figure1_trajectory():
 
 
 def test_timing_report():
-    pub, priv = key_objects(ecies.keygen(bytes([4]) * 32))
+    priv = ecies.keygen(bytes([4]) * 32)
+    pub = priv.public_key()
     sym = henon.SymKey(0.1, 0.1)
     model = codec.dct_model(100)
     img = smooth_gradient(256)

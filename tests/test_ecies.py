@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from latentseal import codec, ecies, henon, images, pipeline
 from latentseal.errors import AuthFailureError, InvalidPointError, IoError
 
-from conftest import key_objects
-
 GOLDEN_SCALAR = 0x66687AADF862BD776C8FC18B8E9F8E20089714856EE233B3902A591D0D5F2925
 GOLDEN_PUB = "03893829bebc73eb4d24d7ed2f1444c907080834bd33671436269280bc603037af"
 GOLDEN_CT = (
@@ -26,13 +24,15 @@ GOLDEN_CT = (
 
 def test_keygen_zero_seed_golden():
     # all-zero seed encodes scalar 0, which is rejection-sampled away
-    kp = ecies.keygen(bytes(32))
-    assert kp.private_scalar == GOLDEN_SCALAR
-    assert kp.public_bytes.hex() == GOLDEN_PUB
+    priv = ecies.keygen(bytes(32))
+    assert priv.private_numbers().private_value == GOLDEN_SCALAR
+    assert ecies._compress(priv.public_key()).hex() == GOLDEN_PUB
 
 
 def test_keygen_fresh_entropy():
-    assert ecies.keygen().private_scalar != ecies.keygen().private_scalar
+    a, b = ecies.keygen(), ecies.keygen()
+    assert isinstance(a, ec.EllipticCurvePrivateKey)
+    assert a.private_numbers().private_value != b.private_numbers().private_value
 
 
 def test_keygen_seed_length():
@@ -46,7 +46,7 @@ def test_encrypt_decrypt_round_trip(public_key, private_key):
 
 
 def test_golden_ciphertext():
-    pub, _ = key_objects(ecies.keygen(bytes(32)))
+    pub = ecies.keygen(bytes(32)).public_key()
     ct = ecies.ecies_encrypt(b"golden plaintext", pub, eph_seed=bytes(range(32)))
     assert ct.hex() == GOLDEN_CT
 
@@ -74,7 +74,7 @@ def test_empty_plaintext_rejected(public_key):
 
 def test_wrong_private_key(public_key):
     ct = ecies.ecies_encrypt(b"secret", public_key)
-    _, other = key_objects(ecies.keygen(bytes([7]) * 32))
+    other = ecies.keygen(bytes([7]) * 32)
     with pytest.raises(AuthFailureError):
         ecies.ecies_decrypt(ct, other)
 
@@ -110,8 +110,8 @@ def test_every_prefix_and_an_extra_byte_fail_closed(public_key, private_key):
 @settings(max_examples=50, deadline=None)
 @given(st.binary(min_size=1, max_size=4096))
 def test_round_trip_property(plaintext):
-    pub, priv = key_objects(ecies.keygen(bytes([3]) * 32))
-    ct = ecies.ecies_encrypt(plaintext, pub)
+    priv = ecies.keygen(bytes([3]) * 32)
+    ct = ecies.ecies_encrypt(plaintext, priv.public_key())
     assert ecies.ecies_decrypt(ct, priv) == plaintext
     assert len(ct) == len(plaintext) + ecies.OVERHEAD
 
@@ -128,14 +128,20 @@ def test_deterministic_under_eph_seed(public_key):
     assert a == b
 
 
-def test_key_file_round_trip(tmp_path, keypair, public_key):
+def test_key_file_round_trip(tmp_path, private_key, public_key):
     priv, pub = tmp_path / "k.priv", tmp_path / "k.pub"
-    ecies.save_private_key(keypair, priv)
-    ecies.save_public_key(keypair, pub)
-    assert priv.read_text() == keypair.private_scalar.to_bytes(32, "big").hex() + "\n"
-    assert pub.read_text() == keypair.public_bytes.hex() + "\n"
-    assert ecies.load_private_key(priv).private_numbers().private_value == keypair.private_scalar
+    ecies.save_private_key(private_key, priv)
+    ecies.save_public_key(public_key, pub)
+    scalar = private_key.private_numbers().private_value
+    assert priv.read_text() == scalar.to_bytes(32, "big").hex() + "\n"
+    assert pub.read_text() == public_key.public_bytes(Encoding.X962, PublicFormat.CompressedPoint).hex() + "\n"
+    assert ecies.load_private_key(priv).private_numbers().private_value == scalar
     assert ecies.load_public_key(pub) == public_key
+    # save(load(f)) gives f back byte for byte
+    ecies.save_private_key(ecies.load_private_key(priv), tmp_path / "again.priv")
+    ecies.save_public_key(ecies.load_public_key(pub), tmp_path / "again.pub")
+    assert (tmp_path / "again.priv").read_bytes() == priv.read_bytes()
+    assert (tmp_path / "again.pub").read_bytes() == pub.read_bytes()
 
 
 def test_key_file_rejects_garbage(tmp_path):
@@ -150,23 +156,23 @@ def test_key_file_rejects_garbage(tmp_path):
 def test_wrong_key_still_fails_after_right_key_opened(public_key, private_key):
     ct = ecies.ecies_encrypt(b"cached", public_key)
     assert ecies.ecies_decrypt(ct, private_key) == b"cached"
-    _, other = key_objects(ecies.keygen(bytes([8]) * 32))
+    other = ecies.keygen(bytes([8]) * 32)
     with pytest.raises(AuthFailureError):
         ecies.ecies_decrypt(ct, other)
     assert ecies.ecies_decrypt(ct, private_key) == b"cached"
 
 
 def test_two_recipients_open_only_their_own():
-    alice, bob = key_objects(ecies.keygen(bytes([1]) * 32)), key_objects(ecies.keygen(bytes([2]) * 32))
+    alice, bob = ecies.keygen(bytes([1]) * 32), ecies.keygen(bytes([2]) * 32)
     for _ in range(2):
-        to_alice = ecies.ecies_encrypt(b"for alice", alice[0])
-        to_bob = ecies.ecies_encrypt(b"for bob", bob[0])
-        assert ecies.ecies_decrypt(to_alice, alice[1]) == b"for alice"
-        assert ecies.ecies_decrypt(to_bob, bob[1]) == b"for bob"
+        to_alice = ecies.ecies_encrypt(b"for alice", alice.public_key())
+        to_bob = ecies.ecies_encrypt(b"for bob", bob.public_key())
+        assert ecies.ecies_decrypt(to_alice, alice) == b"for alice"
+        assert ecies.ecies_decrypt(to_bob, bob) == b"for bob"
         with pytest.raises(AuthFailureError):
-            ecies.ecies_decrypt(to_alice, bob[1])
+            ecies.ecies_decrypt(to_alice, bob)
         with pytest.raises(AuthFailureError):
-            ecies.ecies_decrypt(to_bob, alice[1])
+            ecies.ecies_decrypt(to_bob, alice)
 
 
 def test_invalid_recipient_point_rejected_every_call():
@@ -184,9 +190,7 @@ def test_public_key_load_refuses_a_bad_point_every_time(tmp_path):
 
 
 def test_fresh_keys_are_valid_and_distinct(public_key, private_key):
-    kp = ecies.keygen()
-    assert 1 <= kp.private_scalar < ecies.CURVE_ORDER
-    assert kp.public_bytes == ecies._compress(key_objects(kp)[1].public_key())
+    assert 1 <= ecies.keygen().private_numbers().private_value < ecies.CURVE_ORDER
     a = ecies.ecies_encrypt(b"fresh", public_key)
     b = ecies.ecies_encrypt(b"fresh", public_key)
     assert a[: ecies.KEY_LEN] != b[: ecies.KEY_LEN]
@@ -194,9 +198,12 @@ def test_fresh_keys_are_valid_and_distinct(public_key, private_key):
 
 
 @pytest.mark.parametrize("suffix", ["pub", "priv"])
-def test_oversized_key_file_is_io_error(tmp_path, keypair, suffix):
+def test_oversized_key_file_is_io_error(tmp_path, private_key, suffix):
     path = tmp_path / f"k.{suffix}"
-    getattr(ecies, f"save_{'public' if suffix == 'pub' else 'private'}_key")(keypair, path)
+    if suffix == "pub":
+        ecies.save_public_key(private_key.public_key(), path)
+    else:
+        ecies.save_private_key(private_key, path)
     path.write_bytes(path.read_bytes() + b" " * (3 << 20))  # valid key, then 3 MiB of padding
     loader = ecies.load_public_key if suffix == "pub" else ecies.load_private_key
     with pytest.raises(IoError, match="over"):
@@ -208,8 +215,7 @@ def test_compress_matches_cryptography_encoding():
     rng = np.random.default_rng(7)
     parities = set()
     for _ in range(256):
-        _, priv = ecies._new_key(rng.bytes(32))
-        pub = priv.public_key()
+        pub = ecies._new_key(rng.bytes(32)).public_key()
         expected = pub.public_bytes(Encoding.X962, PublicFormat.CompressedPoint)
         assert ecies._compress(pub) == expected
         parities.add(expected[0])
@@ -252,8 +258,7 @@ def test_new_key_rejection_path_matches_sha256_oracle():
     while not 1 <= int.from_bytes(candidate, "big") < ecies.CURVE_ORDER:
         candidate = hashlib.sha256(candidate).digest()
     assert candidate != seed
-    scalar, priv = ecies._new_key(seed)
-    assert scalar == int.from_bytes(candidate, "big") == priv.private_numbers().private_value
+    assert ecies._new_key(seed).private_numbers().private_value == int.from_bytes(candidate, "big")
 
 
 def _hkdf_sha256(ikm: bytes, info: bytes, length: int) -> bytes:

@@ -23,14 +23,13 @@ from latentseal import codec, ecies, henon, images, pipeline, transfer
 from latentseal.codec import Layer
 from latentseal.errors import LatentSealError
 
-from conftest import key_objects
 from test_transfer import free_port
 
 CASE_SECONDS = 2.0
 FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
-KEYPAIR = ecies.keygen(bytes(range(32)))
-PUBLIC_KEY, PRIVATE_KEY = key_objects(KEYPAIR)
+PRIVATE_KEY = ecies.keygen(bytes(range(32)))
+PUBLIC_KEY = PRIVATE_KEY.public_key()
 SYM = henon.SymKey(0.123, 0.05)
 IMG = images.smooth_gradient(8)
 
@@ -223,8 +222,8 @@ def test_load_sym_key(scratch, data):
     only_latentseal_errors(henon.load_sym_key, scratch)
 
 
-PUB = KEYPAIR.public_bytes.hex().encode() + b"\n"
-PRIV = KEYPAIR.private_scalar.to_bytes(32, "big").hex().encode() + b"\n"
+PUB = ecies._compress(PUBLIC_KEY).hex().encode() + b"\n"
+PRIV = PRIVATE_KEY.private_numbers().private_value.to_bytes(32, "big").hex().encode() + b"\n"
 ORDER = ecies.CURVE_ORDER.to_bytes(32, "big").hex().encode()
 
 

@@ -16,7 +16,6 @@ import pytest
 
 from latentseal import cli, codec, ecies, henon, images, pipeline, train
 
-from conftest import key_objects
 
 KEY = henon.SymKey(0.123, 0.05)
 EPH_SEED = bytes([7]) * 32
@@ -52,7 +51,8 @@ def _digest(value) -> str:
 def _dct_round_trip(img, m):
     """(latent, payload bytes, reconstructed pixels) under a seeded ephemeral key."""
     model = codec.dct_model(m)
-    pub, priv = key_objects(ecies.keygen(bytes(range(32))))
+    priv = ecies.keygen(bytes(range(32)))
+    pub = priv.public_key()
     payload, _ = pipeline.compress_encrypt(img, model, KEY, pub, eph_seed=EPH_SEED)
     pixels, _ = pipeline.decrypt_reconstruct(payload, model, KEY, priv)
     return model.encode(img), payload.serialize(), pixels

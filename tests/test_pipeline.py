@@ -11,8 +11,6 @@ from latentseal.errors import AuthFailureError, BadHeaderError, MTooLargeError, 
 from latentseal.images import smooth_gradient
 from latentseal.metrics import ssim
 
-from conftest import key_objects
-
 
 def test_crypto_layer_losslessness(public_key, private_key, sym_key):
     rng = np.random.default_rng(0)
@@ -71,7 +69,7 @@ def test_wrong_private_key(public_key, sym_key):
     img = smooth_gradient(32)
     model = codec.dct_model(10)
     payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
-    _, other = key_objects(ecies.keygen(bytes([9]) * 32))
+    other = ecies.keygen(bytes([9]) * 32)
     with pytest.raises(AuthFailureError):
         pipeline.decrypt_reconstruct(payload, model, sym_key, other)
 
