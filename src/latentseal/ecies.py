@@ -108,20 +108,26 @@ def save_public_key(pub: ec.EllipticCurvePublicKey, path) -> None:
     atomic_write(path, (_compress(pub).hex() + "\n").encode())
 
 
-def load_private_key(path) -> ec.EllipticCurvePrivateKey:
-    data = read_file(path, KEY_FILE_CAP)
+def _key_bytes(path, size: int) -> bytes:
+    """The size bytes a key file holds as hex; anything else is IoError naming path."""
     try:
-        scalar = int(data, 16)
+        data = bytes.fromhex(read_file(path, KEY_FILE_CAP).decode())
     except ValueError as e:
-        raise IoError(f"bad private key file: {path}") from e
+        raise IoError(f"bad key file: {path}: {e}") from e
+    if len(data) != size:
+        raise IoError(f"bad key file: {path}: {len(data)} bytes, not {size}")
+    return data
+
+
+def load_private_key(path) -> ec.EllipticCurvePrivateKey:
+    scalar = int.from_bytes(_key_bytes(path, 32), "big")
     if not 1 <= scalar < CURVE_ORDER:
         raise IoError(f"private scalar out of range: {path}")
     return ec.derive_private_key(scalar, CURVE)
 
 
 def load_public_key(path) -> ec.EllipticCurvePublicKey:
-    data = read_file(path, KEY_FILE_CAP)
     try:
-        return _load_point(bytes.fromhex(data.decode()))
-    except (ValueError, InvalidPointError) as e:
+        return _load_point(_key_bytes(path, KEY_LEN))
+    except InvalidPointError as e:
         raise IoError(f"bad public key file: {path}: {e}") from e

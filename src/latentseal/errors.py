@@ -22,6 +22,10 @@ class DivergenceError(LatentSealError):
     exit_code = EXIT_DIVERGENCE
 
 
+class WeakKeyError(LatentSealError):
+    """A symmetric key's map is not chaotic at the end of the span a permutation emits."""
+
+
 class LengthMismatchError(LatentSealError):
     """Vector and permutation lengths disagree."""
 

@@ -24,14 +24,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import KEY_FILE_CAP, DivergenceError, IoError, LengthMismatchError, atomic_write, read_file
+from .errors import KEY_FILE_CAP, DivergenceError, IoError, LengthMismatchError, WeakKeyError, atomic_write, read_file
 
 CLASSICAL_A = 1.4
 CLASSICAL_B = 0.3
 GUARD = 100.0
 DEFAULT_BURN_IN = 1000
 MAX_BURN_IN = 100_000  # bounds the orbit steps a key file makes every load run
-WEAK_KEY_SPAN = 100  # orbit values, and twin-orbit steps, that SymKey.validate checks
+WEAK_KEY_SPAN = 100  # orbit values SymKey.validate checks, and the steps of each twin-orbit test
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,9 @@ class SymKey:
         n = WEAK_KEY_SPAN, and that the key is not weak: its first n orbit
         values must be distinct and must not sort into the identity
         permutation, which would leave every shuffled latent in place.  The map
-        must also be chaotic where emission starts, or the permutation would
-        not depend on the key point: an orbit from the first emitted point, and
-        one from that point with x moved by 1e-9, must come 1e-3 apart within n
-        steps (a finite-time Lyapunov test).  Raises ValueError for a weak key.
+        must also be chaotic where emission starts (_check_chaotic from the
+        first emitted point), or the permutation would not depend on the key
+        point.  Raises ValueError for a weak key.
         """
         n = WEAK_KEY_SPAN
         xs, ys = _orbit(self, n + 1)  # points 1..n are the reference for the twin orbit
@@ -71,10 +70,18 @@ class SymKey:
             raise ValueError(f"weak key: the first {n} orbit values repeat")
         if np.array_equal(ordered, seq):
             raise ValueError(f"weak key: the length-{n} permutation is the identity")
-        twin = _orbit(SymKey(float(xs[0]) + 1e-9, float(ys[0]), self.a, self.b, burn_in=0), n)
-        gap = np.abs(np.subtract(twin, (xs[1:], ys[1:]))).max()
-        if gap < 1e-3:
-            raise ValueError(f"weak key: not chaotic, orbits 1e-9 apart stay within {gap:.2g} over {n} steps")
+        _check_chaotic(self, xs, ys, 0, ValueError)
+
+
+def _check_chaotic(key: SymKey, xs: np.ndarray, ys: np.ndarray, start: int, error: type[Exception]) -> None:
+    """Raise error unless the key's orbit (xs, ys) is chaotic at point start: an
+    orbit from that point, and one from it with x moved by 1e-9, must come 1e-3
+    apart over the points after it (a finite-time Lyapunov test)."""
+    n = len(xs) - start - 1
+    twin = _orbit(SymKey(float(xs[start]) + 1e-9, float(ys[start]), key.a, key.b, burn_in=0), n)
+    gap = np.abs(np.subtract(twin, (xs[start + 1 :], ys[start + 1 :]))).max()
+    if gap < 1e-3:
+        raise error(f"weak key: not chaotic from orbit value {start}, orbits 1e-9 apart stay within {gap:.2g} over {n} steps")
 
 
 def _orbit(key: SymKey, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +133,13 @@ def permutation_for_key(key: SymKey, m: int) -> np.ndarray:
     """Keyed permutation of length m, memoised per (key, m); the array is read-only.
 
     A miss iterates the key's orbit from the key point and stably argsorts it.
+    Past WEAK_KEY_SPAN it refuses with WeakKeyError a key whose orbit is not
+    chaotic at the end of the span, as one that settles on a cycle is not.
     """
-    perm = permutation_from_sequence(henon_sequence(key, m))
+    xs, ys = _orbit(key, m)
+    if m > WEAK_KEY_SPAN:
+        _check_chaotic(key, xs, ys, m - WEAK_KEY_SPAN - 1, WeakKeyError)
+    perm = permutation_from_sequence(xs)
     perm.setflags(write=False)
     return perm
 
@@ -158,8 +170,8 @@ def save_sym_key(key: SymKey, path) -> None:
 
 def load_sym_key(path) -> SymKey:
     lines = [ln.strip() for ln in read_file(path, KEY_FILE_CAP).splitlines() if ln.strip()]
-    if not lines:
-        raise IoError(f"empty sym key file: {path}")
+    if not 1 <= len(lines) <= 3:
+        raise IoError(f"sym key file {path} has {len(lines)} non-empty lines, not 1 to 3")
     try:
         x0, y0 = (float(t) for t in lines[0].split())
         a, b = (

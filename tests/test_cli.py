@@ -279,6 +279,26 @@ def test_encrypt_with_a_public_key_that_is_no_point_exit_code(tmp_path, keys, dc
     assert not out.exists()
 
 
+def test_a_key_that_settles_on_a_cycle_is_refused_by_encrypt_and_decrypt(tmp_path, keys, test_image, monkeypatch, capsys):
+    weak = tmp_path / "weak.sym"
+    weak.write_text("0.1 0.1\n1.23 0.3\n0\n")  # loads: its orbit turns periodic only past 100 values
+    model = tmp_path / "dct400.lscm"
+    assert run(["make-model", str(model), "--m", "400"]) == EXIT_OK
+    sealed = tmp_path / "o.lsp"
+    seal = ["encrypt", str(test_image), "--model", str(model), "--pub", str(keys) + ".pub", "--out", str(sealed)]
+    assert run([*seal, "--sym", str(weak)]) == EXIT_IO
+    assert "not chaotic" in capsys.readouterr().err
+    assert not sealed.exists()
+    # sealed under a good key, the payload is refused under the weak one before any deshuffle
+    assert run([*seal, "--sym", str(keys) + ".sym"]) == EXIT_OK
+    monkeypatch.setattr(pipeline, "deshuffle", lambda *args: pytest.fail("deshuffled under a weak key"))
+    out = tmp_path / "r.pgm"
+    rc = run(["decrypt", str(sealed), "--model", str(model), "--sym", str(weak), "--priv", str(keys) + ".priv", "--out", str(out)])
+    assert rc == EXIT_IO
+    assert "not chaotic" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_make_dataset_and_evaluate(tmp_path, keys, capsys):
     data_dir = tmp_path / "data"
     assert run(["make-dataset", str(data_dir), "--count", "4", "--size", "16", "--seed", "1"]) == EXIT_OK
@@ -710,6 +730,7 @@ EXIT_CODES = {
     errors.IoError: EXIT_IO,
     errors.LengthMismatchError: EXIT_IO,
     errors.NonFiniteLossError: EXIT_IO,
+    errors.WeakKeyError: EXIT_IO,
     errors.WindowTooLargeError: EXIT_IO,
 }
 

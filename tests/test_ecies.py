@@ -144,6 +144,23 @@ def test_key_file_round_trip(tmp_path, private_key, public_key):
     assert (tmp_path / "again.pub").read_bytes() == pub.read_bytes()
 
 
+@pytest.mark.parametrize("text", ["0x00ff\n", " f_f \n", "ff\n", "00" * 31 + "ff00\n"], ids=["0x", "underscore", "short", "long"])
+def test_private_key_file_holds_exactly_32_bytes_of_hex(tmp_path, text):
+    path = tmp_path / "k.priv"
+    path.write_text(text)
+    with pytest.raises(IoError, match="k.priv"):
+        ecies.load_private_key(path)
+    path.write_text("00" * 31 + "ff")  # 64 hex digits, with or without the newline
+    assert ecies.load_private_key(path).private_numbers().private_value == 255
+
+
+def test_public_key_file_holds_exactly_a_compressed_point(tmp_path, public_key):
+    path = tmp_path / "k.pub"
+    path.write_text(public_key.public_bytes(Encoding.X962, PublicFormat.UncompressedPoint).hex() + "\n")
+    with pytest.raises(IoError, match="k.pub"):
+        ecies.load_public_key(path)
+
+
 def test_key_file_rejects_garbage(tmp_path):
     bad = tmp_path / "bad"
     bad.write_text("not hex\n")

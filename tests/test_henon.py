@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentseal import henon
-from latentseal.errors import DivergenceError, IoError, LengthMismatchError
+from latentseal.errors import DivergenceError, IoError, LengthMismatchError, WeakKeyError
 
 CLASSICAL = (henon.CLASSICAL_A, henon.CLASSICAL_B)
 
@@ -275,6 +275,15 @@ def test_permutation_memo_holds_the_tenants_working_set():
     assert henon.permutation_for_key.cache_info().maxsize * 8 * 0xFFFF <= 128 << 20
 
 
+def test_sym_key_file_with_a_fourth_line_is_refused(tmp_path):
+    path = tmp_path / "k.sym"
+    path.write_text("0.1 0.2\n1.4 0.3\n1000\n\n7\n")
+    with pytest.raises(IoError, match="k.sym"):
+        henon.load_sym_key(path)
+    path.write_text("0.1 0.2\n1.4 0.3\n1000\n\n")  # blank lines are not counted
+    assert henon.load_sym_key(path) == henon.SymKey(0.1, 0.2)
+
+
 def test_oversized_sym_key_file_is_io_error(tmp_path):
     path = tmp_path / "big.sym"
     path.write_text("0.1 0.2\n" + " " * (3 << 20))
@@ -300,6 +309,23 @@ def test_non_chaotic_keys_rejected(tmp_path, a, b, burn_in):
 @pytest.mark.parametrize("burn_in", [0, 1000])
 def test_chaotic_non_classical_key_accepted(burn_in):
     henon.SymKey(0.1, 0.05, 1.2, 0.3, burn_in).validate()
+
+
+def test_a_key_that_settles_on_a_cycle_is_refused_past_the_span_validate_checks():
+    # chaotic near the key point, so validate passes it; then its orbit repeats with period 7
+    key = henon.SymKey(0.1, 0.1, 1.23, 0.3, 0)
+    key.validate()
+    assert len(set(henon.henon_sequence(key, 400).tolist())) == 181
+    henon.permutation_for_key(key, henon.WEAK_KEY_SPAN)  # the span validate checked
+    for m in (400, 4096, 0xFFFF):
+        with pytest.raises(WeakKeyError, match="not chaotic"):
+            henon.permutation_for_key(key, m)
+
+
+def test_drawn_keys_stay_chaotic_over_long_spans():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        henon.permutation_for_key(henon.random_sym_key(rng), 4096)
 
 
 def test_random_sym_key_draws_unchanged_by_the_chaos_check():
