@@ -2,7 +2,7 @@
 
 from .codec import CodecModel, dct_decode, dct_encode, dct_model, load_model, save_model
 from .ecies import ecies_decrypt, ecies_encrypt, keygen
-from .henon import SymKey, deshuffle, henon_sequence, permutation_from_sequence, shuffle
+from .henon import SymKey, deshuffle, permutation_from_sequence, shuffle
 from .metrics import QualityReport, mse, psnr, ssim
 from .pipeline import EncryptedPayload, compress_encrypt, decrypt_reconstruct, evaluate
 
@@ -34,7 +34,6 @@ __all__ = [
     "ecies_encrypt",
     "evaluate",
     "gan_objective",
-    "henon_sequence",
     "keygen",
     "load_model",
     "mse",

@@ -5,10 +5,13 @@ public key, then AES-GCM's output, C the length of the plaintext and a
 16-byte tag T.  Key and nonce are disjoint segments of HKDF-SHA-256
 output keyed on the shared secret concatenated with K.
 
-The long-term keys travel as key objects: load_public_key decodes and
-checks the recipient point, and load_private_key range-checks the
-scalar.  A caller that seals or opens many messages loads each key once
-and passes the object; this module keeps no per-key state.
+Keys are cryptography's key objects: keygen returns an
+EllipticCurvePrivateKey, and the save functions take, and the loaders
+return, the same objects.  A .priv is the 32-byte scalar and a .pub the
+33-byte compressed point, each as hex and a newline; load_private_key
+range-checks the scalar and load_public_key checks the point.  A caller
+that seals or opens many messages loads each key once and passes the
+object; this module keeps no per-key state.
 """
 
 from cryptography.exceptions import InvalidTag
