@@ -262,7 +262,15 @@ def test_decrypt_with_a_neural_decoder_whose_output_overflows_exit_code(tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["02" + "ff" * 32, "0011"], ids=["off-curve", "short"])
+# the uncompressed encoding of P-256's generator, from FIPS 186-4 D.1.2.3: a point, but not 33 bytes
+P256_G_UNCOMPRESSED = (
+    "04"
+    "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"
+    "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5"
+)
+
+
+@pytest.mark.parametrize("text", ["02" + "ff" * 32, "0011", P256_G_UNCOMPRESSED], ids=["off-curve", "short", "uncompressed"])
 def test_encrypt_with_a_public_key_that_is_no_point_exit_code(tmp_path, keys, dct_model_path, test_image, text, capsys):
     pub = tmp_path / "bad.pub"
     pub.write_text(text + "\n")
@@ -394,8 +402,8 @@ def test_henon_plot_blocks_give_the_bytes_of_one_joined_csv(tmp_path, keys, bloc
 
 @pytest.mark.parametrize(
     "text",
-    ["nan 0.1\n", "0.1 0.1\n1.4 0.3\n-1\n", "0.1 0.1\n1.4 0.3\n3000000\n", "0.1 0.1\n0.0 0.0\n1000\n"],
-    ids=["nan-point", "negative-burn-in", "burn-in-over-cap", "weak-key"],
+    ["nan 0.1\n", "0.1 0.1\n1.4 0.3\n-1\n", "0.1 0.1\n1.4 0.3\n3000000\n", "0.1 0.1\n0.0 0.0\n1000\n", "0.1 0.1\n1.4 0.3\n1000\n\n7\n"],
+    ids=["nan-point", "negative-burn-in", "burn-in-over-cap", "weak-key", "fourth-line"],
 )
 def test_henon_plot_bad_sym_key_exit_code(tmp_path, text, capsys):
     sym = tmp_path / "bad.sym"

@@ -154,13 +154,6 @@ def test_private_key_file_holds_exactly_32_bytes_of_hex(tmp_path, text):
     assert ecies.load_private_key(path).private_numbers().private_value == 255
 
 
-def test_public_key_file_holds_exactly_a_compressed_point(tmp_path, public_key):
-    path = tmp_path / "k.pub"
-    path.write_text(public_key.public_bytes(Encoding.X962, PublicFormat.UncompressedPoint).hex() + "\n")
-    with pytest.raises(IoError, match="k.pub"):
-        ecies.load_public_key(path)
-
-
 def test_key_file_rejects_garbage(tmp_path):
     bad = tmp_path / "bad"
     bad.write_text("not hex\n")

@@ -275,15 +275,6 @@ def test_permutation_memo_holds_the_tenants_working_set():
     assert henon.permutation_for_key.cache_info().maxsize * 8 * 0xFFFF <= 128 << 20
 
 
-def test_sym_key_file_with_a_fourth_line_is_refused(tmp_path):
-    path = tmp_path / "k.sym"
-    path.write_text("0.1 0.2\n1.4 0.3\n1000\n\n7\n")
-    with pytest.raises(IoError, match="k.sym"):
-        henon.load_sym_key(path)
-    path.write_text("0.1 0.2\n1.4 0.3\n1000\n\n")  # blank lines are not counted
-    assert henon.load_sym_key(path) == henon.SymKey(0.1, 0.2)
-
-
 def test_oversized_sym_key_file_is_io_error(tmp_path):
     path = tmp_path / "big.sym"
     path.write_text("0.1 0.2\n" + " " * (3 << 20))
