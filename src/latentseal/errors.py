@@ -23,7 +23,8 @@ class DivergenceError(LatentSealError):
 
 
 class WeakKeyError(LatentSealError):
-    """A symmetric key's map is not chaotic at the end of the span a permutation emits."""
+    """A symmetric key is weak: its first 100 orbit values repeat or sort into the identity
+    permutation, or its map is not chaotic at the start or end of the span a permutation emits."""
 
 
 class LengthMismatchError(LatentSealError):

@@ -11,9 +11,12 @@ The orbit is iterated in plain Python in a fixed evaluation order of
 64-bit IEEE operations, so sequences and permutations are bitwise
 reproducible.
 
-There is one cache: permutation_for_key memoises the permutation of each
-(key, m) pair, least recently used first out.  A miss, like every
-henon_sequence and henon_trajectory call, iterates the orbit from the key point.
+There is one cache and one weak-key rule, both in permutation_for_key: it
+memoises the permutation of each (key, m) pair, least recently used first
+out, and a miss refuses a weak key with WeakKeyError.  A miss, like every
+henon_sequence and henon_trajectory call, iterates the orbit from the key
+point.  load_sym_key and random_sym_key check a key by building its
+length-WEAK_KEY_SPAN permutation, the entry a DCT m = 100 seal then uses.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ CLASSICAL_B = 0.3
 GUARD = 100.0
 DEFAULT_BURN_IN = 1000
 MAX_BURN_IN = 100_000  # bounds the orbit steps a key file makes every load run
-WEAK_KEY_SPAN = 100  # orbit values SymKey.validate checks, and the steps of each twin-orbit test
+WEAK_KEY_SPAN = 100  # leading orbit values every permutation checks, and the steps of each twin-orbit test
 
 
 @dataclass(frozen=True)
@@ -52,36 +55,16 @@ class SymKey:
         if not 0 <= self.burn_in <= MAX_BURN_IN:
             raise ValueError(f"burn_in must be in [0, {MAX_BURN_IN}]")
 
-    def validate(self) -> None:
-        """Check the orbit survives burn_in + n + 1 steps without diverging, for
-        n = WEAK_KEY_SPAN, and that the key is not weak: its first n orbit
-        values must be distinct and must not sort into the identity
-        permutation, which would leave every shuffled latent in place.  The map
-        must also be chaotic where emission starts (_check_chaotic from the
-        first emitted point), or the permutation would not depend on the key
-        point.  Raises ValueError for a weak key.
-        """
-        n = WEAK_KEY_SPAN
-        xs, ys = _orbit(self, n + 1)  # points 1..n are the reference for the twin orbit
-        seq = xs[:n]
-        # not np.unique: its first call imports numpy.ma, a cost every cold CLI run would pay
-        ordered = np.sort(seq)
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise ValueError(f"weak key: the first {n} orbit values repeat")
-        if np.array_equal(ordered, seq):
-            raise ValueError(f"weak key: the length-{n} permutation is the identity")
-        _check_chaotic(self, xs, ys, 0, ValueError)
 
-
-def _check_chaotic(key: SymKey, xs: np.ndarray, ys: np.ndarray, start: int, error: type[Exception]) -> None:
-    """Raise error unless the key's orbit (xs, ys) is chaotic at point start: an
+def _check_chaotic(key: SymKey, xs: np.ndarray, ys: np.ndarray, start: int) -> None:
+    """Raise WeakKeyError unless the key's orbit (xs, ys) is chaotic at point start: an
     orbit from that point, and one from it with x moved by 1e-9, must come 1e-3
     apart over the points after it (a finite-time Lyapunov test)."""
     n = len(xs) - start - 1
     twin = _orbit(SymKey(float(xs[start]) + 1e-9, float(ys[start]), key.a, key.b, burn_in=0), n)
     gap = np.abs(np.subtract(twin, (xs[start + 1 :], ys[start + 1 :]))).max()
     if gap < 1e-3:
-        raise error(f"weak key: not chaotic from orbit value {start}, orbits 1e-9 apart stay within {gap:.2g} over {n} steps")
+        raise WeakKeyError(f"weak key: not chaotic from orbit value {start}, orbits 1e-9 apart stay within {gap:.2g} over {n} steps")
 
 
 def _orbit(key: SymKey, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,14 +115,27 @@ def permutation_from_sequence(seq: np.ndarray) -> np.ndarray:
 def permutation_for_key(key: SymKey, m: int) -> np.ndarray:
     """Keyed permutation of length m, memoised per (key, m); the array is read-only.
 
-    A miss iterates the key's orbit from the key point and stably argsorts it.
-    Past WEAK_KEY_SPAN it refuses with WeakKeyError a key whose orbit is not
-    chaotic at the end of the span, as one that settles on a cycle is not.
+    The one place the weak-key rule runs: a miss iterates the key's orbit once,
+    for max(m, n + 1) points with n = WEAK_KEY_SPAN, and raises WeakKeyError if
+    the first n values repeat or sort into the identity (the shuffle would move
+    nothing), or if the map is not chaotic at the first point or, for m > n,
+    n + 1 points before the end (an orbit settled on a cycle is not).  Otherwise
+    it stably argsorts the first m values.
     """
-    xs, ys = _orbit(key, m)
-    if m > WEAK_KEY_SPAN:
-        _check_chaotic(key, xs, ys, m - WEAK_KEY_SPAN - 1, WeakKeyError)
-    perm = permutation_from_sequence(xs)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    n = WEAK_KEY_SPAN
+    xs, ys = _orbit(key, max(m, n + 1))
+    # not np.unique: its first call imports numpy.ma, a cost every cold CLI run would pay
+    ordered = np.sort(xs[:n])
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise WeakKeyError(f"weak key: the first {n} orbit values repeat")
+    if np.array_equal(ordered, xs[:n]):
+        raise WeakKeyError(f"weak key: the length-{n} permutation is the identity")
+    _check_chaotic(key, xs[: n + 1], ys[: n + 1], 0)
+    if m > n + 1:  # at m = n + 1 the end point is point 0, checked above
+        _check_chaotic(key, xs, ys, m - n - 1)
+    perm = permutation_from_sequence(xs[:m])
     perm.setflags(write=False)
     return perm
 
@@ -179,9 +175,11 @@ def load_sym_key(path) -> SymKey:
         )
         burn_in = int(lines[2]) if len(lines) > 2 else DEFAULT_BURN_IN
         key = SymKey(x0, y0, a, b, burn_in)
-        key.validate()
-    except ValueError as e:
+        permutation_for_key(key, WEAK_KEY_SPAN)
+    except (ValueError, WeakKeyError) as e:
         raise IoError(f"malformed sym key file: {path}: {e}") from e
+    except DivergenceError as e:
+        raise DivergenceError(f"sym key file {path}: {e}") from e
     return key
 
 
@@ -193,7 +191,7 @@ def random_sym_key(rng: np.random.Generator) -> SymKey:
             float(rng.uniform(-0.2, 0.2)),
         )
         try:
-            key.validate()
+            permutation_for_key(key, WEAK_KEY_SPAN)
             return key
-        except (DivergenceError, ValueError):
+        except (DivergenceError, WeakKeyError):
             continue

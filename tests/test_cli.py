@@ -46,7 +46,7 @@ def test_keygen_writes_three_files(tmp_path):
     pub = ecies.load_public_key(prefix.with_suffix(".pub"))
     assert ecies.keygen(None) is not None  # entropy path sanity
     assert priv.public_key() == pub  # loadable pair
-    henon.load_sym_key(prefix.with_suffix(".sym")).validate()
+    henon.permutation_for_key(henon.load_sym_key(prefix.with_suffix(".sym")), henon.WEAK_KEY_SPAN)
 
 
 def test_keygen_appends_suffixes_to_a_dotted_prefix(tmp_path, capsys):
@@ -307,6 +307,17 @@ def test_a_key_that_settles_on_a_cycle_is_refused_by_encrypt_and_decrypt(tmp_pat
     assert not out.exists()
 
 
+def test_encrypt_runs_the_orbit_for_the_key_and_one_twin_only(tmp_path, keys, dct_model_path, test_image, monkeypatch):
+    # loading the key builds its m = 100 permutation, weak-key checks included, and the seal reuses it
+    calls = []
+    orbit = henon._orbit
+    monkeypatch.setattr(henon, "_orbit", lambda key, n: calls.append(n) or orbit(key, n))
+    henon.permutation_for_key.cache_clear()
+    assert run(["encrypt", str(test_image), "--model", str(dct_model_path), "--sym", str(keys) + ".sym",
+                "--pub", str(keys) + ".pub", "--out", str(tmp_path / "o.lsp")]) == EXIT_OK
+    assert calls == [henon.WEAK_KEY_SPAN + 1, henon.WEAK_KEY_SPAN]
+
+
 def test_make_dataset_and_evaluate(tmp_path, keys, capsys):
     data_dir = tmp_path / "data"
     assert run(["make-dataset", str(data_dir), "--count", "4", "--size", "16", "--seed", "1"]) == EXIT_OK
@@ -401,15 +412,16 @@ def test_henon_plot_blocks_give_the_bytes_of_one_joined_csv(tmp_path, keys, bloc
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["nan 0.1\n", "0.1 0.1\n1.4 0.3\n-1\n", "0.1 0.1\n1.4 0.3\n3000000\n", "0.1 0.1\n0.0 0.0\n1000\n", "0.1 0.1\n1.4 0.3\n1000\n\n7\n"],
-    ids=["nan-point", "negative-burn-in", "burn-in-over-cap", "weak-key", "fourth-line"],
+    "text,code",
+    [("nan 0.1\n", EXIT_IO), ("0.1 0.1\n1.4 0.3\n-1\n", EXIT_IO), ("0.1 0.1\n1.4 0.3\n3000000\n", EXIT_IO),
+     ("0.1 0.1\n0.0 0.0\n1000\n", EXIT_IO), ("0.1 0.1\n1.4 0.3\n1000\n\n7\n", EXIT_IO), ("3.0 3.0\n1.4 0.3\n0\n", EXIT_DIVERGENCE)],
+    ids=["nan-point", "negative-burn-in", "burn-in-over-cap", "weak-key", "fourth-line", "diverging"],
 )
-def test_henon_plot_bad_sym_key_exit_code(tmp_path, text, capsys):
+def test_henon_plot_bad_sym_key_exit_code(tmp_path, text, code, capsys):
     sym = tmp_path / "bad.sym"
     sym.write_text(text)
     out = tmp_path / "traj.csv"
-    assert run(["henon-plot", "--sym", str(sym), "--n", "10", "--out", str(out)]) == EXIT_IO
+    assert run(["henon-plot", "--sym", str(sym), "--n", "10", "--out", str(out)]) == code
     assert "bad.sym" in capsys.readouterr().err
     assert not out.exists()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentseal import henon
+from latentseal import codec, henon, images, pipeline
 from latentseal.errors import DivergenceError, IoError, LengthMismatchError, WeakKeyError
 
 CLASSICAL = (henon.CLASSICAL_A, henon.CLASSICAL_B)
@@ -195,22 +195,28 @@ def test_sym_key_file_defaults(tmp_path):
 def test_random_sym_key_always_valid():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        henon.random_sym_key(rng).validate()
+        henon.permutation_for_key(henon.random_sym_key(rng), henon.WEAK_KEY_SPAN)
 
 
-def test_weak_keys_rejected(tmp_path):
+def test_weak_keys_rejected(tmp_path, public_key, monkeypatch):
     # a fixed point: every orbit value is 1.0, and the stable argsort is the identity
     flat = henon.SymKey(0.1, 0.1, 0.0, 0.0)
-    with pytest.raises(ValueError, match="repeat"):
-        flat.validate()
+    with pytest.raises(WeakKeyError, match="repeat"):
+        henon.permutation_for_key(flat, henon.WEAK_KEY_SPAN)
     # distinct values, but strictly increasing: the shuffle moves nothing
     rising = henon.SymKey(0.1, 0.0, 0.0, 1.0, burn_in=0)
-    with pytest.raises(ValueError, match="identity"):
-        rising.validate()
+    with pytest.raises(WeakKeyError, match="identity"):
+        henon.permutation_for_key(rising, henon.WEAK_KEY_SPAN)
     path = tmp_path / "weak.sym"
     henon.save_sym_key(flat, path)
     with pytest.raises(IoError):
         henon.load_sym_key(path)
+    # a key built in code, never loaded, is refused at a length under the span too
+    with pytest.raises(WeakKeyError, match="repeat"):
+        henon.permutation_for_key(flat, 50)
+    monkeypatch.setattr(pipeline, "ecies_encrypt", lambda *args, **kwargs: pytest.fail("sealed under a weak key"))
+    with pytest.raises(WeakKeyError, match="repeat"):
+        pipeline.compress_encrypt(images.smooth_gradient(16), codec.dct_model(50), flat, public_key)
 
 
 @pytest.mark.parametrize("x0,y0,a,b", [(float("nan"), 0.1, 1.4, 0.3), (0.1, 0.1, float("inf"), 0.3), (0.1, 0.1, 1.4, float("nan"))])
@@ -289,8 +295,8 @@ NON_CHAOTIC = [(0.2, 0.3, 0), (0.2, 0.3, 10), (0.5, 0.1, 0), (0.9, 0.3, 0), (1.0
 @pytest.mark.parametrize("a,b,burn_in", NON_CHAOTIC)
 def test_non_chaotic_keys_rejected(tmp_path, a, b, burn_in):
     key = henon.SymKey(0.1, 0.05, a, b, burn_in)
-    with pytest.raises(ValueError, match="not chaotic"):
-        key.validate()
+    with pytest.raises(WeakKeyError, match="not chaotic"):
+        henon.permutation_for_key(key, henon.WEAK_KEY_SPAN)
     path = tmp_path / "k.sym"
     henon.save_sym_key(key, path)
     with pytest.raises(IoError, match="not chaotic"):
@@ -299,15 +305,14 @@ def test_non_chaotic_keys_rejected(tmp_path, a, b, burn_in):
 
 @pytest.mark.parametrize("burn_in", [0, 1000])
 def test_chaotic_non_classical_key_accepted(burn_in):
-    henon.SymKey(0.1, 0.05, 1.2, 0.3, burn_in).validate()
+    henon.permutation_for_key(henon.SymKey(0.1, 0.05, 1.2, 0.3, burn_in), henon.WEAK_KEY_SPAN)
 
 
 def test_a_key_that_settles_on_a_cycle_is_refused_past_the_span_validate_checks():
-    # chaotic near the key point, so validate passes it; then its orbit repeats with period 7
+    # chaotic near the key point, so it passes at the span a load checks; then its orbit repeats with period 7
     key = henon.SymKey(0.1, 0.1, 1.23, 0.3, 0)
-    key.validate()
+    henon.permutation_for_key(key, henon.WEAK_KEY_SPAN)
     assert len(set(henon.henon_sequence(key, 400).tolist())) == 181
-    henon.permutation_for_key(key, henon.WEAK_KEY_SPAN)  # the span validate checked
     for m in (400, 4096, 0xFFFF):
         with pytest.raises(WeakKeyError, match="not chaotic"):
             henon.permutation_for_key(key, m)
