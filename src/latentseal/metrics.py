@@ -18,7 +18,10 @@ covariance from the exact integer moments, each rounded once.
 
 Window sums cost O(log w) array additions per axis: runs of 1, 2, 4, ...
 consecutive entries are built by adding shifted copies, and the runs
-named by the bits of w are added end to end.
+named by the bits of w are added end to end.  Windowed SSIM works through
+the output rows in bands whose integer buffers take about BAND_BYTES, and
+lays each band's float stage over those buffers once they are spent, so
+it needs 8 bytes per window for the map of values and one band beside it.
 """
 
 import math
@@ -31,6 +34,7 @@ from .images import check_image
 
 C1 = (0.01 * 255.0) ** 2
 C2 = (0.03 * 255.0) ** 2
+BAND_BYTES = 16 << 20  # integer buffers of one band of windowed SSIM
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,60 +116,64 @@ def _window_sums(x: np.ndarray, spare: np.ndarray, w: int, out: np.ndarray) -> n
 def _ssim_windows(a, b, w) -> float:
     """Mean of per-window structural similarity over all w*w windows.
 
-    One stack holds the planes a, b, a*a, b*b and a*b.  It is summed over
-    w rows, then over w columns with the row sums read as one long row: a
-    sum that runs past the end of a row lands in an entry that is dropped,
-    and a zero tail keeps the last ones inside the array.  The formula
-    follows a direct loop's order of floating-point operations.  Every
-    buffer is a view of one allocation, which the allocator reuses from
-    call to call; a dozen separate temporaries of this size are handed
-    back to the operating system after each call and faulted in again on
-    the next, which costs more than the arithmetic.
+    Output rows are taken in bands of at least w - 1 rows, as many as keep a
+    band's three integer buffers of 5 planes near BAND_BYTES, so the rows a
+    band shares with the next at most double its row pass.  Per band, one
+    stack holds the planes a, b, a*a, b*b and a*b.  It is summed over w
+    rows into the row-sum buffer, with the spare buffer for the doubling
+    runs, then over w columns into the spare buffer with the row sums read
+    as one long row: a sum that runs past the end of a row lands in an entry
+    that is dropped, and a zero tail keeps the last ones inside the array.
+    The float stage then lies over integer buffers no longer needed: the
+    five moments over the stack and row sums, and mu_a*mu_b over the spare
+    buffer.  Each band's values go into one (hh, ww) map, and the mean is
+    taken once, over the whole map.  The formula follows a direct loop's
+    order of floating-point operations.
     """
     h, wd = a.shape
     hh, ww = h - w + 1, wd - w + 1
-    big, small = 5 * h * wd, 5 * hh * wd  # entries in the pixel stack, in the row sums
-    acc = np.int32 if (255 * w) ** 2 < 2**31 else np.int64
-    arena = np.empty(64 * hh * ww + (2 * big + small + w - 1) * np.dtype(acc).itemsize, np.uint8)
-    floats = arena[: 64 * hh * ww].view(np.float64).reshape(8, hh, ww)
-    ints = arena[64 * hh * ww :].view(acc)
-    x, spare, rows = ints[:big], ints[big : 2 * big], ints[2 * big :]
+    acc = np.dtype(np.int32 if (255 * w) ** 2 < 2**31 else np.int64)
+    band = min(hh, max(BAND_BYTES // (15 * acc.itemsize * wd), w - 1, 1))
+    big = 5 * (band + w - 1) * wd  # entries in the pixel stack and in the spare buffer
+    front = ((big + 5 * band * wd + w - 1) * acc.itemsize + 7) // 8  # float64 slots over the stack and row sums
+    arena = np.empty(front + (big * acc.itemsize + 7) // 8)
+    ints, spare = arena[:front].view(acc), arena[front:].view(acc)
+    ssim_map = np.empty((hh, ww))
+    for top in range(0, hh, band):
+        n = min(band, hh - top)  # output rows of this band
+        stack = ints[: 5 * (n + w - 1) * wd].reshape(5, n + w - 1, wd)
+        stack[0], stack[1] = a[top : top + n + w - 1], b[top : top + n + w - 1]
+        np.multiply(stack[0], stack[0], out=stack[2])
+        np.multiply(stack[1], stack[1], out=stack[3])
+        np.multiply(stack[0], stack[1], out=stack[4])
+        rows = ints[big : big + 5 * n * wd + w - 1]
+        rows[5 * n * wd :] = 0  # the float stage of the band before wrote over the zero tail
+        _window_sums(stack, spare[: stack.size].reshape(stack.shape), w, rows[: 5 * n * wd].reshape(5, n, wd))
+        flat = (1, -1, 1)
+        sums = _window_sums(rows.reshape(flat), ints[: rows.size].reshape(flat), w, spare[: 5 * n * wd].reshape(flat))
 
-    stack = x.reshape(5, h, wd)
-    stack[0], stack[1] = a, b
-    np.multiply(stack[0], stack[0], out=stack[2])
-    np.multiply(stack[1], stack[1], out=stack[3])
-    np.multiply(stack[0], stack[1], out=stack[4])
-    rows[small:] = 0
-    _window_sums(stack, spare.reshape(5, h, wd), w, rows[:small].reshape(5, hh, wd))
-    flat = (1, -1, 1)
-    sums = _window_sums(rows.reshape(flat), x[: rows.size].reshape(flat), w, spare[:small].reshape(flat))
-
-    moments = floats[:5]
-    np.multiply(sums.reshape(5, hh, wd)[:, :, :ww], 1.0 / (w * w), out=moments)
-    mu_a, mu_b, var_a, var_b, cov = moments  # var_a, var_b, cov hold E[a*a], E[b*b], E[a*b]
-    aa, bb, ab = floats[5:]
-    np.multiply(mu_a, mu_a, out=aa)
-    np.multiply(mu_b, mu_b, out=bb)
-    np.multiply(mu_a, mu_b, out=ab)
-    var_a -= aa
-    var_b -= bb
-    cov -= ab
-    num = mu_a  # (2 mu_a mu_b + C1) (2 cov + C2), overwriting mu_a
-    num *= 2.0
-    num *= mu_b
-    num += C1
-    cov *= 2.0
-    cov += C2
-    num *= cov
-    den = aa  # (mu_a^2 + mu_b^2 + C1) (var_a + var_b + C2)
-    den += bb
-    den += C1
-    var_a += var_b
-    var_a += C2
-    den *= var_a
-    num /= den
-    return float(np.mean(num))
+        moments = arena[: 5 * n * ww].reshape(5, n, ww)
+        np.multiply(sums.reshape(5, n, wd)[:, :, :ww], 1.0 / (w * w), out=moments)
+        mu_a, mu_b, var_a, var_b, cov = moments  # var_a, var_b, cov hold E[a*a], E[b*b], E[a*b]
+        num = np.multiply(mu_a, mu_b, out=arena[front : front + n * ww].reshape(n, ww))
+        cov -= num
+        num *= 2.0  # exact, so this is (2 mu_a) mu_b: num = (2 mu_a mu_b + C1) (2 cov + C2)
+        num += C1
+        cov *= 2.0
+        cov += C2
+        num *= cov
+        den = mu_a  # (mu_a^2 + mu_b^2 + C1) (var_a + var_b + C2)
+        den *= mu_a
+        mu_b *= mu_b
+        var_a -= den
+        var_b -= mu_b
+        den += mu_b
+        den += C1
+        var_a += var_b
+        var_a += C2
+        den *= var_a
+        np.divide(num, den, out=ssim_map[top : top + n])
+    return float(np.mean(ssim_map))
 
 
 @dataclass

@@ -101,6 +101,27 @@ def test_decrypt_of_the_largest_legal_payload_stays_within_its_envelope(tmp_path
     assert seconds <= 2.0, seconds
 
 
+def test_evaluate_with_a_window_of_a_p5_at_the_cap_stays_within_its_envelope(tmp_path):
+    # windowed SSIM over 4096² takes its map of 8 bytes per window and one band of metrics.BAND_BYTES.
+    # Measured on a 2-vCPU Xeon under Linux: VmHWM 222 460-223 400 KiB and 0.95-1.2 s for the whole child,
+    # interpreter start included, so the bounds below leave about 1.34x on memory and 3.3x on time.  One
+    # arena for the whole image peaked at 2 102 588-2 103 404 KiB.
+    prefix, model, img_dir = tmp_path / "key", tmp_path / "dct.lscm", tmp_path / "images"
+    assert cli.main(["keygen", str(prefix), "--seed", "1"]) == 0
+    assert cli.main(["make-model", str(model), "--m", "100"]) == 0
+    img_dir.mkdir()
+    raster = (np.arange(SIDE * SIDE, dtype=np.uint32) % 251).astype(np.uint8)
+    (img_dir / "in.pgm").write_bytes(b"P5\n%d %d\n255\n" % (SIDE, SIDE) + raster.tobytes())
+    out = tmp_path / "report.csv"
+    start = time.perf_counter()
+    _, peak = _run_child(["evaluate", str(img_dir), "--model", str(model), "--sym", f"{prefix}.sym", "--pub",
+                          f"{prefix}.pub", "--priv", f"{prefix}.priv", "--out", str(out), "--window", "7"])
+    seconds = time.perf_counter() - start
+    assert len(out.read_text().splitlines()) == 2  # the header and the image's row
+    assert peak <= 300_000, peak  # KiB
+    assert seconds <= 4.0, seconds
+
+
 def test_a_neural_model_just_under_the_cap_loads_within_its_envelope(tmp_path):
     # encoder 4096 -> m and decoder m -> 4096 at the largest m whose file fits codec.MODEL_CAP.  The weights
     # are zero, written as a sparse file, so the file costs no time to make; load_model reads, copies and

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,13 +159,22 @@ def _ssim_summed_area(a, b, w, c1, c2):
     return float(np.mean(num / den))
 
 
-def _assert_windowed_bitwise(a, b, w):
-    got = metrics.ssim(a, b, w)
+# A 4 KiB budget makes bands of max(4096 // (60 * width), w - 1, 1) rows: 79 of the 139 cases of the
+# every-window test and 5 of the 6 windows on 128x96 run in several bands, most with a short last band.
+# The 200x200 images of the int32 test stay one band at any budget, since a band is at least w - 1 rows.
+SMALL_BAND_BYTES = 4096
+
+
+def _assert_windowed_bitwise(a, b, w, monkeypatch):
     want = _ssim_summed_area(a, b, w, metrics.C1, metrics.C2)
-    assert got.hex() == want.hex(), (a.shape, w, got, want)
+    for band_bytes in (metrics.BAND_BYTES, SMALL_BAND_BYTES):
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "BAND_BYTES", band_bytes)
+            got = metrics.ssim(a, b, w)
+        assert got.hex() == want.hex(), (a.shape, w, band_bytes, got, want)
 
 
-def test_windowed_ssim_bitwise_equals_summed_area_oracle_every_window():
+def test_windowed_ssim_bitwise_equals_summed_area_oracle_every_window(monkeypatch):
     rng = np.random.default_rng(5)
     for _ in range(16):
         h, w = (int(v) for v in rng.integers(1, 24, 2))
@@ -172,10 +182,10 @@ def test_windowed_ssim_bitwise_equals_summed_area_oracle_every_window():
         noise = rng.integers(-12, 13, (h, w))
         for b in (rng.integers(0, 256, (h, w), dtype=np.uint8), np.clip(a + noise, 0, 255).astype(np.uint8)):
             for window in range(1, min(h, w) + 1):
-                _assert_windowed_bitwise(a, b, window)
+                _assert_windowed_bitwise(a, b, window, monkeypatch)
 
 
-def test_windowed_ssim_bitwise_at_the_int32_boundary():
+def test_windowed_ssim_bitwise_at_the_int32_boundary(monkeypatch):
     # 255**2 * w**2 fits in int32 up to w = 181; from w = 182 on, the
     # all-255 image's sum of squares does not, so the sums must widen.
     a = np.full((200, 200), 255, dtype=np.uint8)
@@ -183,16 +193,32 @@ def test_windowed_ssim_bitwise_at_the_int32_boundary():
     b[::3, ::2] = 7
     assert 255**2 * 181**2 < 2**31 <= 255**2 * 182**2
     for window in (181, 182, 200):
-        _assert_windowed_bitwise(a, b, window)
-        _assert_windowed_bitwise(a, a, window)
+        _assert_windowed_bitwise(a, b, window, monkeypatch)
+        _assert_windowed_bitwise(a, a, window, monkeypatch)
 
 
-def test_windowed_ssim_bitwise_on_larger_images():
+def test_windowed_ssim_bitwise_on_larger_images(monkeypatch):
     rng = np.random.default_rng(6)
     a = rng.integers(0, 256, (128, 96), dtype=np.uint8)
     b = np.clip(a + rng.integers(-30, 31, a.shape), 0, 255).astype(np.uint8)
     for window in (7, 11, 16, 31, 64, 96):
-        _assert_windowed_bitwise(a, b, window)
+        _assert_windowed_bitwise(a, b, window, monkeypatch)
+
+
+def test_windowed_ssim_peaks_at_its_map_plus_one_band():
+    # 8 bytes per window hold the map of values; the band's buffers are at most BAND_BYTES plus the w - 1 rows
+    # that its stack and spare buffer share with the next band, 245 760 bytes here.  Measured: 25 378 008
+    # bytes, 24.2 per pixel, where one arena for the whole image took 129 184 152, 123 per pixel.
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
+    b = np.clip(a + rng.integers(-20, 21, a.shape), 0, 255).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        metrics.ssim(a, b, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 1018 * 1018 + 1.25 * metrics.BAND_BYTES, peak
 
 
 def test_mse_and_psnr_exact_for_8bit():
