@@ -1,46 +1,28 @@
-"""latentseal: latent-space image compression with chaotic shuffling and ECIES."""
+"""latentseal: latent-space image compression with chaotic shuffling and ECIES.
 
-from .codec import CodecModel, dct_decode, dct_encode, dct_model, load_model, save_model
-from .ecies import ecies_decrypt, ecies_encrypt, keygen
-from .henon import SymKey, deshuffle, permutation_from_sequence, shuffle
-from .metrics import QualityReport, mse, psnr, ssim
-from .pipeline import EncryptedPayload, compress_encrypt, decrypt_reconstruct, evaluate
+Each exported name is imported from its module on first use, so a process
+loads only the modules it runs."""
+
+import importlib
 
 __version__ = "0.1.0"
 
+_HOME = {  # exported name -> the module that defines it
+    name: module
+    for module, names in {
+        "codec": "CodecModel dct_decode dct_encode dct_model load_model save_model",
+        "ecies": "ecies_decrypt ecies_encrypt keygen",
+        "henon": "SymKey deshuffle permutation_from_sequence shuffle",
+        "metrics": "QualityReport mse psnr ssim",
+        "pipeline": "EncryptedPayload compress_encrypt decrypt_reconstruct evaluate",
+        "train": "TrainConfig gan_objective train_autoencoder",
+    }.items()
+    for name in names.split()
+}
+__all__ = sorted(_HOME)
+
 
 def __getattr__(name):
-    """Training is imported on first use, so a cold encrypt or decrypt never loads it."""
-    if name in ("TrainConfig", "gan_objective", "train_autoencoder"):
-        from . import train
-
-        return getattr(train, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CodecModel",
-    "EncryptedPayload",
-    "QualityReport",
-    "SymKey",
-    "TrainConfig",
-    "compress_encrypt",
-    "dct_decode",
-    "dct_encode",
-    "dct_model",
-    "decrypt_reconstruct",
-    "deshuffle",
-    "ecies_decrypt",
-    "ecies_encrypt",
-    "evaluate",
-    "gan_objective",
-    "keygen",
-    "load_model",
-    "mse",
-    "permutation_from_sequence",
-    "psnr",
-    "save_model",
-    "shuffle",
-    "ssim",
-    "train_autoencoder",
-]
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -17,18 +17,17 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import codec, ecies, henon, images, pipeline
 # the error classes own their exit codes; EXIT_AUTH, EXIT_DIVERGENCE and EXIT_FORMAT are re-exported for callers
 from .errors import EXIT_AUTH, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO, IoError, LatentSealError, atomic_write, read_file
-from .metrics import QualityReport
+from .wire import MAX_PIXELS, PAYLOAD_CAP
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 
 
 def cmd_keygen(args) -> int:
+    import numpy as np  # random_sym_key draws from numpy's Generator
+    from . import ecies, henon
     rng = np.random.default_rng(args.seed)
     priv = ecies.keygen(None if args.seed is None else rng.bytes(32))
     sym = henon.random_sym_key(rng)
@@ -41,14 +40,14 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_make_model(args) -> int:
+    from . import codec
     codec.save_model(codec.dct_model(args.m), args.out)
     print(f"wrote dct model (m={args.m}) to {args.out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    from . import train  # imported here, like transfer: encrypt and decrypt never load it
-
+    from . import codec, images, train
     paths = images.pgm_paths(args.dataset_dir)
     if not paths:
         raise IoError(f"no .pgm images in {args.dataset_dir}")
@@ -70,6 +69,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
+    from . import codec, ecies, henon, images, pipeline
     img = images.read_image(args.image)
     model = codec.load_model(args.model)
     sym = henon.load_sym_key(args.sym)
@@ -81,7 +81,8 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    payload = pipeline.EncryptedPayload.parse(read_file(args.payload, pipeline.PAYLOAD_CAP))
+    from . import codec, ecies, henon, images, pipeline
+    payload = pipeline.EncryptedPayload.parse(read_file(args.payload, PAYLOAD_CAP))
     model = codec.load_model(args.model)
     sym = henon.load_sym_key(args.sym)
     priv = ecies.load_private_key(args.priv)
@@ -92,12 +93,13 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import codec, ecies, henon, images, metrics, pipeline
     model = codec.load_model(args.model)
     sym = henon.load_sym_key(args.sym)
     pub = ecies.load_public_key(args.pub)
     priv = ecies.load_private_key(args.priv)
     paths = images.pgm_paths(args.image_dir)
-    rows = [QualityReport.CSV_HEADER]
+    rows = [metrics.QualityReport.CSV_HEADER]
     failures = 0
     for path in paths:
         try:
@@ -116,6 +118,7 @@ _PLOT_BLOCK = 65536  # henon-plot rows formatted per block
 
 
 def cmd_henon_plot(args) -> int:
+    from . import henon
     sym = henon.load_sym_key(args.sym)
     points = henon.henon_trajectory(sym, args.n)
     # formatted _PLOT_BLOCK rows at a time, so the CSV is never held whole
@@ -130,7 +133,6 @@ def cmd_henon_plot(args) -> int:
 
 def cmd_send(args) -> int:
     from . import transfer
-
     transfer.send_file(args.payload, *args.dest, args.throttle)
     print("sent")
     return EXIT_OK
@@ -138,13 +140,13 @@ def cmd_send(args) -> int:
 
 def cmd_recv(args) -> int:
     from . import transfer
-
     n = transfer.recv_file(args.port, args.out, timeout=args.timeout)
     print(f"received {n} bytes to {args.out}")
     return EXIT_OK
 
 
 def cmd_make_dataset(args) -> int:
+    from . import images
     paths = images.make_dataset(args.out_dir, args.count, args.size, args.seed)
     print(f"wrote {len(paths)} images to {args.out_dir}")
     return EXIT_OK
@@ -170,7 +172,7 @@ _POSITIVE_FINITE = _checked(float, "a finite number > 0", lambda v: 0 < v < math
 _NON_NEGATIVE_FINITE = _checked(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
 _SECONDS = _checked(float, "seconds in (0, 86400]", lambda v: 0 < v <= 86400)  # settimeout overflows near 9.2e9 s
 _RATE = _checked(float, "a finite number >= 1", lambda v: 1 <= v < math.inf)  # bytes/s; tiny rates overflow sleep
-_SIDE = _checked(int, f"an integer in 1..{math.isqrt(images.MAX_PIXELS)}", lambda v: 1 <= v * v <= images.MAX_PIXELS)
+_SIDE = _checked(int, f"an integer in 1..{math.isqrt(MAX_PIXELS)}", lambda v: 1 <= v * v <= MAX_PIXELS)
 _M = _checked(int, "an integer in 1..65535", lambda v: 1 <= v <= 0xFFFF)  # the payload header's range
 _PREFIX = _checked(str, "a prefix that ends in a file name, not a separator", lambda p: os.path.basename(p) != "")
 _POINTS = _checked(int, "an integer in 0..1000000", lambda v: 0 <= v <= 1_000_000)  # henon-plot's CSV, ~40 MB
@@ -188,8 +190,9 @@ _DEST = _checked(_host_port, "host:port with a port in 0..65535", lambda d: d[0]
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
 
-    Parsing leaves it unchanged, and the subcommands look up the library
-    functions they call at call time, so one parser serves every call.
+    Parsing leaves it unchanged, and each subcommand imports the library
+    modules it runs when it runs, so one parser serves every call and a
+    command loads nothing it does not use.
     """
     parser = argparse.ArgumentParser(prog="latentseal")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,13 +285,16 @@ def main(argv=None) -> int:
 def run() -> None:
     """The program's entry: `latentseal` and `python -m latentseal.cli`.
 
-    Everything imported by now lives until exit, so it is frozen out of the
-    collector's reach, and interpreter shutdown does not walk it again.
-    main never freezes: callers that run it in-process, many times, keep
-    their heap collectable.
+    A process that runs one command keeps what it builds until exit, so the
+    collector is paused for main, which spares the collections its imports
+    would set off, and what is left is frozen, so interpreter shutdown does
+    not walk it again.  main never touches the collector: callers that run
+    it in-process, many times, keep their heap collectable.
     """
+    gc.disable()
+    code = main()
     gc.freeze()
-    sys.exit(main())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -29,14 +29,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IoError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError, atomic_write, read_file
-from .images import MAX_PIXELS, check_image, quantize
+from .images import check_image, quantize
+from .wire import KIND_DCT, KIND_NEURAL, MAX_PIXELS  # the codec ids are the payload header's
 
 MODEL_MAGIC = b"LSCM"
 MODEL_VERSION = 1
 _MODEL_HEADER = "<BBI"  # version, codec kind and m, after the magic
 _LAYERS_AT = len(MODEL_MAGIC) + struct.calcsize(_MODEL_HEADER)  # offset of a neural model's first layer stack
-KIND_DCT = 0
-KIND_NEURAL = 1
 
 
 def zigzag_indices(height: int, width: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:

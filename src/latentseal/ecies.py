@@ -21,13 +21,11 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import KEY_FILE_CAP, AuthFailureError, InvalidPointError, IoError, atomic_write, read_file
+from .wire import KEY_LEN, OVERHEAD, TAG_LEN  # the ciphertext's sizes are part of the payload's wire format
 
 CURVE = ec.SECP256R1()
 CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 KDF_INFO = b"latentseal-v1"
-KEY_LEN = 33  # compressed point
-TAG_LEN = 16
-OVERHEAD = KEY_LEN + TAG_LEN
 
 
 def _compress(pub: ec.EllipticCurvePublicKey) -> bytes:

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoError, ShapeMismatchError, atomic_write, read_file
+from .wire import MAX_PIXELS
 
-MAX_PIXELS = 1 << 24  # largest width * height read from a PGM or declared by a payload; bounds every image allocation
 PNM_HEADER_CAP = 4096  # bytes: the header and its comments, through the whitespace byte before the raster
 PNM_CAP = 3 * MAX_PIXELS + PNM_HEADER_CAP  # bytes: a P6 raster of MAX_PIXELS pixels and its header
 P6_BLOCK_ROWS = 256  # rows of a P6 raster converted to float at once: 24 MiB of float64 at 4096 columns

@@ -7,61 +7,20 @@ key.  Receiver inverts each step.  The crypto and shuffle layers are
 exactly lossless: the only loss in the chain is the codec's.
 """
 
-import struct
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from .codec import KIND_DCT, KIND_NEURAL, CodecModel
-from .ecies import OVERHEAD, ecies_decrypt, ecies_encrypt
-from .errors import BadHeaderError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError
+from .codec import CodecModel
+from .ecies import ecies_decrypt, ecies_encrypt
+from .errors import NonFiniteLatentError, ShapeMismatchError
 from .henon import SymKey, deshuffle, permutation_for_key, shuffle
-from .images import MAX_PIXELS, check_image
+from .images import check_image
 from .metrics import QualityReport, mse, psnr, ssim
-
-PAYLOAD_MAGIC = b"LSP1"
-PAYLOAD_VERSION = 1
-HEADER_LEN = 12  # magic(4) version(1) codec_id(1) m(2) width(2) height(2)
-PAYLOAD_CAP = HEADER_LEN + 4 * 0xFFFF + OVERHEAD  # largest legal payload, 262 201 bytes
-_HEADER_FIELDS = "<BBHHH"
-
-
-def _check_header_fields(codec_id: int, m: int, width: int, height: int, m_error, field_error) -> None:
-    """The header's field rules, shared by the sender and the receiver: codec
-    id 0 (DCT) or 1 (neural), m and each side in 1..65535, width * height at
-    most MAX_PIXELS, which bounds the decoder's allocation, and for DCT m at
-    most width * height, the image's coefficient count."""
-    if codec_id not in (KIND_DCT, KIND_NEURAL):
-        raise field_error(f"codec id {codec_id} is neither {KIND_DCT} (DCT) nor {KIND_NEURAL} (neural)")
-    if not 1 <= m <= 0xFFFF:
-        raise m_error(f"m={m} outside the header's 1..65535")
-    if not (1 <= width <= 0xFFFF and 1 <= height <= 0xFFFF and width * height <= MAX_PIXELS):
-        raise field_error(f"image {width}x{height} outside the header's 1..65535 per side and {MAX_PIXELS} pixels")
-    if codec_id == KIND_DCT and m > width * height:
-        raise m_error(f"DCT m={m} exceeds the {width}x{height} image's {width * height} coefficients")
-
-
-def _pack_header(codec_id: int, m: int, width: int, height: int) -> bytes:
-    _check_header_fields(codec_id, m, width, height, MTooLargeError, ShapeMismatchError)
-    return PAYLOAD_MAGIC + struct.pack(_HEADER_FIELDS, PAYLOAD_VERSION, codec_id, m, width, height)
-
-
-def header_fields(header: bytes, length: int) -> tuple[int, int, int, int]:
-    """(codec_id, m, width, height) of a payload of length bytes that starts
-    with header, by decrypt's rules: the magic, the version, the field rules
-    and a body of 4m + OVERHEAD bytes.  Anything else raises BadHeaderError.
-    Only the first HEADER_LEN bytes of header are read."""
-    if len(header) < HEADER_LEN or header[:4] != PAYLOAD_MAGIC:
-        raise BadHeaderError("missing payload magic")
-    version, codec_id, m, width, height = struct.unpack(_HEADER_FIELDS, header[4:HEADER_LEN])
-    if version != PAYLOAD_VERSION:
-        raise BadHeaderError(f"unsupported payload version {version}")
-    _check_header_fields(codec_id, m, width, height, BadHeaderError, BadHeaderError)
-    if length - HEADER_LEN != 4 * m + OVERHEAD:
-        raise BadHeaderError(f"body length {length - HEADER_LEN} inconsistent with m={m}")
-    return codec_id, m, width, height
+# the payload's wire format lives in wire; PAYLOAD_CAP, PAYLOAD_MAGIC and PAYLOAD_VERSION are re-exported for callers
+from .wire import HEADER_LEN, PAYLOAD_CAP, PAYLOAD_MAGIC, PAYLOAD_VERSION, _pack_header, header_fields
 
 
 def _finite(latent: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Wire format: 4-byte big-endian length prefix followed by the payload
 bytes.  A frame must be a payload that decrypt accepts: at most FRAME_CAP
-(pipeline.PAYLOAD_CAP, 262 201 bytes), and passing EncryptedPayload.parse's
-header rules (magic, version, header fields, a body of 4m + 49 bytes).
+(wire.PAYLOAD_CAP, 262 201 bytes), and passing wire.header_fields' rules
+(magic, version, header fields, a body of 4m + 49 bytes).
 send_file checks the cap before reading its file and the header rules
 before connecting; the receiver checks both on the length prefix and the
 12 header bytes, before it waits for the body.
@@ -14,7 +14,7 @@ import struct
 import time
 
 from .errors import BadHeaderError, FrameTooLargeError, IoError, atomic_write, read_file
-from .pipeline import HEADER_LEN, PAYLOAD_CAP, header_fields
+from .wire import HEADER_LEN, PAYLOAD_CAP, header_fields
 
 FRAME_CAP = PAYLOAD_CAP
 CHUNK = 4096
@@ -90,7 +90,10 @@ def recv_bytes(port: int, host: str = "", timeout: float = TIMEOUT) -> bytes:
 def send_file(path, host: str, port: int, throttle: float | None = None) -> None:
     data = read_file(path, PAYLOAD_CAP)
     header_fields(data, len(data))
-    send_bytes(data, host, port, throttle)
+    try:
+        send_bytes(data, host, port, throttle)
+    except OSError as e:  # refused, unreachable or unresolved: say where to
+        raise IoError(f"cannot send to {host}:{port}: {e}") from e
 
 
 def recv_file(port: int, out_path, host: str = "", timeout: float = TIMEOUT) -> int:

@@ -103,9 +103,10 @@ def test_decrypt_of_the_largest_legal_payload_stays_within_its_envelope(tmp_path
 
 def test_evaluate_with_a_window_of_a_p5_at_the_cap_stays_within_its_envelope(tmp_path):
     # windowed SSIM over 4096² takes its map of 8 bytes per window and one band of metrics.BAND_BYTES.
-    # Measured on a 2-vCPU Xeon under Linux: VmHWM 222 460-223 400 KiB and 0.95-1.2 s for the whole child,
-    # interpreter start included, so the bounds below leave about 1.34x on memory and 3.3x on time.  One
-    # arena for the whole image peaked at 2 102 588-2 103 404 KiB.
+    # Measured on a 2-vCPU Xeon under Linux with 1 MiB bands: VmHWM 208 312-208 440 KiB and 1.28-1.45 s for
+    # the whole child, interpreter start included, so the bounds below leave about 1.44x on memory and 2.8x
+    # on time.  16 MiB bands peaked at 222 460-223 444 KiB, and one arena for the whole image at
+    # 2 102 588-2 103 404 KiB.
     prefix, model, img_dir = tmp_path / "key", tmp_path / "dct.lscm", tmp_path / "images"
     assert cli.main(["keygen", str(prefix), "--seed", "1"]) == 0
     assert cli.main(["make-model", str(model), "--m", "100"]) == 0

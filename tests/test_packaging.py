@@ -2,6 +2,7 @@ import ast
 import gc
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -83,9 +84,11 @@ def test_every_file_is_written_through_the_one_writer():
 
 
 def test_only_the_program_entry_freezes_the_heap():
-    # a frozen heap is never collected again, which only a process that is
-    # about to exit can afford; library callers of cli.main must not pay it
+    # a frozen heap is never collected again, and a paused collector collects
+    # nothing, which only a process that is about to exit can afford; library
+    # callers of cli.main must not pay it
     assert _callers(lambda name, call: name == "freeze") == {("cli", "run")}
+    assert _callers(lambda name, call: name == "disable") == {("cli", "run")}
 
 
 def test_installed_script_is_the_program_entry():
@@ -154,16 +157,17 @@ def _fresh_python(code: str) -> str:
 
 
 def test_run_freezes_the_heap_then_exits_with_mains_code():
+    # main runs with the collector paused, and the heap is frozen by the time run exits
     code = (
         "import gc\n"
         "from latentseal import cli\n"
-        "cli.main = lambda argv=None: print(gc.get_freeze_count() > 0) or 7\n"
+        "cli.main = lambda argv=None: print(gc.isenabled()) or 7\n"
         "try:\n"
         "    cli.run()\n"
         "except SystemExit as e:\n"
-        "    print(e.code)\n"
+        "    print(gc.get_freeze_count() > 0, e.code)\n"
     )
-    assert _fresh_python(code).splitlines() == ["True", "7"]
+    assert _fresh_python(code).splitlines() == ["False", "True 7"]
 
 
 def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
@@ -175,8 +179,24 @@ def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
     assert gc.get_freeze_count() == 0
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    assert _fresh_python("import sys, latentseal.cli; print('scipy' in sys.modules)") == "False"
+def _after_encrypt_and_decrypt(tmp_path, code: str) -> str:
+    """The last line `code` prints in a new interpreter that first runs a real encrypt and decrypt through cli.main."""
+    from latentseal import cli, images
+
+    k, model, img, sealed = (str(tmp_path / name) for name in ("k", "m.lscm", "in.pgm", "p.lsp"))
+    assert cli.main(["keygen", k, "--seed", "1"]) == 0
+    assert cli.main(["make-model", model, "--m", "16"]) == 0
+    images.write_image(images.smooth_gradient(16), img)
+    commands = [
+        ["encrypt", img, "--model", model, "--sym", k + ".sym", "--pub", k + ".pub", "--out", sealed],
+        ["decrypt", sealed, "--model", model, "--sym", k + ".sym", "--priv", k + ".priv", "--out", img],
+    ]
+    runs = "".join(f"assert cli.main({argv!r}) == 0\n" for argv in commands)
+    return _fresh_python("import sys\nfrom latentseal import cli\n" + runs + code).splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    assert _after_encrypt_and_decrypt(tmp_path, "print('scipy' in sys.modules)") == "False"
 
 
 def test_key_checks_leave_numpy_ma_unloaded(tmp_path):
@@ -192,13 +212,13 @@ def test_key_checks_leave_numpy_ma_unloaded(tmp_path):
     assert _fresh_python(code).endswith("False")
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
+def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
     # numpy loads numpy.random on first attribute access, which an evaluated
     # `np.random.Generator` annotation would make every cold CLI run pay
-    assert _fresh_python("import sys, latentseal.cli; print('numpy.random' in sys.modules)") == "False"
+    assert _after_encrypt_and_decrypt(tmp_path, "print('numpy.random' in sys.modules)") == "False"
 
 
-def test_cli_import_loads_only_what_encrypt_and_decrypt_run():
+def test_cli_import_loads_only_what_encrypt_and_decrypt_run(tmp_path):
     # cryptography's serialization package pulls in its SSH module, and
     # transfer pulls in socket; encrypt and decrypt use neither, nor train
     unused = [
@@ -209,12 +229,46 @@ def test_cli_import_loads_only_what_encrypt_and_decrypt_run():
         "latentseal.transfer",
     ]
     code = (
-        "import sys, latentseal.cli\n"
-        f"print([m for m in {unused!r} if m in sys.modules])\n"
+        f"unused = [m for m in {unused!r} if m in sys.modules]\n"
         "import latentseal\n"
-        "print(latentseal.TrainConfig.__module__, 'latentseal.train' in sys.modules)"
+        "print(unused, latentseal.TrainConfig.__module__, 'latentseal.train' in sys.modules)"
     )
-    assert _fresh_python(code).splitlines() == ["[]", "latentseal.train True"]
+    assert _after_encrypt_and_decrypt(tmp_path, code) == "[] latentseal.train True"
+
+
+def _program(args: list[str]) -> tuple[int, list[str], set[str]]:
+    """Exit code, stderr lines and every module imported, of a new `python -X importtime -m latentseal.cli args`."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "latentseal.cli", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    lines = result.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    return result.returncode, [line for line in lines if not line.startswith("import time:")], imported
+
+
+def test_send_and_recv_load_neither_numpy_nor_cryptography(tmp_path):
+    # a relay runs send and recv, which only move sealed bytes: a valid payload to a closed port, and no sender
+    from latentseal import ecies, pipeline
+
+    payload = tmp_path / "p.lsp"
+    payload.write_bytes(pipeline._pack_header(0, 1, 1, 1) + bytes(4 + ecies.OVERHEAD))
+    with socket.socket() as closed:  # bound but not listening, so a connect to it is refused
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+        send_code, send_err, send_imports = _program(["send", str(payload), f"127.0.0.1:{port}"])
+    recv_code, recv_err, recv_imports = _program(["recv", "0", "--out", str(tmp_path / "r.lsp"), "--timeout", "0.05"])
+    for imported in (send_imports, recv_imports):
+        assert "latentseal.transfer" in imported
+        assert [name for name in imported if name.split(".")[0] in ("numpy", "cryptography")] == []
+    assert (send_code, recv_code) == (3, 3)
+    assert len(send_err) == 1 and re.fullmatch(rf"error: cannot send to 127\.0\.0\.1:{port}: .*Connection refused", send_err[0])
+    assert recv_err == ["error: no sender within 0.05 s"]
+    assert list(tmp_path.iterdir()) == [payload]
 
 
 def test_every_exported_name_resolves():

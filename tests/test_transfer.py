@@ -88,16 +88,26 @@ def test_send_file_refuses_oversized_file_unread(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "data",
-    [b"", bytes(100), legal_frame(100)[:-1], legal_frame(100, version=PAYLOAD_VERSION + 1)],
-    ids=["empty", "no-magic", "short-body", "version"],
+    "data,refused",
+    [(data, None) for data in (b"", bytes(100), legal_frame(100)[:-1], legal_frame(100, version=PAYLOAD_VERSION + 1))]
+    + [(legal_frame(100), "cannot send to 127.0.0.1:1: [Errno 111] Connection refused")],
+    ids=["empty", "no-magic", "short-body", "version", "refused"],
 )
-def test_send_file_refuses_a_payload_decrypt_refuses_before_connecting(tmp_path, monkeypatch, data):
+def test_send_file_refuses_a_payload_decrypt_refuses_before_connecting(tmp_path, monkeypatch, data, refused):
+    # a payload decrypt accepts gets as far as the connect, and a refused connect names the destination
     path = tmp_path / "bad.lsp"
     path.write_bytes(data)
-    monkeypatch.setattr(transfer.socket, "create_connection", lambda *a, **k: pytest.fail("connected"))
-    with pytest.raises(BadHeaderError):
+    connects = []
+
+    def refuse(address, timeout):
+        connects.append(address)
+        raise ConnectionRefusedError(111, "Connection refused")
+
+    monkeypatch.setattr(transfer.socket, "create_connection", refuse)
+    with pytest.raises(IoError if refused else BadHeaderError) as exc:
         transfer.send_file(path, "127.0.0.1", 1)
+    assert connects == ([("127.0.0.1", 1)] if refused else [])
+    assert refused in (None, str(exc.value))
 
 
 def test_frame_cap_on_recv():
