@@ -17,8 +17,7 @@ import math
 import os
 import sys
 
-# the error classes own their exit codes; EXIT_AUTH, EXIT_DIVERGENCE and EXIT_FORMAT are re-exported for callers
-from .errors import EXIT_AUTH, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO, IoError, LatentSealError, atomic_write, read_file
+from .errors import EXIT_IO, IoError, LatentSealError, atomic_write, read_file
 from .wire import MAX_PIXELS, PAYLOAD_CAP
 
 EXIT_OK = 0
@@ -219,31 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=_NON_NEGATIVE_FINITE, default=0.0, help="adversarial loss weight")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("encrypt", help="compress and encrypt an image")
-    p.add_argument("image")
-    p.add_argument("--model", required=True)
-    p.add_argument("--sym", required=True)
-    p.add_argument("--pub", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_encrypt)
+    def chain_command(name: str, summary: str, func, source: str, *keys: str) -> argparse.ArgumentParser:
+        """A command that runs the chain: its input, then a model, a symmetric key, keys and an output, all required."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(source)
+        for option in ("--model", "--sym", *keys, "--out"):
+            p.add_argument(option, required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("decrypt", help="decrypt and reconstruct an image")
-    p.add_argument("payload")
-    p.add_argument("--model", required=True)
-    p.add_argument("--sym", required=True)
-    p.add_argument("--priv", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decrypt)
-
-    p = sub.add_parser("evaluate", help="quality/timing CSV over an image directory")
-    p.add_argument("image_dir")
-    p.add_argument("--model", required=True)
-    p.add_argument("--sym", required=True)
-    p.add_argument("--pub", required=True)
-    p.add_argument("--priv", required=True)
-    p.add_argument("--out", required=True)
+    chain_command("encrypt", "compress and encrypt an image", cmd_encrypt, "image", "--pub")
+    chain_command("decrypt", "decrypt and reconstruct an image", cmd_decrypt, "payload", "--priv")
+    p = chain_command("evaluate", "quality/timing CSV over an image directory", cmd_evaluate, "image_dir", "--pub", "--priv")
     p.add_argument("--window", type=_POSITIVE, default=None, help="SSIM window side (default global)")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("henon-plot", help="export orbit points as CSV")
     p.add_argument("--sym", required=True)

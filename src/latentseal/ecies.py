@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .errors import KEY_FILE_CAP, AuthFailureError, InvalidPointError, IoError, atomic_write, read_file
-from .wire import KEY_LEN, OVERHEAD, TAG_LEN  # the ciphertext's sizes are part of the payload's wire format
+from .wire import KEY_LEN, OVERHEAD  # the ciphertext's sizes are part of the payload's wire format
 
 CURVE = ec.SECP256R1()
 CURVE_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
@@ -81,7 +81,7 @@ def ecies_encrypt(
     """
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
-    eph = ec.generate_private_key(CURVE) if eph_seed is None else _new_key(eph_seed)
+    eph = keygen(eph_seed)
     eph_pub = _compress(eph.public_key())
     shared = eph.exchange(ec.ECDH(), pub)
     key, nonce = _derive_key_nonce(shared, eph_pub)

@@ -89,7 +89,8 @@ class IoError(LatentSealError):
 
 def atomic_write(path, data, mode: int = 0o666) -> None:
     """Write data, bytes or an iterable of byte blocks written in order, to path
-    through a temp file in the same directory and a rename.
+    through a temp file and a rename.  The temp file has a fixed-length name in
+    path's directory, so any file name the file system allows can be written.
 
     The file gets mode, less the umask, as a new file would: 0o666 by default,
     0o600 for secret keys, also when it replaces a file of another mode.
@@ -97,7 +98,7 @@ def atomic_write(path, data, mode: int = 0o666) -> None:
     file is left behind; an OSError is raised as IoError, anything else unchanged.
     """
     path = os.fspath(path)
-    tmp = f"{path}.{os.urandom(8).hex()}"
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
     created = False
     try:
         # "x" creates tmp or fails, and the kernel gives the new file mode less the umask

@@ -19,8 +19,7 @@ from .errors import NonFiniteLatentError, ShapeMismatchError
 from .henon import SymKey, deshuffle, permutation_for_key, shuffle
 from .images import check_image
 from .metrics import QualityReport, mse, psnr, ssim
-# the payload's wire format lives in wire; PAYLOAD_CAP, PAYLOAD_MAGIC and PAYLOAD_VERSION are re-exported for callers
-from .wire import HEADER_LEN, PAYLOAD_CAP, PAYLOAD_MAGIC, PAYLOAD_VERSION, _pack_header, header_fields
+from .wire import HEADER_LEN, _pack_header, header_fields
 
 
 def _finite(latent: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import MODEL_CAP, CodecModel, Layer, forward, model_size, sigmoid
+from .codec import MAX_LAYERS, MODEL_CAP, CodecModel, Layer, forward, model_size, sigmoid
 from .errors import EmptyBatchError, IoError, NonFiniteLossError, ShapeMismatchError
 from .images import check_image
 
@@ -63,12 +63,14 @@ def _init_layers(dims: list[int], rng: np.random.Generator) -> list[Layer]:
 
 def init_model(input_size: int, config: TrainConfig, rng: np.random.Generator) -> CodecModel:
     """A random model, refused (IoError, as save_model would refuse it) before any
-    weight is drawn if its .lscm file would exceed MODEL_CAP bytes."""
+    weight is drawn if its .lscm file would exceed MODEL_CAP bytes or a stack MAX_LAYERS layers."""
     enc_dims = [input_size, *config.hidden, config.m]
     dec_dims = enc_dims[::-1]
     size = model_size(enc_dims, dec_dims)
     if size > MODEL_CAP:
         raise IoError(f"a model of layer widths {enc_dims} takes {size} bytes, over the {MODEL_CAP}-byte model cap")
+    if len(enc_dims) - 1 > MAX_LAYERS:
+        raise IoError(f"a layer stack holds {len(enc_dims) - 1} layers, outside 1..{MAX_LAYERS}")
     return CodecModel(
         kind="neural",
         m=config.m,

@@ -1,8 +1,8 @@
 """One-shot framed TCP transfer for encrypted payloads.
 
 Wire format: 4-byte big-endian length prefix followed by the payload
-bytes.  A frame must be a payload that decrypt accepts: at most FRAME_CAP
-(wire.PAYLOAD_CAP, 262 201 bytes), and passing wire.header_fields' rules
+bytes.  A frame must be a payload that decrypt accepts: at most
+wire.PAYLOAD_CAP (262 201) bytes, and passing wire.header_fields' rules
 (magic, version, header fields, a body of 4m + 49 bytes).
 send_file checks the cap before reading its file and the header rules
 before connecting; the receiver checks both on the length prefix and the
@@ -16,7 +16,6 @@ import time
 from .errors import BadHeaderError, FrameTooLargeError, IoError, atomic_write, read_file
 from .wire import HEADER_LEN, PAYLOAD_CAP, header_fields
 
-FRAME_CAP = PAYLOAD_CAP
 CHUNK = 4096
 TIMEOUT = 30.0  # seconds: send's bound on the connect and on each chunk, recv's default
 
@@ -27,8 +26,8 @@ def send_bytes(data: bytes, host: str, port: int, throttle: float | None = None)
     TIMEOUT bounds the connect and each chunk, so a receiver that stops
     reading raises IoError instead of holding the sender forever.
     """
-    if len(data) > FRAME_CAP:
-        raise FrameTooLargeError(f"{len(data)} bytes exceeds {FRAME_CAP}")
+    if len(data) > PAYLOAD_CAP:
+        raise FrameTooLargeError(f"{len(data)} bytes exceeds {PAYLOAD_CAP}")
     sent = 0
     try:
         with socket.create_connection((host, port), timeout=TIMEOUT) as sock:
@@ -65,7 +64,7 @@ def recv_bytes(port: int, host: str = "", timeout: float = TIMEOUT) -> bytes:
 
     timeout (seconds, > 0) bounds the wait for a connection, and then the
     whole frame: a sender that trickles bytes cannot hold the receiver
-    longer (IoError).  A frame over FRAME_CAP raises FrameTooLargeError, and
+    longer (IoError).  A frame over PAYLOAD_CAP raises FrameTooLargeError, and
     one that EncryptedPayload.parse refuses raises its BadHeaderError, as
     soon as the length prefix and the header show it.
     """
@@ -78,7 +77,7 @@ def recv_bytes(port: int, host: str = "", timeout: float = TIMEOUT) -> bytes:
         with conn:
             deadline = time.monotonic() + timeout
             (length,) = struct.unpack(">I", _recv_exact(conn, 4, deadline))
-            if length > FRAME_CAP:
+            if length > PAYLOAD_CAP:
                 raise FrameTooLargeError(f"announced frame of {length} bytes")
             if length < HEADER_LEN:
                 raise BadHeaderError(f"announced frame of {length} bytes is shorter than a payload header")

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from latentseal import codec, ecies, henon, metrics, pipeline, train
+from latentseal import codec, ecies, henon, metrics, pipeline, train, wire
 from latentseal.errors import AuthFailureError, DivergenceError, InvalidPointError
 from latentseal.images import smooth_gradient
 
@@ -231,7 +231,7 @@ def test_timing_report():
 
 def test_transfer_acceptance():
     def frame(m, body):  # a legal payload header and a body of 4m + 49 bytes
-        return pipeline.PAYLOAD_MAGIC + struct.pack("<BBHHH", pipeline.PAYLOAD_VERSION, 0, m, 256, 256) + body
+        return wire.PAYLOAD_MAGIC + struct.pack("<BBHHH", wire.PAYLOAD_VERSION, 0, m, 256, 256) + body
 
     payload = frame(100, bytes(np.random.default_rng(5).integers(0, 256, 449, dtype=np.uint8)))  # 461 bytes
     ok_loopback = run_transfer(payload) == payload

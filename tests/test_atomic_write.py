@@ -53,8 +53,10 @@ def test_a_write_that_fails_without_an_oserror_leaves_the_directory_as_it_was(da
 def test_byte_blocks_are_written_in_order(tmp_path):
     atomic_write(tmp_path / "out", iter([b"x,y\n", b"", b"1,2\n", bytearray(b"3,4\n")]))
     atomic_write(tmp_path / "one", b"x,y\n")
+    atomic_write(tmp_path / ("n" * 250), b"x,y\n")  # legal, and within 255 bytes only if the temp name does not grow with it
     assert (tmp_path / "out").read_bytes() == b"x,y\n1,2\n3,4\n"
     assert (tmp_path / "one").read_bytes() == b"x,y\n"
+    assert (tmp_path / ("n" * 250)).read_bytes() == b"x,y\n"
 
 
 @pytest.mark.parametrize("kind", ["fifo", "directory"])

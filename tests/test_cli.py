@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentseal import cli, codec, ecies, errors, henon, images, pipeline
-from latentseal.cli import EXIT_AUTH, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE
+from latentseal import cli, codec, ecies, errors, henon, images, pipeline, wire
+from latentseal.cli import EXIT_OK, EXIT_USAGE
+from latentseal.errors import EXIT_AUTH, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO
 
 
 def run(args):
@@ -145,8 +146,8 @@ def test_decrypt_payload_file_cap(tmp_path, keys, dct_model_path, extra, code, c
     # unread, as an I/O error naming the file (sparse: no disk or memory used)
     path = tmp_path / "big.lsp"
     with open(path, "wb") as f:
-        f.write(pipeline.PAYLOAD_MAGIC)
-        f.truncate(pipeline.PAYLOAD_CAP + extra)
+        f.write(wire.PAYLOAD_MAGIC)
+        f.truncate(wire.PAYLOAD_CAP + extra)
     out = tmp_path / "never.pgm"
     rc = run([
         "decrypt", str(path),

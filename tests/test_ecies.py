@@ -10,7 +10,7 @@ from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentseal import codec, ecies, henon, images, pipeline
+from latentseal import codec, ecies, henon, images, pipeline, wire
 from latentseal.errors import AuthFailureError, InvalidPointError, IoError
 
 GOLDEN_SCALAR = 0x66687AADF862BD776C8FC18B8E9F8E20089714856EE233B3902A591D0D5F2925
@@ -55,7 +55,7 @@ def test_fresh_ephemerals(public_key):
     a = ecies.ecies_encrypt(b"same bytes", public_key)
     b = ecies.ecies_encrypt(b"same bytes", public_key)
     assert a[: ecies.KEY_LEN] != b[: ecies.KEY_LEN]
-    assert a[ecies.KEY_LEN : -ecies.TAG_LEN] != b[ecies.KEY_LEN : -ecies.TAG_LEN]
+    assert a[ecies.KEY_LEN : -wire.TAG_LEN] != b[ecies.KEY_LEN : -wire.TAG_LEN]
 
 
 def test_length_law(public_key):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentseal import cli, codec, images, pipeline, transfer
+from latentseal import cli, codec, images, transfer, wire
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDE = 4096  # SIDE**2 == images.MAX_PIXELS, so the P6 raster fills images.PNM_CAP
@@ -81,7 +81,7 @@ def test_p6_at_the_cap_peaks_within_one_and_a_half_times_the_p5_of_its_size(tmp_
 
 
 def test_decrypt_of_the_largest_legal_payload_stays_within_its_envelope(tmp_path):
-    # m = 65535 fills pipeline.PAYLOAD_CAP; decrypt builds a 4096² float image from it.  Measured on a
+    # m = 65535 fills wire.PAYLOAD_CAP; decrypt builds a 4096² float image from it.  Measured on a
     # 2-vCPU Xeon under Linux: VmHWM 223 196 KiB and decrypt_s 0.38-0.48 s, so the bounds below leave
     # about 1.34x on memory and 4x on time.
     prefix, model = tmp_path / "key", tmp_path / "dct.lscm"
@@ -93,7 +93,7 @@ def test_decrypt_of_the_largest_legal_payload_stays_within_its_envelope(tmp_path
     _run_child(["encrypt", str(img), "--model", str(model), "--sym", f"{prefix}.sym", "--pub", f"{prefix}.pub",
                 "--out", str(payload)])
     img.unlink()
-    assert payload.stat().st_size == pipeline.PAYLOAD_CAP
+    assert payload.stat().st_size == wire.PAYLOAD_CAP
     output, peak = _run_child(["decrypt", str(payload), "--model", str(model), "--sym", f"{prefix}.sym",
                                "--priv", f"{prefix}.priv", "--out", str(tmp_path / "out.pgm")])
     seconds = float(output[-1].removeprefix("decrypt_s="))
@@ -152,14 +152,14 @@ def test_a_neural_model_just_under_the_cap_loads_within_its_envelope(tmp_path):
 
 
 def test_recv_of_a_frame_at_the_cap_stays_within_its_envelope(tmp_path):
-    # a legal frame of transfer.FRAME_CAP bytes: the header of a 4096² DCT payload at m = 65535, then its
+    # a legal frame of wire.PAYLOAD_CAP bytes: the header of a 4096² DCT payload at m = 65535, then its
     # body.  recv checks the header rules, not the tag, so the body is arbitrary bytes.  Measured on a
     # 2-vCPU Xeon under Linux: VmHWM 36 550-36 650 KiB, most of it the interpreter and numpy, and
     # 0.22-0.31 s for the whole child, interpreter start included, so the bounds below leave about 1.37x
     # on memory and 10x on time, since interpreter start, most of that time, varies most under load.
-    frame = pipeline.PAYLOAD_MAGIC + struct.pack("<BBHHH", pipeline.PAYLOAD_VERSION, codec.KIND_DCT, 0xFFFF, SIDE, SIDE)
-    frame += np.random.default_rng(0).bytes(transfer.FRAME_CAP - len(frame))
-    assert len(frame) == transfer.FRAME_CAP
+    frame = wire.PAYLOAD_MAGIC + struct.pack("<BBHHH", wire.PAYLOAD_VERSION, codec.KIND_DCT, 0xFFFF, SIDE, SIDE)
+    frame += np.random.default_rng(0).bytes(wire.PAYLOAD_CAP - len(frame))
+    assert len(frame) == wire.PAYLOAD_CAP
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]

@@ -178,6 +178,13 @@ def test_discriminator_widths_are_a_constant():
 def test_init_model_refuses_what_save_model_would_refuse_before_drawing_weights(tmp_path, monkeypatch):
     config = train.TrainConfig(m=3, hidden=(5, 4))
     path = tmp_path / "model.lscm"
+    # 63 hidden widths give stacks of MAX_LAYERS = 64 layers, which save; 64 widths give 65
+    codec.save_model(train.init_model(16, train.TrainConfig(m=3, hidden=(4,) * 63), np.random.default_rng(0)), path)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(IoError, match=r"a layer stack holds 65 layers, outside 1\.\.64"):
+        train.init_model(16, train.TrainConfig(m=3, hidden=(4,) * 64), rng)
+    assert rng.bit_generator.state == state
     codec.save_model(train.init_model(16, config, np.random.default_rng(0)), path)
     monkeypatch.setattr(train, "MODEL_CAP", path.stat().st_size)  # the cap a model of exactly this size meets
     train.init_model(16, config, np.random.default_rng(0))

@@ -271,6 +271,19 @@ def test_send_and_recv_load_neither_numpy_nor_cryptography(tmp_path):
     assert list(tmp_path.iterdir()) == [payload]
 
 
+def test_every_module_level_import_is_used_in_its_module():
+    # a name imported only for callers to take from here would give it a second home
+    unused = []
+    for path in sorted((ROOT / "src" / "latentseal").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", None) != "__future__":
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in stmt.names]
+                unused += [f"{path.stem}: {name}" for name in bound if name not in loaded]
+    assert unused == []
+
+
 def test_every_exported_name_resolves():
     # the training names resolve through the module's lazy __getattr__
     import latentseal

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latentseal import codec, ecies, henon, pipeline
+from latentseal import codec, ecies, henon, pipeline, wire
 from latentseal.errors import AuthFailureError, BadHeaderError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError
 from latentseal.images import smooth_gradient
 from latentseal.metrics import ssim
@@ -145,7 +145,7 @@ def test_evaluate_lossy_psnr_matches_direct(public_key, private_key, sym_key):
 
 def _forged_blob(width, height, m=4, codec_id=0):
     # packed by hand: _pack_header refuses the fields parse must be shown to refuse
-    header = pipeline.PAYLOAD_MAGIC + struct.pack("<BBHHH", pipeline.PAYLOAD_VERSION, codec_id, m, width, height)
+    header = wire.PAYLOAD_MAGIC + struct.pack("<BBHHH", wire.PAYLOAD_VERSION, codec_id, m, width, height)
     return header + bytes(4 * m + ecies.OVERHEAD)
 
 

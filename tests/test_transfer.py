@@ -10,7 +10,7 @@ import pytest
 from latentseal import transfer
 from latentseal.ecies import OVERHEAD
 from latentseal.errors import BadHeaderError, FrameTooLargeError, IoError
-from latentseal.pipeline import PAYLOAD_MAGIC, PAYLOAD_VERSION
+from latentseal.wire import PAYLOAD_CAP, PAYLOAD_MAGIC, PAYLOAD_VERSION
 
 
 def legal_frame(m, fill=b"\x01", version=PAYLOAD_VERSION, extra=0):
@@ -75,13 +75,13 @@ def test_throttle_pacing():
 
 def test_frame_cap_on_send():
     with pytest.raises(FrameTooLargeError):
-        transfer.send_bytes(bytes(transfer.FRAME_CAP + 1), "127.0.0.1", 1)
+        transfer.send_bytes(bytes(PAYLOAD_CAP + 1), "127.0.0.1", 1)
 
 
 def test_send_file_refuses_oversized_file_unread(tmp_path, monkeypatch):
     path = tmp_path / "big.lsp"
     with open(path, "wb") as f:
-        f.truncate(transfer.FRAME_CAP + 1)  # sparse
+        f.truncate(PAYLOAD_CAP + 1)  # sparse
     monkeypatch.setattr(transfer.socket, "create_connection", lambda *a, **k: pytest.fail("connected"))
     with pytest.raises(IoError, match="big.lsp"):
         transfer.send_file(path, "127.0.0.1", 1)
@@ -124,7 +124,7 @@ def test_frame_cap_on_recv():
     t.start()
     time.sleep(0.05)
     with socket.create_connection(("127.0.0.1", port)) as sock:
-        sock.sendall((transfer.FRAME_CAP + 1).to_bytes(4, "big"))
+        sock.sendall((PAYLOAD_CAP + 1).to_bytes(4, "big"))
     t.join(timeout=10)
     assert isinstance(result["error"], FrameTooLargeError)
 
@@ -201,9 +201,9 @@ def test_frame_cap_is_the_largest_legal_payload():
     from latentseal.ecies import OVERHEAD
     from latentseal.pipeline import HEADER_LEN
 
-    assert transfer.FRAME_CAP == HEADER_LEN + 4 * 0xFFFF + OVERHEAD == 262_201
+    assert PAYLOAD_CAP == HEADER_LEN + 4 * 0xFFFF + OVERHEAD == 262_201
     payload = legal_frame(0xFFFF, bytes(range(256)))
-    assert len(payload) == transfer.FRAME_CAP
+    assert len(payload) == PAYLOAD_CAP
     assert run_transfer(payload) == payload
 
 
@@ -245,7 +245,7 @@ def test_send_paces_only_when_throttled(monkeypatch):
 
 @pytest.mark.parametrize(
     "announced, header",
-    [(transfer.FRAME_CAP, legal_frame(100)[:12]), (11, b"")],
+    [(PAYLOAD_CAP, legal_frame(100)[:12]), (11, b"")],
     ids=["header-for-a-shorter-body", "shorter-than-a-header"],
 )
 def test_frame_length_the_header_refuses_is_refused_before_the_body(tmp_path, announced, header):
