@@ -46,20 +46,14 @@ def cmd_make_model(args) -> int:
 
 
 def cmd_train(args) -> int:
+    import dataclasses
+
     from . import codec, images, train
     paths = images.pgm_paths(args.dataset_dir)
     if not paths:
         raise IoError(f"no .pgm images in {args.dataset_dir}")
     dataset = [images.read_image(p) for p in paths]
-    config = train.TrainConfig(
-        m=args.m,
-        hidden=tuple(args.hidden),
-        lr=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        lam=args.lam,
-    )
+    config = train.TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(train.TrainConfig)})
     result = train.train_autoencoder(dataset, config)
     codec.save_model(result.model, args.out)
     final = result.ae_losses[-1] if result.ae_losses else float("nan")

@@ -18,9 +18,11 @@ one zigzag order and one box side per m up to 400.
 Both encoders round their latent values to the nearest 32-bit float so
 the pipeline's 4-byte wire serialization is an exact round trip.  This
 module owns the .lscm model file's layout, and so model_size, its byte
-count; the image check and the quantizer belong to images.
+count, and load_model parses a model as it reads it, each layer straight
+into its own array; the image check and the quantizer belong to images.
 """
 
+import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -28,14 +30,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IoError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError, atomic_write, read_file
+from .errors import IoError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError, atomic_write, open_file
 from .images import check_image, quantize
 from .wire import KIND_DCT, KIND_NEURAL, MAX_PIXELS  # the codec ids are the payload header's
 
 MODEL_MAGIC = b"LSCM"
 MODEL_VERSION = 1
-_MODEL_HEADER = "<BBI"  # version, codec kind and m, after the magic
-_LAYERS_AT = len(MODEL_MAGIC) + struct.calcsize(_MODEL_HEADER)  # offset of a neural model's first layer stack
+_MODEL_HEADER = "<4sBBI"  # magic, version, codec kind and m
 
 
 def zigzag_indices(height: int, width: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -241,47 +242,46 @@ def model_size(*stacks: list[int]) -> int:
     """Bytes of the neural .lscm file whose layer stacks have these widths, input
     first: the header, then per stack a layer count and per layer its shape,
     weights and biases, as save_model writes them."""
-    return _LAYERS_AT + sum(4 + sum(8 + 8 * n_out * (n_in + 1) for n_in, n_out in zip(d, d[1:])) for d in stacks)
+    layers = sum(4 + sum(8 + 8 * n_out * (n_in + 1) for n_in, n_out in zip(d, d[1:])) for d in stacks)
+    return struct.calcsize(_MODEL_HEADER) + layers
 
 
-def _parse_layers(data: bytes, off: int, layers: list[Layer]) -> int:
-    """Append the layer stack at data[off:] to layers and return the offset after it.
-    Arrays are copied out of data: views at its offsets would be unaligned."""
-    (count,) = struct.unpack_from("<I", data, off)
+def _parse_layers(f, size: int) -> list[Layer]:
+    """The layer stack at f's position, in a file of size bytes."""
+    (count,) = struct.unpack("<I", f.read(4))
     if not 1 <= count <= MAX_LAYERS:
         raise IoError(f"a layer stack holds {count} layers, outside 1..{MAX_LAYERS}")
-    off += 4
+    layers = []
     for _ in range(count):
-        n_out, n_in = struct.unpack_from("<II", data, off)
-        off += 8
-        if 8 * n_out * (n_in + 1) > len(data) - off:
+        n_out, n_in = struct.unpack("<II", f.read(8))
+        if 8 * n_out * (n_in + 1) > size - f.tell():
             raise IoError(f"layer {n_out}x{n_in} exceeds the model file's remaining bytes")
-        W = np.frombuffer(data, "<f8", n_out * n_in, off).reshape(n_out, n_in).copy()
-        b = np.frombuffer(data, "<f8", n_out, off + W.nbytes).copy()
+        W, b = np.empty((n_out, n_in), "<f8"), np.empty(n_out, "<f8")  # aligned, as views of the bytes would not be
+        if f.readinto(W) + f.readinto(b) != W.nbytes + b.nbytes:
+            raise EOFError
         layers.append(Layer(W, b))
-        off += W.nbytes + b.nbytes
-    return off
+    return layers
 
 
-def _parse_model(data: bytes, path) -> CodecModel:
-    """The model in data, the bytes of the .lscm file at path: the header, then
-    for a neural codec an encoder and a decoder stack of 1..MAX_LAYERS layers
-    each, a cycle of layer shapes through m (the decoder rebuilds the encoder's
-    input), ending where data ends. Anything else, or over MODEL_CAP bytes, is an IoError."""
-    if len(data) > MODEL_CAP or data[:4] != MODEL_MAGIC:
+def _parse_model(f, size: int, path) -> CodecModel:
+    """The model in f, the .lscm file at path of size bytes, read front to back: the
+    header, then for a neural codec an encoder and a decoder stack of 1..MAX_LAYERS layers
+    each, a cycle of layer shapes through m (the decoder rebuilds the encoder's input),
+    ending where the file ends. Anything else, or over MODEL_CAP bytes, is an IoError."""
+    head = f.read(struct.calcsize(_MODEL_HEADER))
+    if size > MODEL_CAP or head[:4] != MODEL_MAGIC:
         raise IoError(f"not a codec model file of at most {MODEL_CAP} bytes: {path}")
-    encoder, decoder = [], []
     try:
-        version, kind_id, m = struct.unpack_from(_MODEL_HEADER, data, len(MODEL_MAGIC))
+        _, version, kind_id, m = struct.unpack(_MODEL_HEADER, head)
         if version != MODEL_VERSION:
             raise IoError(f"unsupported model version {version}")
         if kind_id not in (KIND_DCT, KIND_NEURAL):
             raise IoError(f"unknown codec kind {kind_id}")
-        off = _LAYERS_AT if kind_id == KIND_DCT else _parse_layers(data, _parse_layers(data, _LAYERS_AT, encoder), decoder)
-    except struct.error as e:
+        encoder, decoder = (_parse_layers(f, size), _parse_layers(f, size)) if kind_id == KIND_NEURAL else ([], [])
+    except (struct.error, EOFError) as e:
         raise IoError(f"truncated model file: {path}") from e
-    if off != len(data):
-        raise IoError(f"{len(data) - off} bytes past the model's end in {path}")
+    if f.tell() != size:
+        raise IoError(f"{size - f.tell()} bytes past the model's end in {path}")
     if kind_id == KIND_DCT:
         return dct_model(m)
     chain = encoder + decoder
@@ -294,14 +294,15 @@ def _parse_model(data: bytes, path) -> CodecModel:
 
 def save_model(model: CodecModel, path) -> None:
     """Write model as .lscm, refusing (IoError) what load_model would refuse."""
-    data = MODEL_MAGIC + struct.pack(_MODEL_HEADER, MODEL_VERSION, model.codec_id, model.m)
+    data = struct.pack(_MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, model.codec_id, model.m)
     if model.kind == "neural":
         data += _layers_bytes(model.encoder) + _layers_bytes(model.decoder)
-    _parse_model(data, path)
+    _parse_model(io.BytesIO(data), len(data), path)
     atomic_write(path, data)
 
 
 def load_model(path) -> CodecModel:
-    """The .lscm model at path, read through read_file, which refuses a file
-    over MODEL_CAP bytes before reading it, and parsed by _parse_model."""
-    return _parse_model(read_file(path, MODEL_CAP), path)
+    """The .lscm model at path, opened by open_file, which refuses a file over
+    MODEL_CAP bytes before reading it, and parsed by _parse_model as it is read."""
+    with open_file(path, MODEL_CAP) as (f, size):
+        return _parse_model(f, size, path)

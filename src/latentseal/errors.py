@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all latentseal modules, the one file writer,
-and the one reader of files from outside: keys, images, models and payloads.
+and the one opener of files from outside: keys, images, models and payloads.
 Each error class owns the exit code the CLI returns for it, 3 unless it says otherwise."""
 
+import contextlib
 import functools
 import os
 import stat
@@ -117,14 +118,11 @@ def atomic_write(path, data, mode: int = 0o666) -> None:
 KEY_FILE_CAP = 4096  # bytes; a .pub is 67, a .priv 65 and a .sym about 70
 
 
-def read_file(path, cap: int) -> bytes:
-    """Bytes of a regular file of at most cap bytes: the one reader of outside files.
-
-    The size is checked before anything is read, and no more than the file
-    holds is read. A file over cap, one that is not a regular file (its size
-    is unknown before reading) or one that cannot be read raises IoError
-    naming path.
-    """
+@contextlib.contextmanager
+def open_file(path, cap: int):
+    """(f, size): the regular file at path, open for reading, and its size, checked against cap
+    before anything is read; the one opener of outside files. A file over cap or not regular (its
+    size is unknown before reading), or any failure to open or read it, raises IoError naming path."""
     try:
         # non-blocking, so that a FIFO is refused below instead of waiting for a writer
         fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
@@ -135,8 +133,14 @@ def read_file(path, cap: int) -> bytes:
             if st.st_size > cap:
                 raise IoError(f"{path} is {st.st_size} bytes, over the {cap}-byte limit")
             with open(fd, "rb", closefd=False) as f:
-                return f.read(st.st_size)
+                yield f, st.st_size
         finally:
             os.close(fd)
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
+
+
+def read_file(path, cap: int) -> bytes:
+    """Bytes of the regular file at path, of at most cap bytes, opened by open_file."""
+    with open_file(path, cap) as (f, size):
+        return f.read(size)

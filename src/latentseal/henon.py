@@ -96,8 +96,6 @@ def henon_sequence(key: SymKey, n: int) -> np.ndarray:
 
 def henon_trajectory(key: SymKey, n: int) -> np.ndarray:
     """(n, 2) array of post-burn-in (x, y) points, for trajectory export."""
-    if n == 0:
-        return np.empty((0, 2), dtype=np.float64)
     return np.column_stack(_orbit(key, n))
 
 

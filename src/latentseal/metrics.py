@@ -13,8 +13,9 @@ the exact sum of squared differences over the pixel count, correctly
 rounded, and PSNR follows from it.  Windowed SSIM takes each window's sums
 of a, b, a², b² and ab in int32 (int64 for windows over 181) and applies
 the per-window formula to them, so every window's value equals that of a
-direct loop over the window.  Global SSIM takes its variances and
-covariance from the exact integer moments, each rounded once.
+direct loop over the window.  Global SSIM sums the exact integer moments
+over chunks whose float copies take one BAND_BYTES buffer, and takes its
+variances and covariance from them, each rounded once.
 
 Window sums cost O(log w) array additions per axis: runs of 1, 2, 4, ...
 consecutive entries are built by adding shifted copies, and the runs
@@ -71,14 +72,18 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int | None = None) -> float:
 
 
 def _ssim_global(a, b) -> float:
-    # Every partial sum is an integer below 2**53, so the float64 sums and
-    # dot products are exact; the centred moments are then exact integers
-    # over n**2, each rounded once by Python's int division.
-    f = np.empty((2,) + a.shape)
-    f[0], f[1] = a, b
-    fa, fb = f.reshape(2, -1)
-    n = fa.size
-    sa, sb, saa, sbb, sab = (int(v) for v in (fa.sum(), fb.sum(), fa @ fa, fb @ fb, fa @ fb))
+    # The moments are summed over chunks of BAND_BYTES // 16 pixels copied to float64 in one buffer:
+    # each chunk's float64 sums and dot products are integers below 2**53, so exact, and are added
+    # as Python ints.  The centred moments are then exact integers over n**2, each rounded once by
+    # Python's int division.
+    a, b = a.ravel(), b.ravel()
+    n, f = a.size, np.empty((2, min(a.size, BAND_BYTES // 16)))
+    sums = [0] * 5
+    for start in range(0, n, f.shape[1]):
+        fa, fb = f[:, : n - start]
+        fa[...], fb[...] = a[start : start + fa.size], b[start : start + fa.size]
+        sums = [s + int(v) for s, v in zip(sums, (fa.sum(), fb.sum(), fa @ fa, fb @ fb, fa @ fb))]
+    sa, sb, saa, sbb, sab = sums
     mu_a, mu_b = sa / n, sb / n
     var_a = (n * saa - sa * sa) / (n * n)
     var_b = (n * sbb - sb * sb) / (n * n)

@@ -145,10 +145,10 @@ def reconstruction_loss(model: CodecModel, dataset: list[np.ndarray]) -> float:
     return _reconstruction(model, _dataset_matrix(_checked(dataset)))[1]
 
 
-def _apply_sgd(chain: list[Layer], grads, lr: float, sign: float = -1.0) -> None:
+def _apply_sgd(chain: list[Layer], grads, lr: float) -> None:
     for layer, (dW, db) in zip(chain, grads):
-        layer.W += sign * lr * dW
-        layer.b += sign * lr * db
+        layer.W -= lr * dW
+        layer.b -= lr * db
 
 
 def train_autoencoder(dataset: list[np.ndarray], config: TrainConfig) -> TrainResult:
@@ -161,34 +161,32 @@ def train_autoencoder(dataset: list[np.ndarray], config: TrainConfig) -> TrainRe
     X = _dataset_matrix(dataset)
     disc = _init_layers([X.shape[1], *DISC_HIDDEN, 1], d_rng) if config.lam != 0 else []
     result = TrainResult(model, [], [], disc)
+    n, batch = len(X), config.batch_size
     for _ in range(config.epochs):
         if disc:
             fake = _forward(model, X)[-1]
-            idx = d_rng.permutation(X.shape[0])
-            d_vals = []
-            for start in range(0, X.shape[0], config.batch_size):
-                sel = idx[start : start + config.batch_size]
-                d_vals.append(_disc_step(disc, X[sel], fake[sel]))
-            result.disc_losses.append(float(np.mean(d_vals)))
+            result.disc_losses.append(_epoch(d_rng, n, batch, lambda rows: _disc_step(disc, X[rows], fake[rows])))
             if not np.isfinite(result.disc_losses[-1]):
                 raise NonFiniteLossError("discriminator objective diverged")
-        result.ae_losses.append(_run_epoch(model, X, config, rng, disc))
+        result.ae_losses.append(_epoch(rng, n, batch, lambda rows: _autoencoder_step(model, X[rows], config, disc)))
     return result
 
 
-def _run_epoch(model, X, config, rng, adversary=()) -> float:
-    order = rng.permutation(X.shape[0])
-    losses = []
-    for start in range(0, X.shape[0], config.batch_size):
-        batch = X[order[start : start + config.batch_size]]
-        acts, loss, d_out = _reconstruction(model, batch)
-        if not np.isfinite(loss):
-            raise NonFiniteLossError(f"loss diverged to {loss}; lower the learning rate")
-        if adversary:
-            d_out = d_out + config.lam * _generator_term_grad(adversary, acts[-1])
-        _apply_sgd(model.encoder + model.decoder, _autoencoder_grads(model, acts, d_out), config.lr)
-        losses.append(loss)
-    return float(np.mean(losses))
+def _epoch(rng: np.random.Generator, n: int, batch_size: int, step) -> float:
+    """Mean of step(rows) over the batches of one shuffled pass through n rows."""
+    order = rng.permutation(n)
+    return float(np.mean([step(order[start : start + batch_size]) for start in range(0, n, batch_size)]))
+
+
+def _autoencoder_step(model: CodecModel, batch: np.ndarray, config: TrainConfig, adversary: list[Layer]) -> float:
+    """One descent step on the batch, with the adversarial term if there is an adversary; returns its loss."""
+    acts, loss, d_out = _reconstruction(model, batch)
+    if not np.isfinite(loss):
+        raise NonFiniteLossError(f"loss diverged to {loss}; lower the learning rate")
+    if adversary:
+        d_out = d_out + config.lam * _generator_term_grad(adversary, acts[-1])
+    _apply_sgd(model.encoder + model.decoder, _autoencoder_grads(model, acts, d_out), config.lr)
+    return loss
 
 
 def _generator_term_grad(disc: list[Layer], fake: np.ndarray) -> np.ndarray:
@@ -209,6 +207,6 @@ def _disc_step(disc: list[Layer], real: np.ndarray, fake: np.ndarray) -> float:
     grads_r, _ = _backward(disc, acts_r, (1.0 - p_r) / p_r.shape[0])
     grads_f, _ = _backward(disc, acts_f, -p_f / p_f.shape[0])
     grads = [(dWr + dWf, dbr + dbf) for (dWr, dbr), (dWf, dbf) in zip(grads_r, grads_f)]
-    _apply_sgd(disc, grads, DISC_LR, sign=1.0)
+    _apply_sgd(disc, grads, -DISC_LR)  # ascent
     return value
 

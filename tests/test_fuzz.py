@@ -8,6 +8,7 @@ anyone holding the public key can seal any latent, so one target opens
 hostile latents sealed under legal headers, with RuntimeWarning an error.
 """
 
+import io
 import socket
 import struct
 import threading
@@ -172,7 +173,10 @@ def test_load_model(scratch, data):
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_EDGES = [np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1.1754942e-38, F32_MAX, -F32_MAX, 0.0, 1.0]
-CODECS = {"dct": (codec.dct_model(10), 8, 8), "neural": (codec._parse_model(NEURAL, "neural.lscm"), 2, 2)}
+CODECS = {
+    "dct": (codec.dct_model(10), 8, 8),
+    "neural": (codec._parse_model(io.BytesIO(NEURAL), len(NEURAL), "neural.lscm"), 2, 2),
+}
 
 
 def latents(m: int) -> st.SearchStrategy[bytes]:

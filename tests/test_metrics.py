@@ -239,7 +239,9 @@ def test_mse_and_psnr_exact_for_8bit():
     assert metrics.psnr(black, white) == 0.0
 
 
-def test_global_ssim_matches_centred_float_oracle():
+def test_global_ssim_matches_centred_float_oracle(monkeypatch):
+    # at SMALL_BAND_BYTES the moments are summed in chunks of 256 pixels, so 5x9 is one short
+    # chunk and 256x256 is 256 chunks; the chunked sums are exact, so the result is bitwise the same
     rng = np.random.default_rng(8)
     c1, c2 = metrics.C1, metrics.C2
     for shape in ((1, 1), (5, 9), (256, 256)):
@@ -251,7 +253,27 @@ def test_global_ssim_matches_centred_float_oracle():
         want = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
             (mu_a**2 + mu_b**2 + c1) * (af.var() + bf.var() + c2)
         )
-        assert abs(metrics.ssim(a, b) - want) < 1e-12
+        got = metrics.ssim(a, b)
+        assert abs(got - want) < 1e-12
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "BAND_BYTES", SMALL_BAND_BYTES)
+            assert metrics.ssim(a, b).hex() == got.hex()
+
+
+def test_global_ssim_peaks_at_one_band():
+    # both images' float64 copies take 16 bytes per pixel of a chunk of BAND_BYTES // 16 pixels, and
+    # 64 KiB covers the rest of the call.  Measured: 1 050 564 bytes, where float64 copies of the
+    # whole of both images took 16 778 608.
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
+    b = np.clip(a + rng.integers(-20, 21, a.shape), 0, 255).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        metrics.ssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= metrics.BAND_BYTES + (64 << 10), peak
 
 
 def test_non_8bit_inputs_are_refused():

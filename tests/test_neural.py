@@ -118,7 +118,7 @@ def test_non_finite_loss_detected():
     model.encoder[0].W[:] = np.nan
     X = train._dataset_matrix([img])
     with pytest.raises(NonFiniteLossError):
-        train._run_epoch(model, X, cfg, np.random.default_rng(0))
+        train._autoencoder_step(model, X, cfg, [])
 
 
 def test_gan_objective_values():

@@ -9,8 +9,6 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,6 +24,7 @@ def _third_party_imports() -> set[str]:
 
 
 def test_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.split(r"[\s\[<>=!~;]", dep)[0] for dep in project["dependencies"]}
     assert declared == _third_party_imports()
@@ -61,7 +60,7 @@ def _is_read(name: str, call: ast.Call) -> bool:
 
 
 def test_outside_files_are_read_through_one_capped_reader():
-    assert _callers(_is_read) == {("errors", "read_file")}
+    assert _callers(_is_read) == {("errors", "open_file")}
 
 
 _WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
@@ -92,6 +91,7 @@ def test_only_the_program_entry_freezes_the_heap():
 
 
 def test_installed_script_is_the_program_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     assert scripts == {"latentseal": "latentseal.cli:run"}
 
