@@ -1,9 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 2 usage, and otherwise the exit_code of the error raised:
-4 crypto-auth (AuthFailureError, InvalidPointError); 5 format (BadHeaderError,
-FrameTooLargeError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError);
-6 divergence (DivergenceError); 3 io for every other LatentSealError and OSError.
+Exit codes: 0 ok, 2 usage, otherwise the raised error's exit_code (see errors).
 Every output file is written by errors.atomic_write, directly or through
 the library's save/write functions: a temp name in the target directory
 renamed on success, so no error path leaves a partial file behind.
@@ -173,6 +170,7 @@ _POINTS = _checked(int, "an integer in 0..1000000", lambda v: 0 <= v <= 1_000_00
 
 def _host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
+    host = host[1:-1] if host[:1] == "[" and host[-1:] == "]" else host  # RFC 3986's [IPv6]:port
     return host, int(port) if port.isascii() and port.isdigit() else -1
 
 

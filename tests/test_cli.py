@@ -195,11 +195,11 @@ def test_encrypt_header_field_overflow_exit_code(tmp_path, keys, height, width, 
 
 def test_decrypt_of_a_basis_over_the_cap_exit_code(tmp_path, keys):
     # an authentic payload whose 1 x 65535 header at m = 65535 asks the DCT decoder for a 32 GiB basis
-    header = pipeline._pack_header(codec.KIND_DCT, 65535, 65535, 1)
+    header = wire._pack_header(wire.KIND_DCT, 65535, 65535, 1)
     pub = ecies.load_public_key(str(keys) + ".pub")
     ct = ecies.ecies_encrypt(np.zeros(65535, dtype="<f4").tobytes(), pub, aad=header)
     payload = tmp_path / "forged.lsp"
-    forged = pipeline.EncryptedPayload(codec.KIND_DCT, 65535, 65535, 1, ct)
+    forged = pipeline.EncryptedPayload(wire.KIND_DCT, 65535, 65535, 1, ct)
     payload.write_bytes(forged.serialize())
     model = tmp_path / "m65535.lscm"
     assert run(["make-model", str(model), "--m", "65535"]) == EXIT_OK
@@ -225,7 +225,7 @@ F32_MAX = float(np.finfo(np.float32).max)
 )
 def test_decrypt_of_a_non_finite_latent_exit_code(tmp_path, keys, dct_model_path, value, code):
     # anyone holding the .pub can seal any latent under a legal header; past the tag it is outside input
-    header = pipeline._pack_header(codec.KIND_DCT, 100, 64, 64)
+    header = wire._pack_header(wire.KIND_DCT, 100, 64, 64)
     pub = ecies.load_public_key(str(keys) + ".pub")
     payload = tmp_path / "forged.lsp"
     payload.write_bytes(header + ecies.ecies_encrypt(np.full(100, value, dtype="<f4").tobytes(), pub, aad=header))
@@ -570,7 +570,7 @@ def test_send_of_a_payload_decrypt_refuses_connects_to_nobody_exit_code(tmp_path
 def test_encrypt_with_a_million_empty_layers_exit_code(tmp_path, keys, test_image, capsys):
     model = tmp_path / "empty_layers.lscm"
     stack = (1_000_000).to_bytes(4, "little") + bytes(8 * 1_000_000)
-    model.write_bytes(codec.MODEL_MAGIC + bytes([codec.MODEL_VERSION, codec.KIND_NEURAL]) + bytes(4) + stack + stack)
+    model.write_bytes(codec.MODEL_MAGIC + bytes([codec.MODEL_VERSION, wire.KIND_NEURAL]) + bytes(4) + stack + stack)
     out = tmp_path / "p.lsp"
     rc = run([
         "encrypt", str(test_image),
@@ -642,10 +642,11 @@ def test_argument_bounds_at_their_limits(capsys):
     # parsed only: at the old bounds, recv would wait a day for a sender
     parse = cli.build_parser().parse_args
     assert parse(["send", "p.lsp", "::1:65535", "--throttle", "1"]).dest == ("::1", 65535)
+    assert parse(["send", "p.lsp", "[::1]:65535"]).dest == ("::1", 65535)  # RFC 3986's bracketed IPv6 host
     assert parse(["recv", "0", "--out", "out", "--timeout", "86400"]).timeout == 86400
     assert parse(["make-dataset", "out", "--size", "4096"]).size == 4096
-    for argv in (["send", "p.lsp", "::1:65536"], ["send", "p.lsp", "h:9", "--throttle", "0.99"],
-                 ["recv", "0", "--out", "out", "--timeout", "86401"]):
+    for argv in (["send", "p.lsp", "::1:65536"], ["send", "p.lsp", "[]:9"],
+                 ["send", "p.lsp", "h:9", "--throttle", "0.99"], ["recv", "0", "--out", "out", "--timeout", "86401"]):
         with pytest.raises(SystemExit):
             parse(argv)
     assert "Traceback" not in capsys.readouterr().err
@@ -718,7 +719,7 @@ def test_program_writes_what_main_writes(tmp_path, dct_model_path, test_image, c
         written[side] = {path.name: path.read_bytes() for path in d.iterdir()}
     # each encrypt draws a fresh ephemeral key, so the payloads agree in header and length only
     sealed = written["program"].pop("img.lsp"), written["main"].pop("img.lsp")
-    assert sealed[0][: pipeline.HEADER_LEN] == sealed[1][: pipeline.HEADER_LEN]
+    assert sealed[0][: wire.HEADER_LEN] == sealed[1][: wire.HEADER_LEN]
     assert len(sealed[0]) == len(sealed[1])
     assert sorted(written["program"]) == ["key.priv", "key.pub", "key.sym", "recon.pgm"]
     assert written["program"] == written["main"]

@@ -54,8 +54,8 @@ def test_golden_ciphertext():
 def test_fresh_ephemerals(public_key):
     a = ecies.ecies_encrypt(b"same bytes", public_key)
     b = ecies.ecies_encrypt(b"same bytes", public_key)
-    assert a[: ecies.KEY_LEN] != b[: ecies.KEY_LEN]
-    assert a[ecies.KEY_LEN : -wire.TAG_LEN] != b[ecies.KEY_LEN : -wire.TAG_LEN]
+    assert a[: wire.KEY_LEN] != b[: wire.KEY_LEN]
+    assert a[wire.KEY_LEN : -wire.TAG_LEN] != b[wire.KEY_LEN : -wire.TAG_LEN]
 
 
 def test_length_law(public_key):
@@ -113,7 +113,7 @@ def test_round_trip_property(plaintext):
     priv = ecies.keygen(bytes([3]) * 32)
     ct = ecies.ecies_encrypt(plaintext, priv.public_key())
     assert ecies.ecies_decrypt(ct, priv) == plaintext
-    assert len(ct) == len(plaintext) + ecies.OVERHEAD
+    assert len(ct) == len(plaintext) + wire.OVERHEAD
 
 
 def test_large_round_trip(public_key, private_key):
@@ -203,7 +203,7 @@ def test_fresh_keys_are_valid_and_distinct(public_key, private_key):
     assert 1 <= ecies.keygen().private_numbers().private_value < ecies.CURVE_ORDER
     a = ecies.ecies_encrypt(b"fresh", public_key)
     b = ecies.ecies_encrypt(b"fresh", public_key)
-    assert a[: ecies.KEY_LEN] != b[: ecies.KEY_LEN]
+    assert a[: wire.KEY_LEN] != b[: wire.KEY_LEN]
     assert ecies.ecies_decrypt(a, private_key) == b"fresh"
 
 

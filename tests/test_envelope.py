@@ -22,7 +22,7 @@ import pytest
 from latentseal import cli, codec, images, transfer, wire
 
 ROOT = Path(__file__).resolve().parent.parent
-SIDE = 4096  # SIDE**2 == images.MAX_PIXELS, so the P6 raster fills images.PNM_CAP
+SIDE = 4096  # SIDE**2 == wire.MAX_PIXELS, so the P6 raster fills images.PNM_CAP
 
 CHILD = """
 import sys
@@ -59,7 +59,7 @@ def _peak_kib(args: list[str]) -> int:
 
 
 def test_p6_at_the_cap_peaks_within_one_and_a_half_times_the_p5_of_its_size(tmp_path):
-    assert SIDE * SIDE == images.MAX_PIXELS
+    assert SIDE * SIDE == wire.MAX_PIXELS
     prefix, model = tmp_path / "key", tmp_path / "dct.lscm"
     assert cli.main(["keygen", str(prefix), "--seed", "1"]) == 0
     assert cli.main(["make-model", str(model), "--m", "100"]) == 0
@@ -137,7 +137,7 @@ def test_a_neural_model_just_under_the_cap_loads_within_its_envelope(tmp_path):
     m = max(k for k in range(1, 4200) if codec.model_size([n, k], [k, n]) <= codec.MODEL_CAP)
     path = tmp_path / "big.lscm"
     with open(path, "wb") as f:
-        f.write(codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, codec.KIND_NEURAL, m))
+        f.write(codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, wire.KIND_NEURAL, m))
         for n_out, n_in in ((m, n), (n, m)):
             f.write(struct.pack("<III", 1, n_out, n_in))
             f.seek(8 * n_out * (n_in + 1), os.SEEK_CUR)
@@ -160,7 +160,7 @@ def test_recv_of_a_frame_at_the_cap_stays_within_its_envelope(tmp_path):
     # 2-vCPU Xeon under Linux: VmHWM 36 550-36 650 KiB, most of it the interpreter and numpy, and
     # 0.22-0.31 s for the whole child, interpreter start included, so the bounds below leave about 1.37x
     # on memory and 10x on time, since interpreter start, most of that time, varies most under load.
-    frame = wire.PAYLOAD_MAGIC + struct.pack("<BBHHH", wire.PAYLOAD_VERSION, codec.KIND_DCT, 0xFFFF, SIDE, SIDE)
+    frame = wire.PAYLOAD_MAGIC + struct.pack("<BBHHH", wire.PAYLOAD_VERSION, wire.KIND_DCT, 0xFFFF, SIDE, SIDE)
     frame += np.random.default_rng(0).bytes(wire.PAYLOAD_CAP - len(frame))
     assert len(frame) == wire.PAYLOAD_CAP
     with socket.socket() as s:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latentseal import codec, ecies, henon, images, pipeline, transfer
+from latentseal import codec, ecies, henon, images, pipeline, transfer, wire
 from latentseal.codec import Layer
 from latentseal.errors import LatentSealError
 
@@ -141,12 +141,12 @@ def _neural_bytes() -> bytes:
     rng = np.random.default_rng(1)
     layers = [Layer(rng.standard_normal((n_out, n_in)), rng.standard_normal(n_out)) for n_out, n_in in
               [(3, 4), (2, 3), (3, 2), (4, 3)]]
-    data = codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, codec.KIND_NEURAL, 2)
+    data = codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, wire.KIND_NEURAL, 2)
     return data + codec._layers_bytes(layers[:2]) + codec._layers_bytes(layers[2:])
 
 
 NEURAL = _neural_bytes()
-DCT = codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, codec.KIND_DCT, 10)
+DCT = codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, wire.KIND_DCT, 10)
 # header, the encoder count and its first layer's shape, the decoder count and its first layer's shape
 DECODER = 10 + 4 + (8 + 8 * 3 * 5) + (8 + 8 * 2 * 4)
 MODEL_FIELDS = [(4, "<B"), (5, "<B"), (6, "<I"), (10, "<I"), (14, "<I"), (18, "<I"),
@@ -186,7 +186,7 @@ def latents(m: int) -> st.SearchStrategy[bytes]:
 
 
 def _seal_and_open(model, width: int, height: int, plain: bytes):
-    header = pipeline._pack_header(model.codec_id, model.m, width, height)
+    header = wire._pack_header(model.codec_id, model.m, width, height)
     sealed = ecies.ecies_encrypt(plain, PUBLIC_KEY, aad=header)
     payload = pipeline.EncryptedPayload(model.codec_id, model.m, width, height, sealed)
     with warnings.catch_warnings():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latentseal import images
+from latentseal import images, wire
 from latentseal.errors import IoError
 
 
@@ -217,7 +217,7 @@ def test_read_image_agrees_with_the_reference_tokenizer_within_the_header_window
 
 @pytest.mark.parametrize("fill", [b"#" + b"c" * 64, b" ", b"9", b"#"], ids=["comment", "whitespace", "digits", "hashes"])
 def test_cap_sized_hostile_header_is_refused_within_a_second(tmp_path, fill):
-    assert images.PNM_CAP == 3 * images.MAX_PIXELS + images.PNM_HEADER_CAP
+    assert images.PNM_CAP == 3 * wire.MAX_PIXELS + images.PNM_HEADER_CAP
     path = tmp_path / "hostile.pgm"
     path.write_bytes((b"P5" + fill * (images.PNM_CAP // len(fill)))[: images.PNM_CAP])
     start = time.perf_counter()

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latentseal import codec, train
+from latentseal import codec, train, wire
 from latentseal.codec import CodecModel, Layer
 from latentseal.errors import EmptyBatchError, IoError, NonFiniteLossError, ShapeMismatchError
 
@@ -251,7 +251,7 @@ def test_load_model_rejects_layer_larger_than_file(tmp_path, n_out, n_in):
     # the header promises 8 * n_out * (n_in + 1) bytes; the file holds 16
     path = tmp_path / "forged.lscm"
     path.write_bytes(
-        codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, codec.KIND_NEURAL, 4)
+        codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, wire.KIND_NEURAL, 4)
         + struct.pack("<I", 1) + struct.pack("<II", n_out, n_in) + bytes(16)
     )
     with pytest.raises(IoError):
@@ -259,7 +259,7 @@ def test_load_model_rejects_layer_larger_than_file(tmp_path, n_out, n_in):
 
 
 def _header(m=4):
-    return codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, codec.KIND_NEURAL, m)
+    return codec.MODEL_MAGIC + struct.pack("<BBI", codec.MODEL_VERSION, wire.KIND_NEURAL, m)
 
 
 def test_load_model_refuses_a_million_empty_layers_fast(tmp_path):

@@ -1,10 +1,12 @@
 import ast
 import gc
+import importlib
 import os
 import re
 import socket
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -228,12 +230,8 @@ def test_cli_import_loads_only_what_encrypt_and_decrypt_run(tmp_path):
         "latentseal.train",
         "latentseal.transfer",
     ]
-    code = (
-        f"unused = [m for m in {unused!r} if m in sys.modules]\n"
-        "import latentseal\n"
-        "print(unused, latentseal.TrainConfig.__module__, 'latentseal.train' in sys.modules)"
-    )
-    assert _after_encrypt_and_decrypt(tmp_path, code) == "[] latentseal.train True"
+    code = f"print([m for m in {unused!r} if m in sys.modules])"
+    assert _after_encrypt_and_decrypt(tmp_path, code) == "[]"
 
 
 def _program(args: list[str]) -> tuple[int, list[str], set[str]]:
@@ -253,10 +251,10 @@ def _program(args: list[str]) -> tuple[int, list[str], set[str]]:
 
 def test_send_and_recv_load_neither_numpy_nor_cryptography(tmp_path):
     # a relay runs send and recv, which only move sealed bytes: a valid payload to a closed port, and no sender
-    from latentseal import ecies, pipeline
+    from latentseal import wire
 
     payload = tmp_path / "p.lsp"
-    payload.write_bytes(pipeline._pack_header(0, 1, 1, 1) + bytes(4 + ecies.OVERHEAD))
+    payload.write_bytes(wire._pack_header(0, 1, 1, 1) + bytes(4 + wire.OVERHEAD))
     with socket.socket() as closed:  # bound but not listening, so a connect to it is refused
         closed.bind(("127.0.0.1", 0))
         port = closed.getsockname()[1]
@@ -284,28 +282,51 @@ def test_every_module_level_import_is_used_in_its_module():
     assert unused == []
 
 
-def test_every_exported_name_resolves():
-    # the training names resolve through the module's lazy __getattr__
-    import latentseal
+def test_package_root_is_empty():
+    # each name has one import path, its module's: the root binds none, not even on first use, and loads no module
+    code = (
+        "import sys, latentseal\n"
+        "bound = [n for n in vars(latentseal) if not n.startswith('__') or n in ('__getattr__', '__all__')]\n"
+        "print(bound, [m for m in sys.modules if m.startswith('latentseal.')], hasattr(latentseal, 'compress_encrypt'))"
+    )
+    assert _fresh_python(code) == "[] [] False"
 
-    missing = [name for name in latentseal.__all__ if getattr(latentseal, name, None) is None]
-    assert missing == []
-    assert {"TrainConfig", "gan_objective", "train_autoencoder"} <= set(latentseal.__all__)
+
+def _defined_at_top_level(path: Path) -> set[str]:
+    """The names that a module's own top-level def, class or assignment binds."""
+    names = set()
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name))
+    return names
 
 
-def test_every_exported_name_is_used_inside_the_package():
-    # loaded somewhere in src/latentseal/ outside the package root and outside the body of its own def or class
-    import latentseal
-
-    used = set()
-    for path in (ROOT / "src" / "latentseal").glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text()).body:
-            loads = {
-                node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(stmt)
-                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-            }
-            used |= loads - {getattr(stmt, "name", None)}
-    assert [name for name in latentseal.__all__ if name not in used] == []
+def test_tests_read_each_name_from_its_home():
+    # ecies.OVERHEAD reads only while ecies happens to import it from wire, its
+    # home; a module object (transfer.socket, which tests patch) and a dunder
+    # (cli.__file__) belong to the module they are read from
+    defined = {path.stem: _defined_at_top_level(path) for path in (ROOT / "src" / "latentseal").glob("*.py")}
+    strays = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = []
+        bound = {}  # name -> latentseal module, from this file's `from latentseal import ...`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "latentseal":
+                bound.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("latentseal."):
+                reads += [(node.module.split(".", 1)[1], alias.name, node.lineno) for alias in node.names]
+        reads += [
+            (bound[node.value.id], node.attr, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id in bound
+        ]
+        for module, name, line in reads:
+            value = getattr(importlib.import_module(f"latentseal.{module}"), name, None)
+            if not (name.startswith("__") or name in defined[module] or isinstance(value, types.ModuleType)):
+                strays.append(f"{path.name}:{line} {module}.{name}")
+    assert strays == []

@@ -29,7 +29,7 @@ def test_payload_size_law(public_key, sym_key):
     model = codec.dct_model(100)
     payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
     blob = payload.serialize()
-    assert len(blob) == pipeline.HEADER_LEN + 4 * 100 + 49
+    assert len(blob) == wire.HEADER_LEN + 4 * 100 + 49
     assert len(payload.ciphertext) == 449  # the 65536-pixel -> 100-element body
 
 
@@ -61,8 +61,8 @@ def test_ephemeral_freshness(public_key, sym_key):
     model = codec.dct_model(10)
     a, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
     b, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
-    assert a.serialize()[: pipeline.HEADER_LEN] == b.serialize()[: pipeline.HEADER_LEN]
-    assert a.serialize()[pipeline.HEADER_LEN :] != b.serialize()[pipeline.HEADER_LEN :]
+    assert a.serialize()[: wire.HEADER_LEN] == b.serialize()[: wire.HEADER_LEN]
+    assert a.serialize()[wire.HEADER_LEN :] != b.serialize()[wire.HEADER_LEN :]
 
 
 def test_wrong_private_key(public_key, sym_key):
@@ -90,7 +90,7 @@ def test_header_tampering(public_key, private_key, sym_key):
     model = codec.dct_model(10)
     payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
     blob = payload.serialize()
-    for i in range(pipeline.HEADER_LEN):
+    for i in range(wire.HEADER_LEN):
         tampered = bytearray(blob)
         tampered[i] ^= 0xFF
         try:
@@ -146,7 +146,7 @@ def test_evaluate_lossy_psnr_matches_direct(public_key, private_key, sym_key):
 def _forged_blob(width, height, m=4, codec_id=0):
     # packed by hand: _pack_header refuses the fields parse must be shown to refuse
     header = wire.PAYLOAD_MAGIC + struct.pack("<BBHHH", wire.PAYLOAD_VERSION, codec_id, m, width, height)
-    return header + bytes(4 * m + ecies.OVERHEAD)
+    return header + bytes(4 * m + wire.OVERHEAD)
 
 
 def test_parse_rejects_declared_size_over_cap():
@@ -184,7 +184,7 @@ def test_sender_and_receiver_share_the_header_rules(codec_id, m, width, height):
             return False
         return True
 
-    packed = accepts(lambda: pipeline._pack_header(codec_id, m, width, height))
+    packed = accepts(lambda: wire._pack_header(codec_id, m, width, height))
     parsed = accepts(lambda: pipeline.EncryptedPayload.parse(_forged_blob(width, height, m, codec_id)))
     dct_fits = codec_id == 1 or m <= width * height
     assert packed == parsed == (codec_id in (0, 1) and 1 <= m and 1 <= width and 1 <= height and width * height <= 1 << 24 and dct_fits)

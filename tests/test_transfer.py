@@ -8,9 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from latentseal import transfer
-from latentseal.ecies import OVERHEAD
 from latentseal.errors import BadHeaderError, FrameTooLargeError, IoError
-from latentseal.wire import PAYLOAD_CAP, PAYLOAD_MAGIC, PAYLOAD_VERSION
+from latentseal.wire import HEADER_LEN, OVERHEAD, PAYLOAD_CAP, PAYLOAD_MAGIC, PAYLOAD_VERSION
 
 
 def legal_frame(m, fill=b"\x01", version=PAYLOAD_VERSION, extra=0):
@@ -198,9 +197,6 @@ def test_trickling_sender_hits_one_frame_deadline():
 
 
 def test_frame_cap_is_the_largest_legal_payload():
-    from latentseal.ecies import OVERHEAD
-    from latentseal.pipeline import HEADER_LEN
-
     assert PAYLOAD_CAP == HEADER_LEN + 4 * 0xFFFF + OVERHEAD == 262_201
     payload = legal_frame(0xFFFF, bytes(range(256)))
     assert len(payload) == PAYLOAD_CAP
