@@ -1,9 +1,12 @@
 """Latent codecs: map 8-bit grayscale images to m-element vectors and back.
 
-Two codecs honor the same contract, and CodecModel runs both.  The DCT
-codec keeps the first m zigzag coefficients of the orthonormal 2-D DCT of
-the normalized image.  The neural codec is a small fully-connected
-autoencoder (tanh hidden layers, sigmoid output) trained in train.py.
+CodecModel runs both codecs and states their contract once: pixels scaled
+to [0, 1], the latent rounded to the nearest 32-bit float so the pipeline's
+4-byte wire serialization is an exact round trip, and on the way back x255
+then images.quantize; each codec adds only its transform.  The DCT codec
+keeps the first m zigzag coefficients of the orthonormal 2-D DCT of the
+image.  The neural codec is a small fully-connected autoencoder (tanh
+hidden layers, sigmoid output) trained in train.py.
 
 The DCT is two numpy products with orthonormal DCT-II basis matrices, cut
 to the rows and columns the first m zigzag cells reach; no FFT package is
@@ -15,11 +18,9 @@ of at most BASIS_CACHE_BYTES each), from which the row and column bases are
 sliced.  So, for example, every grid with both sides of 28 or more shares
 one zigzag order and one box side per m up to 400.
 
-Both encoders round their latent values to the nearest 32-bit float so
-the pipeline's 4-byte wire serialization is an exact round trip.  This
-module owns the .lscm model file's layout, and so model_size, its byte
-count, and load_model parses a model as it reads it, each layer straight
-into its own array; the image check and the quantizer belong to images.
+This module owns the .lscm model file's layout, and so model_size, its
+byte count, and load_model parses a model as it reads it, each layer
+straight into its own array; the image check and the quantizer belong to images.
 """
 
 import io
@@ -39,14 +40,13 @@ MODEL_VERSION = 1
 _MODEL_HEADER = "<4sBBI"  # magic, version, codec kind and m
 
 
-def zigzag_indices(height: int, width: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the first m cells (all if None) of an H x W grid
-    in zigzag order; even anti-diagonals run bottom-left to top-right.
+def zigzag_indices(height: int, width: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row/column indices of the first m cells, 1 <= m <= height * width, of an
+    H x W grid in zigzag order; even anti-diagonals run bottom-left to top-right.
 
     The cells are those of the grid clipped to the last anti-diagonal they
     reach, so the cached order is shared by every grid that clips alike.
     """
-    m = height * width if m is None else min(m, height * width)
     last = _last_diagonal(height, width, m)
     return _zigzag_box(min(height, last + 1), min(width, last + 1), m)
 
@@ -82,21 +82,24 @@ def _zigzag_box(height: int, width: int, m: int) -> tuple[np.ndarray, np.ndarray
 BASIS_CACHE_BYTES = 1 << 20  # larger bases are rebuilt on every call
 
 
-def _zigzag_bases(height: int, width: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row bases, (rows.max() + 1) x height, and column bases, (cols.max() + 1) x width,
-    sliced from bases cached by the square box side max(rows.max(), cols.max()) + 1.
-    The two counts differ by the last diagonal's parity; the box side depends
-    only on m while the cells fit the grid.
-
-    A basis of side * min(k, side) entries over MAX_PIXELS is refused before
-    it is built: a long thin grid at large m, such as 1 x 65535 at m = 65535, would
-    otherwise take a 32 GiB basis, and a payload header can declare one."""
-    kr, kc = rows.max(initial=0) + 1, cols.max(initial=0) + 1
+def _zigzag_plan(height: int, width: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The zigzag rows and cols of m coefficients of an H x W image, then row bases,
+    (rows.max() + 1) x height, and column bases, (cols.max() + 1) x width, sliced
+    from bases cached by the square box side max(rows.max(), cols.max()) + 1; the two
+    counts differ by the last diagonal's parity, and the box side depends only on m
+    while the cells fit the grid.  MTooLargeError refuses m outside 1..height * width,
+    and a basis of side * min(k, side) entries over MAX_PIXELS before it is built: a
+    long thin grid at large m, such as 1 x 65535 at m = 65535, would otherwise take a
+    32 GiB basis, and a payload header can declare one."""
+    if not 1 <= m <= height * width:
+        raise MTooLargeError(f"m={m} out of range for a {width}x{height} image")
+    rows, cols = zigzag_indices(height, width, m)
+    kr, kc = rows.max() + 1, cols.max() + 1
     k = max(kr, kc)
     kh, kw = min(k, height), min(k, width)
     if max(kh * height, kw * width) > MAX_PIXELS:
-        raise MTooLargeError(f"m={len(rows)} on a {width}x{height} grid needs a DCT basis over {MAX_PIXELS} entries")
-    return _dct_basis(height, kh)[:kr], _dct_basis(width, kw)[:kc]
+        raise MTooLargeError(f"m={m} on a {width}x{height} grid needs a DCT basis over {MAX_PIXELS} entries")
+    return rows, cols, _dct_basis(height, kh)[:kr], _dct_basis(width, kw)[:kc]
 
 
 def _dct_basis(n: int, k: int) -> np.ndarray:
@@ -116,38 +119,6 @@ def _basis(n: int, k: int) -> np.ndarray:
 
 
 _cached_basis = lru_cache(maxsize=64)(_basis)
-
-
-def dct_encode(img: np.ndarray, m: int) -> np.ndarray:
-    """First m zigzag coefficients of the orthonormal 2-D DCT-II of the
-    normalized image, rounded to 32-bit floats."""
-    img = check_image(img)
-    if m < 1 or m > img.size:
-        raise MTooLargeError(f"m={m} out of range for {img.size}-pixel image")
-    h, w = img.shape
-    rows, cols = zigzag_indices(h, w, m)
-    x = img.astype(np.float64) / 255.0
-    row_basis, col_basis = _zigzag_bases(h, w, rows, cols)
-    coeffs = row_basis @ x @ col_basis.T
-    return coeffs[rows, cols].astype(np.float32).astype(np.float64)
-
-
-def dct_decode_float(v: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Continuous reconstruction in [0, 255] scale, before quantization."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size > width * height:
-        raise MTooLargeError(f"{v.size} coefficients exceed {width * height} pixels")
-    rows, cols = zigzag_indices(height, width, v.size)
-    row_basis, col_basis = _zigzag_bases(height, width, rows, cols)
-    coeffs = np.zeros((len(row_basis), len(col_basis)), dtype=np.float64)
-    coeffs[rows, cols] = v
-    out = row_basis.T @ coeffs @ col_basis
-    out *= 255.0
-    return out
-
-
-def dct_decode(v: np.ndarray, width: int, height: int) -> np.ndarray:
-    return quantize(dct_decode_float(v, width, height))
 
 
 @dataclass
@@ -174,27 +145,34 @@ class CodecModel:
         return self.encoder[0].W.shape[1] if self.encoder else None
 
     def encode(self, img: np.ndarray) -> np.ndarray:
-        if self.kind == "dct":
-            return dct_encode(img, self.m)
-        x = check_image(img).astype(np.float64).ravel() / 255.0
-        if x.size != self.input_size:
-            raise ShapeMismatchError(f"image has {x.size} pixels, model expects {self.input_size}")
+        x = check_image(img).astype(np.float64) / 255.0
         # huge finite weights, or a value past float32's range, give inf or NaN, which compress_encrypt refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            return forward(self.encoder, x, None)[-1].astype(np.float32).astype(np.float64)
+            if self.kind == "dct":
+                rows, cols, row_basis, col_basis = _zigzag_plan(*x.shape, self.m)
+                z = (row_basis @ x @ col_basis.T)[rows, cols]
+            elif x.size != self.input_size:
+                raise ShapeMismatchError(f"image has {x.size} pixels, model expects {self.input_size}")
+            else:
+                z = forward(self.encoder, x.ravel(), None)[-1]
+            return z.astype(np.float32).astype(np.float64)
 
     def decode(self, v: np.ndarray, width: int, height: int) -> np.ndarray:
-        if self.kind == "dct":
-            return dct_decode(v, width, height)
         v = np.asarray(v, dtype=np.float64)
-        if v.size != self.m:
-            raise ShapeMismatchError(f"latent size {v.size}, model expects {self.m}")
-        with np.errstate(over="ignore", invalid="ignore"):  # huge finite weights give inf - inf, refused below
-            out = forward(self.decoder, v, sigmoid)[-1]
-        if out.size != width * height:
-            raise ShapeMismatchError(f"decoder emits {out.size} pixels, header says {width * height}")
-        if not np.isfinite(out).all():
-            raise NonFiniteLatentError(f"{np.count_nonzero(~np.isfinite(out))} of {out.size} decoded pixels are not finite")
+        if self.kind == "dct":
+            rows, cols, row_basis, col_basis = _zigzag_plan(height, width, v.size)
+            coeffs = np.zeros((len(row_basis), len(col_basis)), dtype=np.float64)
+            coeffs[rows, cols] = v
+            out = row_basis.T @ coeffs @ col_basis
+        else:
+            if v.size != self.m:
+                raise ShapeMismatchError(f"latent size {v.size}, model expects {self.m}")
+            with np.errstate(over="ignore", invalid="ignore"):  # huge finite weights give inf - inf, refused below
+                out = forward(self.decoder, v, sigmoid)[-1]
+            if out.size != width * height:
+                raise ShapeMismatchError(f"decoder emits {out.size} pixels, header says {width * height}")
+            if not np.isfinite(out).all():
+                raise NonFiniteLatentError(f"{np.count_nonzero(~np.isfinite(out))} of {out.size} decoded pixels are not finite")
         out *= 255.0
         return quantize(out.reshape(height, width))
 

@@ -85,7 +85,7 @@ def ecies_encrypt(
     eph_pub = _compress(eph.public_key())
     shared = eph.exchange(ec.ECDH(), pub)
     key, nonce = _derive_key_nonce(shared, eph_pub)
-    return eph_pub + AESGCM(key).encrypt(nonce, plaintext, aad or None)
+    return eph_pub + AESGCM(key).encrypt(nonce, plaintext, aad)
 
 
 def ecies_decrypt(ct: bytes, priv: ec.EllipticCurvePrivateKey, aad: bytes = b"") -> bytes:
@@ -96,7 +96,7 @@ def ecies_decrypt(ct: bytes, priv: ec.EllipticCurvePrivateKey, aad: bytes = b"")
     shared = priv.exchange(ec.ECDH(), _load_point(eph_key))
     key, nonce = _derive_key_nonce(shared, eph_key)
     try:
-        return AESGCM(key).decrypt(nonce, ct[KEY_LEN:], aad or None)
+        return AESGCM(key).decrypt(nonce, ct[KEY_LEN:], aad)
     except InvalidTag as e:
         raise AuthFailureError("authentication tag mismatch") from e
 

@@ -23,11 +23,13 @@ TIMEOUT = 30.0  # seconds: send's bound on the connect and on each chunk, recv's
 def send_bytes(data: bytes, host: str, port: int, throttle: float | None = None) -> None:
     """Connect and send one frame in CHUNK-byte pieces; throttle is bytes per second.
 
-    TIMEOUT bounds the connect and each chunk, so a receiver that stops
-    reading raises IoError instead of holding the sender forever.
+    TIMEOUT bounds the connect and each chunk, so a receiver that stops reading
+    raises IoError instead of holding the sender forever, as a refused, unreachable
+    or unresolved destination does; each names it as host:port, or [host]:port for IPv6.
     """
     if len(data) > PAYLOAD_CAP:
         raise FrameTooLargeError(f"{len(data)} bytes exceeds {PAYLOAD_CAP}")
+    dest = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
     sent = 0
     try:
         with socket.create_connection((host, port), timeout=TIMEOUT) as sock:
@@ -38,7 +40,9 @@ def send_bytes(data: bytes, host: str, port: int, throttle: float | None = None)
                 if throttle is not None:  # sleep until the pacing schedule catches up
                     time.sleep(max(0.0, min(sent + CHUNK, len(data)) / throttle - (time.monotonic() - start)))
     except TimeoutError as e:
-        raise IoError(f"send to {host}:{port} timed out after {sent} of {len(data)} bytes") from e
+        raise IoError(f"send to {dest} timed out after {sent} of {len(data)} bytes") from e
+    except OSError as e:
+        raise IoError(f"cannot send to {dest}: {e}") from e
 
 
 def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
@@ -66,33 +70,34 @@ def recv_bytes(port: int, host: str = "", timeout: float = TIMEOUT) -> bytes:
     whole frame: a sender that trickles bytes cannot hold the receiver
     longer (IoError).  A frame over PAYLOAD_CAP raises FrameTooLargeError, and
     one that EncryptedPayload.parse refuses raises its BadHeaderError, as
-    soon as the length prefix and the header show it.
+    soon as the length prefix and the header show it.  Host "" listens on IPv6
+    and IPv4 where sockets can be dual-stack; a failed listen raises IoError.
     """
-    with socket.create_server((host, port), backlog=1) as srv:
-        srv.settimeout(timeout)
-        try:
+    family = socket.AF_INET6 if not host and socket.has_dualstack_ipv6() else socket.AF_INET
+    try:
+        with socket.create_server((host, port), family=family, backlog=1, dualstack_ipv6=family == socket.AF_INET6) as srv:
+            srv.settimeout(timeout)
             conn, _ = srv.accept()
-        except TimeoutError as e:
-            raise IoError(f"no sender within {timeout} s") from e
-        with conn:
-            deadline = time.monotonic() + timeout
-            (length,) = struct.unpack(">I", _recv_exact(conn, 4, deadline))
-            if length > PAYLOAD_CAP:
-                raise FrameTooLargeError(f"announced frame of {length} bytes")
-            if length < HEADER_LEN:
-                raise BadHeaderError(f"announced frame of {length} bytes is shorter than a payload header")
-            header = _recv_exact(conn, HEADER_LEN, deadline)
-            header_fields(header, length)
-            return header + _recv_exact(conn, length - HEADER_LEN, deadline)
+    except TimeoutError as e:
+        raise IoError(f"no sender within {timeout} s") from e
+    except OSError as e:
+        raise IoError(f"cannot listen on port {port}: {e}") from e
+    with conn:
+        deadline = time.monotonic() + timeout
+        (length,) = struct.unpack(">I", _recv_exact(conn, 4, deadline))
+        if length > PAYLOAD_CAP:
+            raise FrameTooLargeError(f"announced frame of {length} bytes")
+        if length < HEADER_LEN:
+            raise BadHeaderError(f"announced frame of {length} bytes is shorter than a payload header")
+        header = _recv_exact(conn, HEADER_LEN, deadline)
+        header_fields(header, length)
+        return header + _recv_exact(conn, length - HEADER_LEN, deadline)
 
 
 def send_file(path, host: str, port: int, throttle: float | None = None) -> None:
     data = read_file(path, PAYLOAD_CAP)
     header_fields(data, len(data))
-    try:
-        send_bytes(data, host, port, throttle)
-    except OSError as e:  # refused, unreachable or unresolved: say where to
-        raise IoError(f"cannot send to {host}:{port}: {e}") from e
+    send_bytes(data, host, port, throttle)
 
 
 def recv_file(port: int, out_path, host: str = "", timeout: float = TIMEOUT) -> int:

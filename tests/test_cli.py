@@ -519,6 +519,26 @@ def test_send_recv_cli(tmp_path, keys, dct_model_path, test_image):
     assert out.read_bytes() == payload.read_bytes()
 
 
+@pytest.mark.skipif(not socket.has_dualstack_ipv6(), reason="no dual-stack sockets")
+def test_recv_takes_ipv6_and_ipv4_senders(tmp_path):
+    payload = tmp_path / "p.lsp"
+    payload.write_bytes(wire._pack_header(0, 1, 1, 1) + bytes(4 + wire.OVERHEAD))
+    for host in ("[::1]", "127.0.0.1"):
+        with socket.create_server(("", 0), family=socket.AF_INET6, dualstack_ipv6=True) as s:
+            port = s.getsockname()[1]
+        out = tmp_path / "received.lsp"
+        codes = {}
+        t = threading.Thread(target=lambda: codes.update(recv=run(["recv", str(port), "--out", str(out), "--timeout", "10"])))
+        t.start()
+        deadline = time.monotonic() + 5
+        while run(["send", str(payload), f"{host}:{port}"]) != EXIT_OK and time.monotonic() < deadline:
+            time.sleep(0.05)  # refused until recv listens
+        t.join(timeout=10)
+        assert codes.get("recv") == EXIT_OK, host
+        assert out.read_bytes() == payload.read_bytes()
+        out.unlink()
+
+
 @pytest.mark.parametrize("fault", ["version", "codec", "length"])
 def test_recv_of_a_frame_decrypt_refuses_exit_code(tmp_path, keys, dct_model_path, test_image, fault, capsys):
     payload = tmp_path / "p.lsp"

@@ -11,15 +11,16 @@ from latentseal.metrics import psnr
 
 def test_dc_coefficient_all_white():
     img = np.full((4, 4), 255, dtype=np.uint8)
-    v = codec.dct_encode(img, 1)
+    v = codec.dct_model(1).encode(img)
     # orthonormal DC term: (1/sqrt(WH)) * sum(1.0) = sqrt(WH)
     assert v[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_all_zero_image():
     img = np.zeros((6, 5), dtype=np.uint8)
-    assert np.all(codec.dct_encode(img, 10) == 0.0)
-    assert np.all(codec.dct_decode(np.zeros(10), 5, 6) == 0)
+    model = codec.dct_model(10)
+    assert np.all(model.encode(img) == 0.0)
+    assert np.all(model.decode(np.zeros(10), 5, 6) == 0)
 
 
 def test_parseval_random_images():
@@ -33,17 +34,17 @@ def test_parseval_random_images():
 
 def test_full_rank_round_trip_exact():
     rng = np.random.default_rng(11)
+    model = codec.dct_model(64)
     for _ in range(50):
         img = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-        v = codec.dct_encode(img, 64)
-        assert np.array_equal(codec.dct_decode(v, 8, 8), img)
+        assert np.array_equal(model.decode(model.encode(img), 8, 8), img)
 
 
 def test_dc_only_decode_is_mean():
     rng = np.random.default_rng(13)
     img = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-    v = codec.dct_encode(img, 1)
-    rec = codec.dct_decode(v[:1], 8, 8)
+    model = codec.dct_model(1)
+    rec = model.decode(model.encode(img), 8, 8)
     assert np.all(rec == rec[0, 0])
     # DC basis is constant, so the reconstruction is the rounded mean
     assert abs(float(rec[0, 0]) - img.mean()) <= 0.5 + 1e-6
@@ -52,38 +53,39 @@ def test_dc_only_decode_is_mean():
 def test_mse_monotone_in_m():
     rng = np.random.default_rng(17)
     img = rng.integers(0, 256, (8, 8), dtype=np.uint8)
-    full = codec.dct_encode(img, 64)
+    full = codec.dct_model(64).encode(img)
     errors = []
     for m in range(1, 65):
-        rec = codec.dct_decode_float(full[:m], 8, 8)
+        rec = _dct_decode_float(full[:m], 8, 8)
         errors.append(float(np.mean((rec - img.astype(np.float64)) ** 2)))
     assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
 
 
 def test_m_too_large():
     img = np.zeros((4, 4), dtype=np.uint8)
-    with pytest.raises(MTooLargeError):
-        codec.dct_encode(img, 17)
-    with pytest.raises(MTooLargeError):
-        codec.dct_decode(np.zeros(17), 4, 4)
+    for m in (0, 17):
+        with pytest.raises(MTooLargeError):
+            codec.dct_model(m).encode(img)
+        with pytest.raises(MTooLargeError):  # an empty latent as well as an oversized one
+            codec.dct_model(m).decode(np.zeros(m), 4, 4)
 
 
 def test_rejects_non_images():
     with pytest.raises(ShapeMismatchError):
-        codec.dct_encode(np.zeros((4, 4)), 4)  # float dtype
+        codec.dct_model(4).encode(np.zeros((4, 4)))  # float dtype
     with pytest.raises(ShapeMismatchError):
-        codec.dct_encode(np.zeros(16, dtype=np.uint8), 4)  # 1-D
+        codec.dct_model(4).encode(np.zeros(16, dtype=np.uint8))  # 1-D
 
 
 def test_latent_survives_f32():
     img = smooth_gradient(64)
-    v = codec.dct_encode(img, 100)
+    v = codec.dct_model(100).encode(img)
     assert np.array_equal(v, v.astype(np.float32).astype(np.float64))
 
 
 def test_zigzag_order_8x8_prefix():
-    rows, cols = codec.zigzag_indices(8, 8)
-    got = list(zip(rows[:10].tolist(), cols[:10].tolist()))
+    rows, cols = codec.zigzag_indices(8, 8, 10)
+    got = list(zip(rows.tolist(), cols.tolist()))
     assert got == [
         (0, 0), (0, 1), (1, 0), (2, 0), (1, 1),
         (0, 2), (0, 3), (1, 2), (2, 1), (3, 0),
@@ -92,9 +94,9 @@ def test_zigzag_order_8x8_prefix():
 
 def test_truncation_psnr_matches_parseval_prediction():
     img = smooth_gradient(256)
-    v = codec.dct_encode(img, 100)
-    rec = codec.dct_decode(v, 256, 256)
-    rows, cols = codec.zigzag_indices(256, 256)
+    model = codec.dct_model(100)
+    rec = model.decode(model.encode(img), 256, 256)
+    rows, cols = codec.zigzag_indices(256, 256, 256 * 256)
     zz = dct2(img)[rows, cols]
     predicted_mse = float((zz[100:] ** 2).sum()) * 255.0**2 / img.size
     predicted_psnr = 10.0 * np.log10(255.0**2 / predicted_mse)
@@ -125,12 +127,18 @@ def _zigzag_walk(height, width):
     return order
 
 
+def _dct_decode_float(v, width, height):
+    """Test-only oracle: the reconstruction x255 before quantization, from the walk's
+    first len(v) cells and the full DCT-II bases."""
+    coeffs = np.zeros((height, width))
+    coeffs[tuple(np.array(_zigzag_walk(height, width)[: len(v)]).T)] = v
+    return codec._dct_basis(height, height).T @ coeffs @ codec._dct_basis(width, width) * 255.0
+
+
 def test_zigzag_prefix_matches_walk_oracle():
     for h in range(1, 25):
         for w in range(1, 25):
             walk_rows, walk_cols = map(list, zip(*_zigzag_walk(h, w)))
-            rows, cols = codec.zigzag_indices(h, w)
-            assert rows.tolist() == walk_rows and cols.tolist() == walk_cols
             for m in range(1, h * w + 1):
                 rows, cols = codec.zigzag_indices(h, w, m)
                 assert rows.tolist() == walk_rows[:m] and cols.tolist() == walk_cols[:m]
@@ -160,7 +168,7 @@ def test_dct_encode_matches_direct_formula(shape):
     img = np.random.default_rng(h * w).integers(0, 256, shape, dtype=np.uint8)
     ref = _dct_direct(img, _zigzag_walk(h, w))
     for m in (1, h * w // 2, h * w):
-        v = codec.dct_encode(img, m)
+        v = codec.dct_model(m).encode(img)
         assert v.shape == (m,)
         ulp = np.spacing(np.abs(ref[:m]).astype(np.float32)).astype(np.float64)
         assert np.all(np.abs(v - ref[:m]) <= ulp + 1e-12)
@@ -183,10 +191,10 @@ def test_dct_decode_matches_copying_quantize():
     # on a 1x1 image the decoder emits v * 255 exactly, so every edge case is hit as written
     for t in EDGE_PIXELS:
         v = np.array([t / 255.0])
-        assert codec.dct_decode_float(v, 1, 1)[0, 0] == t
-        assert np.array_equal(codec.dct_decode(v, 1, 1), _copying_quantize(np.array([[t]])))
+        assert _dct_decode_float(v, 1, 1)[0, 0] == t
+        assert np.array_equal(codec.dct_model(1).decode(v, 1, 1), _copying_quantize(np.array([[t]])))
     v = np.random.default_rng(9).normal(0.0, 3.0, 256)  # pixels well outside [0, 255]
-    assert np.array_equal(codec.dct_decode(v, 16, 16), _copying_quantize(codec.dct_decode_float(v, 16, 16)))
+    assert np.array_equal(codec.dct_model(256).decode(v, 16, 16), _copying_quantize(_dct_decode_float(v, 16, 16)))
 
 
 def test_decode_leaves_latent_unmodified():
@@ -210,7 +218,7 @@ def test_basis_cache_bounded_by_bytes():
     assert not big.flags.writeable
     assert np.array_equal(big[:32], codec._dct_basis(4096, 32))
     # a 4096 x 1 decode at m = 33 needs that basis and caches only its 1 x 1 partner
-    out = codec.dct_decode_float(np.ones(33), 1, 4096)
+    out = codec.dct_model(33).decode(np.ones(33), 1, 4096)
     assert out.shape == (4096, 1)
     assert codec._cached_basis.cache_info().currsize == 3
 
@@ -225,7 +233,8 @@ def test_mixed_shapes_hit_the_basis_and_zigzag_caches_on_a_second_pass():
         for h in sides:
             for w in sides:
                 for m in (16, 100, 400):
-                    codec.dct_decode(codec.dct_encode(img[:h, :w], m), w, h)
+                    model = codec.dct_model(m)
+                    model.decode(model.encode(img[:h, :w]), w, h)
         if rnd == 0:
             # one basis per side and box side k(m), and one zigzag order per m
             assert codec._cached_basis.cache_info().currsize == len(sides) * 3
@@ -235,8 +244,7 @@ def test_mixed_shapes_hit_the_basis_and_zigzag_caches_on_a_second_pass():
 
 def test_bases_cut_from_the_square_box_match_exact_size_bases():
     for h, w, m in [(48, 80, 100), (80, 48, 99), (7, 300, 40), (300, 7, 400), (5, 5, 25)]:
-        rows, cols = codec.zigzag_indices(h, w, m)
-        row_basis, col_basis = codec._zigzag_bases(h, w, rows, cols)
+        rows, cols, row_basis, col_basis = codec._zigzag_plan(h, w, m)
         assert row_basis.tobytes() == codec._basis(h, rows.max() + 1).tobytes()
         assert col_basis.tobytes() == codec._basis(w, cols.max() + 1).tobytes()
 
@@ -246,12 +254,13 @@ def test_basis_over_max_pixels_refused_before_it_is_built(width, height):
     # 1 x 65535 at m = 65535 needs a 65535 x 65535 basis (32 GiB), 256 x 65535 a 384 x 65535 one (192 MiB)
     start = time.perf_counter()
     with pytest.raises(MTooLargeError, match="DCT basis"):
-        codec.dct_decode(np.zeros(65535), width, height)
+        codec.dct_model(65535).decode(np.zeros(65535), width, height)
     assert time.perf_counter() - start < 1.0
 
 
 def test_square_grid_at_the_largest_m_still_decodes():
     img = np.random.default_rng(21).integers(0, 256, (256, 256), dtype=np.uint8)
-    out = codec.dct_decode(codec.dct_encode(img, 65535), 256, 256)
+    model = codec.dct_model(65535)
+    out = model.decode(model.encode(img), 256, 256)
     assert out.shape == (256, 256)
     assert np.abs(out.astype(int) - img).max() <= 1

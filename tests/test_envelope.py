@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from latentseal import cli, codec, images, transfer, wire
+from latentseal.errors import IoError
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDE = 4096  # SIDE**2 == wire.MAX_PIXELS, so the P6 raster fills images.PNM_CAP
@@ -172,8 +173,8 @@ def test_recv_of_a_frame_at_the_cap_stays_within_its_envelope(tmp_path):
         while True:
             try:
                 return transfer.send_bytes(frame, "127.0.0.1", port)
-            except ConnectionRefusedError:  # the child has not bound the port yet
-                if time.monotonic() > deadline:
+            except IoError as e:  # refused while the child has not bound the port yet
+                if not isinstance(e.__cause__, ConnectionRefusedError) or time.monotonic() > deadline:
                     raise
                 time.sleep(0.02)
 

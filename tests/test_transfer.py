@@ -87,13 +87,15 @@ def test_send_file_refuses_oversized_file_unread(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "data,refused",
-    [(data, None) for data in (b"", bytes(100), legal_frame(100)[:-1], legal_frame(100, version=PAYLOAD_VERSION + 1))]
-    + [(legal_frame(100), "cannot send to 127.0.0.1:1: [Errno 111] Connection refused")],
-    ids=["empty", "no-magic", "short-body", "version", "refused"],
+    "data,host,refused",
+    [(data, "127.0.0.1", None) for data in (b"", bytes(100), legal_frame(100)[:-1], legal_frame(100, version=PAYLOAD_VERSION + 1))]
+    + [(legal_frame(100), "127.0.0.1", "cannot send to 127.0.0.1:1: [Errno 111] Connection refused")]
+    + [(legal_frame(100), "::1", "cannot send to [::1]:1: [Errno 111] Connection refused")],
+    ids=["empty", "no-magic", "short-body", "version", "refused", "refused-ipv6"],
 )
-def test_send_file_refuses_a_payload_decrypt_refuses_before_connecting(tmp_path, monkeypatch, data, refused):
-    # a payload decrypt accepts gets as far as the connect, and a refused connect names the destination
+def test_send_file_refuses_a_payload_decrypt_refuses_before_connecting(tmp_path, monkeypatch, data, host, refused):
+    # a payload decrypt accepts gets as far as the connect, and a refused connect names the destination,
+    # an IPv6 host in brackets so that its port stands apart
     path = tmp_path / "bad.lsp"
     path.write_bytes(data)
     connects = []
@@ -104,9 +106,17 @@ def test_send_file_refuses_a_payload_decrypt_refuses_before_connecting(tmp_path,
 
     monkeypatch.setattr(transfer.socket, "create_connection", refuse)
     with pytest.raises(IoError if refused else BadHeaderError) as exc:
-        transfer.send_file(path, "127.0.0.1", 1)
-    assert connects == ([("127.0.0.1", 1)] if refused else [])
+        transfer.send_file(path, host, 1)
+    assert connects == ([(host, 1)] if refused else [])
     assert refused in (None, str(exc.value))
+
+
+@pytest.mark.parametrize("host", ["", "127.0.0.1"], ids=["any", "ipv4"])
+def test_recv_on_a_port_in_use_is_an_io_error_naming_the_port(host):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        with pytest.raises(IoError, match=f"^cannot listen on port {port}: .*Address already in use"):
+            transfer.recv_bytes(port, host=host, timeout=1)
 
 
 def test_frame_cap_on_recv():
