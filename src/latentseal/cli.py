@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 2 usage, otherwise the raised error's exit_code (see errors).
+Exit codes: 0 ok, 2 usage, 130 interrupt, otherwise the raised error's exit_code (see errors).
 Every output file is written by errors.atomic_write, directly or through
 the library's save/write functions: a temp name in the target directory
 renamed on success, so no error path leaves a partial file behind.
@@ -19,6 +19,7 @@ from .wire import MAX_PIXELS, PAYLOAD_CAP
 
 EXIT_OK = 0
 EXIT_USAGE = 2
+EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def cmd_keygen(args) -> int:
@@ -268,10 +269,15 @@ def run() -> None:
     collector is paused for main, which spares the collections its imports
     would set off, and what is left is frozen, so interpreter shutdown does
     not walk it again.  main never touches the collector: callers that run
-    it in-process, many times, keep their heap collectable.
+    it in-process, many times, keep their heap collectable.  An interrupt
+    ends the command with a message, not a traceback.
     """
     gc.disable()
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        code = EXIT_INTERRUPT
     gc.freeze()
     sys.exit(code)
 

@@ -1,7 +1,7 @@
 """Image quality metrics (SSIM, MSE, PSNR) of 8-bit images.
 
-Every metric takes two non-empty 2-D uint8 arrays of one shape, the only
-images the chain reads, encodes and decodes; anything else is refused.
+SSIM and MSE take two non-empty 2-D uint8 arrays of one shape, the images
+the chain reads, encodes and decodes, and refuse all else; PSNR the MSE.
 SSIM uses Wang et al.'s constants for 8-bit images, C1 = (0.01 * 255)^2 and
 C2 = (0.03 * 255)^2, and PSNR a peak of 255.  ssim(a, b, window=None)
 defaults to the single global evaluation of the similarity formula over
@@ -55,8 +55,8 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(d.sum() / d.size)  # int64 sum of squares, one rounding
 
 
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    err = mse(a, b)
+def psnr(err: float) -> float:
+    """PSNR in decibels of a mean squared error err, as mse returns it: +inf at 0."""
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0 * 255.0 / err)

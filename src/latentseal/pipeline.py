@@ -103,10 +103,5 @@ def evaluate(
     """One report row: quality of the round trip plus both timings; window is ssim's."""
     payload, enc_s = compress_encrypt(img, codec, sym, pub)
     recon, dec_s = decrypt_reconstruct(payload, codec, sym, priv)
-    return QualityReport(
-        ssim=ssim(img, recon, window),
-        mse=mse(img, recon),
-        psnr=psnr(img, recon),
-        encrypt_seconds=enc_s,
-        decrypt_seconds=dec_s,
-    )
+    err = mse(img, recon)  # once: PSNR is a function of it
+    return QualityReport(ssim=ssim(img, recon, window), mse=err, psnr=psnr(err), encrypt_seconds=enc_s, decrypt_seconds=dec_s)

@@ -1,7 +1,24 @@
-import numpy as np
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from latentseal import ecies, henon, images
+from latentseal import ecies, henon
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded by path: the benchmark's files are not part of the package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's own arithmetic, which imports nothing from latentseal: the independent oracle
+# for the zigzag order, DCT coefficients, windowed SSIM, MSE and the payload size
+reference = perfbench_module("reference")
 
 
 @pytest.fixture(scope="session")
@@ -17,17 +34,3 @@ def public_key(private_key):
 @pytest.fixture(scope="session")
 def sym_key():
     return henon.SymKey(0.123, 0.05)
-
-
-@pytest.fixture()
-def rng():
-    return np.random.default_rng(42)
-
-
-@pytest.fixture(scope="session")
-def gradient_image():
-    return images.smooth_gradient(256)
-
-
-def random_image(rng, h, w):
-    return rng.integers(0, 256, (h, w), dtype=np.uint8)

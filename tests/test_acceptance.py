@@ -5,18 +5,18 @@ lines.  Thresholds are pinned here and nowhere else.
 """
 
 import math
-import struct
 import time
 
 import numpy as np
 import pytest
 
-from latentseal import codec, ecies, henon, metrics, pipeline, train, wire
+from latentseal import codec, ecies, henon, metrics, pipeline, train
 from latentseal.errors import AuthFailureError, DivergenceError, InvalidPointError
 from latentseal.images import smooth_gradient
 
+from conftest import reference
 from test_dct import dct2
-from test_transfer import run_transfer
+from test_transfer import payload_frame, run_transfer
 
 
 def report(name, ok, detail=""):
@@ -77,7 +77,7 @@ def test_ecies_suite():
         ct = ecies.ecies_encrypt(pt, pub)
         if ecies.ecies_decrypt(ct, priv) != pt:
             report("ecies: 1000 round trips / 100 tamper bits / length law", False, "round trip")
-        if len(ct) != n + 49:
+        if len(ct) != n + reference.ECIES_OVERHEAD:
             report("ecies: 1000 round trips / 100 tamper bits / length law", False, "length law")
     blob = ecies.ecies_encrypt(bytes(64), pub)
     caught = 0
@@ -121,16 +121,10 @@ def test_metrics_oracles():
     img = np.random.default_rng(0).integers(0, 256, (8, 8), dtype=np.uint8)
     ok1 = abs(metrics.ssim(img, img) - 1.0) <= 1e-12
     a = np.zeros((4, 4), dtype=np.uint8)
-    ok2 = abs(metrics.psnr(a, a + 1) - 48.1308) <= 1e-3
+    ok2 = abs(metrics.psnr(metrics.mse(a, a + 1)) - 48.1308) <= 1e-3
     board = ((np.indices((4, 4)).sum(axis=0) % 2) * 255).astype(np.uint8)
     inv = (255 - board).astype(np.uint8)
-    bf, if_ = board.astype(float), inv.astype(float)
-    mu = bf.mean()
-    cov = ((bf - mu) * (if_ - mu)).mean()
-    var = ((bf - mu) ** 2).mean()
-    c1, c2 = (0.01 * 255) ** 2, (0.03 * 255) ** 2
-    expected = ((2 * mu * mu + c1) * (2 * cov + c2)) / ((2 * mu * mu + c1) * (2 * var + c2))
-    ok3 = abs(metrics.ssim(board, inv) - expected) <= 1e-12
+    ok3 = abs(metrics.ssim(board, inv) - reference.windowed_ssim(board, inv, 4)) <= 1e-12
     report("metrics oracles: ssim(x,x)=1, psnr(mse=1)=48.1308 dB, checkerboard ssim", ok1 and ok2 and ok3)
 
 
@@ -151,7 +145,7 @@ def test_dct_codec():
     pred_mse = float((zz[100:] ** 2).sum()) * 255.0**2 / img.size
     pred_psnr = 10.0 * math.log10(255.0**2 / pred_mse)
     dct = codec.dct_model(100)
-    actual = metrics.psnr(img, dct.decode(dct.encode(img), 256, 256))
+    actual = metrics.psnr(metrics.mse(img, dct.decode(dct.encode(img), 256, 256)))
     ok_pred = abs(actual - pred_psnr) <= 0.1
     report(
         "dct codec: parseval 1e-9, full-rank exact, m=100 psnr vs prediction",
@@ -232,13 +226,10 @@ def test_timing_report():
 
 
 def test_transfer_acceptance():
-    def frame(m, body):  # a legal payload header and a body of 4m + 49 bytes
-        return wire.PAYLOAD_MAGIC + struct.pack("<BBHHH", wire.PAYLOAD_VERSION, 0, m, 256, 256) + body
-
-    payload = frame(100, bytes(np.random.default_rng(5).integers(0, 256, 449, dtype=np.uint8)))  # 461 bytes
+    payload = payload_frame(100, bytes(np.random.default_rng(5).integers(0, 256, 449, dtype=np.uint8)))  # 461 bytes
     ok_loopback = run_transfer(payload) == payload
     start = time.monotonic()
-    run_transfer(frame(1132, bytes(4577)), throttle=1000)  # 4589 bytes
+    run_transfer(payload_frame(1132, bytes(1)), throttle=1000)  # 4589 bytes
     elapsed = time.monotonic() - start
     expected = 4589 / 1000
     ok_throttle = abs(elapsed - expected) <= 0.2 * expected + 0.3  # pacing slack + setup

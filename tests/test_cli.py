@@ -1,4 +1,5 @@
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -14,9 +15,23 @@ from latentseal import cli, codec, ecies, errors, henon, images, pipeline, wire
 from latentseal.cli import EXIT_OK, EXIT_USAGE
 from latentseal.errors import EXIT_AUTH, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO
 
+from test_transfer import free_port
+
 
 def run(args):
     return cli.main(args)
+
+
+KEY_FILES = {"encrypt": ("sym", "pub"), "decrypt": ("sym", "priv"), "evaluate": ("sym", "pub", "priv")}
+
+
+def chain(command, source, model, keys, out):
+    """Arguments of encrypt, decrypt or evaluate on source and model, with the key files of prefix
+    keys that the command reads, writing out."""
+    args = [command, str(source), "--model", str(model)]
+    for suffix in KEY_FILES[command]:
+        args += [f"--{suffix}", f"{keys}.{suffix}"]
+    return args + ["--out", str(out)]
 
 
 @pytest.fixture()
@@ -75,23 +90,11 @@ def test_keygen_seeded_reproducible(tmp_path):
 
 def test_encrypt_decrypt_round_trip(tmp_path, keys, dct_model_path, test_image, capsys):
     payload = tmp_path / "out.lsp"
-    rc = run([
-        "encrypt", str(test_image),
-        "--model", str(dct_model_path),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--out", str(payload),
-    ])
+    rc = run(chain("encrypt", test_image, dct_model_path, keys, payload))
     assert rc == EXIT_OK
     assert "encrypt_s=" in capsys.readouterr().out
     recon = tmp_path / "recon.pgm"
-    rc = run([
-        "decrypt", str(payload),
-        "--model", str(dct_model_path),
-        "--sym", str(keys) + ".sym",
-        "--priv", str(keys) + ".priv",
-        "--out", str(recon),
-    ])
+    rc = run(chain("decrypt", payload, dct_model_path, keys, recon))
     assert rc == EXIT_OK
     # on-disk result equals the pure codec round trip
     from latentseal import codec
@@ -104,13 +107,7 @@ def test_encrypt_decrypt_round_trip(tmp_path, keys, dct_model_path, test_image, 
 
 def test_decrypt_wrong_key_exit_code(tmp_path, keys, dct_model_path, test_image):
     payload = tmp_path / "out.lsp"
-    run([
-        "encrypt", str(test_image),
-        "--model", str(dct_model_path),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--out", str(payload),
-    ])
+    run(chain("encrypt", test_image, dct_model_path, keys, payload))
     other = tmp_path / "other"
     run(["keygen", str(other), "--seed", "7"])
     out = tmp_path / "never.pgm"
@@ -129,13 +126,7 @@ def test_decrypt_truncated_payload(tmp_path, keys, dct_model_path):
     bad = tmp_path / "trunc.lsp"
     bad.write_bytes(b"LSP1\x01\x00")
     out = tmp_path / "never.pgm"
-    rc = run([
-        "decrypt", str(bad),
-        "--model", str(dct_model_path),
-        "--sym", str(keys) + ".sym",
-        "--priv", str(keys) + ".priv",
-        "--out", str(out),
-    ])
+    rc = run(chain("decrypt", bad, dct_model_path, keys, out))
     assert rc == EXIT_FORMAT
     assert not out.exists()
 
@@ -149,13 +140,7 @@ def test_decrypt_payload_file_cap(tmp_path, keys, dct_model_path, extra, code, c
         f.write(wire.PAYLOAD_MAGIC)
         f.truncate(wire.PAYLOAD_CAP + extra)
     out = tmp_path / "never.pgm"
-    rc = run([
-        "decrypt", str(path),
-        "--model", str(dct_model_path),
-        "--sym", str(keys) + ".sym",
-        "--priv", str(keys) + ".priv",
-        "--out", str(out),
-    ])
+    rc = run(chain("decrypt", path, dct_model_path, keys, out))
     assert rc == code
     assert not out.exists()
     if code == EXIT_IO:
@@ -163,13 +148,7 @@ def test_decrypt_payload_file_cap(tmp_path, keys, dct_model_path, extra, code, c
 
 
 def test_encrypt_missing_image(tmp_path, keys, dct_model_path):
-    rc = run([
-        "encrypt", str(tmp_path / "nope.pgm"),
-        "--model", str(dct_model_path),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--out", str(tmp_path / "o.lsp"),
-    ])
+    rc = run(chain("encrypt", tmp_path / "nope.pgm", dct_model_path, keys, tmp_path / "o.lsp"))
     assert rc == EXIT_IO
 
 
@@ -182,13 +161,7 @@ def test_encrypt_header_field_overflow_exit_code(tmp_path, keys, height, width, 
     model = tmp_path / "model.lscm"
     codec.save_model(codec.dct_model(m), model)  # make-model refuses m over 65535
     out = tmp_path / "o.lsp"
-    rc = run([
-        "encrypt", str(image),
-        "--model", str(model),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--out", str(out),
-    ])
+    rc = run(chain("encrypt", image, model, keys, out))
     assert rc == EXIT_FORMAT
     assert not out.exists()
 
@@ -205,13 +178,7 @@ def test_decrypt_of_a_basis_over_the_cap_exit_code(tmp_path, keys):
     assert run(["make-model", str(model), "--m", "65535"]) == EXIT_OK
     out = tmp_path / "r.pgm"
     start = time.perf_counter()
-    rc = run([
-        "decrypt", str(payload),
-        "--model", str(model),
-        "--sym", str(keys) + ".sym",
-        "--priv", str(keys) + ".priv",
-        "--out", str(out),
-    ])
+    rc = run(chain("decrypt", payload, model, keys, out))
     assert rc == EXIT_FORMAT
     assert time.perf_counter() - start < 5.0
     assert not out.exists()
@@ -232,13 +199,7 @@ def test_decrypt_of_a_non_finite_latent_exit_code(tmp_path, keys, dct_model_path
     out = tmp_path / "r.pgm"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rc = run([
-            "decrypt", str(payload),
-            "--model", str(dct_model_path),
-            "--sym", str(keys) + ".sym",
-            "--priv", str(keys) + ".priv",
-            "--out", str(out),
-        ])
+        rc = run(chain("decrypt", payload, dct_model_path, keys, out))
     assert rc == code
     assert out.exists() == (code == EXIT_OK)
 
@@ -252,12 +213,11 @@ def test_decrypt_with_a_neural_decoder_whose_output_overflows_exit_code(tmp_path
     img = tmp_path / "in.pgm"
     images.write_image(np.full((2, 2), 200, dtype=np.uint8), img)
     payload = tmp_path / "p.lsp"
-    keyed = ["--model", str(model), "--sym", str(keys) + ".sym"]
-    assert run(["encrypt", str(img), *keyed, "--pub", str(keys) + ".pub", "--out", str(payload)]) == EXIT_OK
+    assert run(chain("encrypt", img, model, keys, payload)) == EXIT_OK
     out = tmp_path / "r.pgm"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rc = run(["decrypt", str(payload), *keyed, "--priv", str(keys) + ".priv", "--out", str(out)])
+        rc = run(chain("decrypt", payload, model, keys, out))
     assert rc == EXIT_FORMAT
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
@@ -314,8 +274,7 @@ def test_encrypt_runs_the_orbit_for_the_key_and_one_twin_only(tmp_path, keys, dc
     orbit = henon._orbit
     monkeypatch.setattr(henon, "_orbit", lambda key, n: calls.append(n) or orbit(key, n))
     henon.permutation_for_key.cache_clear()
-    assert run(["encrypt", str(test_image), "--model", str(dct_model_path), "--sym", str(keys) + ".sym",
-                "--pub", str(keys) + ".pub", "--out", str(tmp_path / "o.lsp")]) == EXIT_OK
+    assert run(chain("encrypt", test_image, dct_model_path, keys, tmp_path / "o.lsp")) == EXIT_OK
     assert calls == [henon.WEAK_KEY_SPAN + 1, henon.WEAK_KEY_SPAN]
 
 
@@ -325,14 +284,7 @@ def test_make_dataset_and_evaluate(tmp_path, keys, capsys):
     model = tmp_path / "full.lscm"
     run(["make-model", str(model), "--m", "256"])  # full rank at 16x16: lossless
     report = tmp_path / "report.csv"
-    rc = run([
-        "evaluate", str(data_dir),
-        "--model", str(model),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--priv", str(keys) + ".priv",
-        "--out", str(report),
-    ])
+    rc = run(chain("evaluate", data_dir, model, keys, report))
     assert rc == EXIT_OK
     lines = report.read_text().strip().split("\n")
     assert lines[0] == "ssim,psnr_db,mse,encrypt_s,decrypt_s"
@@ -348,14 +300,7 @@ def test_evaluate_empty_dir(tmp_path, keys, dct_model_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     report = tmp_path / "r.csv"
-    rc = run([
-        "evaluate", str(empty),
-        "--model", str(dct_model_path),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--priv", str(keys) + ".priv",
-        "--out", str(report),
-    ])
+    rc = run(chain("evaluate", empty, dct_model_path, keys, report))
     assert rc == EXIT_OK
     assert report.read_text() == "ssim,psnr_db,mse,encrypt_s,decrypt_s\n"
 
@@ -365,14 +310,7 @@ def test_a_missing_image_directory_exit_code(tmp_path, keys, dct_model_path, com
     missing = tmp_path / "nosuchdir"
     out = tmp_path / "out"
     args = {
-        "evaluate": [
-            "evaluate", str(missing),
-            "--model", str(dct_model_path),
-            "--sym", str(keys) + ".sym",
-            "--pub", str(keys) + ".pub",
-            "--priv", str(keys) + ".priv",
-            "--out", str(out),
-        ],
+        "evaluate": chain("evaluate", missing, dct_model_path, keys, out),
         "train": ["train", str(missing), str(out), "--epochs", "1"],
     }[command]
     assert run(args) == EXIT_IO
@@ -439,21 +377,9 @@ def _train_and_round_trip(tmp_path, keys, *train_args):
     assert rc == EXIT_OK
     img = tmp_path / "data" / "img_0000.pgm"
     payload = tmp_path / "p.lsp"
-    assert run([
-        "encrypt", str(img),
-        "--model", str(model),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--out", str(payload),
-    ]) == EXIT_OK
+    assert run(chain("encrypt", img, model, keys, payload)) == EXIT_OK
     recon = tmp_path / "r.pgm"
-    assert run([
-        "decrypt", str(payload),
-        "--model", str(model),
-        "--sym", str(keys) + ".sym",
-        "--priv", str(keys) + ".priv",
-        "--out", str(recon),
-    ]) == EXIT_OK
+    assert run(chain("decrypt", payload, model, keys, recon)) == EXIT_OK
     assert images.read_image(recon).shape == (8, 8)
 
 
@@ -494,16 +420,8 @@ def test_train_of_a_model_over_the_cap_exit_code(tmp_path, capsys):
 
 def test_send_recv_cli(tmp_path, keys, dct_model_path, test_image):
     payload = tmp_path / "p.lsp"
-    run([
-        "encrypt", str(test_image),
-        "--model", str(dct_model_path),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--out", str(payload),
-    ])
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
+    run(chain("encrypt", test_image, dct_model_path, keys, payload))
+    port = free_port()
     out = tmp_path / "received.lsp"
     codes = {}
 
@@ -542,13 +460,7 @@ def test_recv_takes_ipv6_and_ipv4_senders(tmp_path):
 @pytest.mark.parametrize("fault", ["version", "codec", "length"])
 def test_recv_of_a_frame_decrypt_refuses_exit_code(tmp_path, keys, dct_model_path, test_image, fault, capsys):
     payload = tmp_path / "p.lsp"
-    run([
-        "encrypt", str(test_image),
-        "--model", str(dct_model_path),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--out", str(payload),
-    ])
+    run(chain("encrypt", test_image, dct_model_path, keys, payload))
     data = bytearray(payload.read_bytes())
     if fault == "version":
         data[4] += 1
@@ -556,9 +468,7 @@ def test_recv_of_a_frame_decrypt_refuses_exit_code(tmp_path, keys, dct_model_pat
         data[5] = 2  # neither DCT (0) nor neural (1)
     else:
         data += b"\0"
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
+    port = free_port()
     out = tmp_path / "received.lsp"
     codes = {}
     t = threading.Thread(target=lambda: codes.update(recv=run(["recv", str(port), "--out", str(out), "--timeout", "10"])))
@@ -592,13 +502,7 @@ def test_encrypt_with_a_million_empty_layers_exit_code(tmp_path, keys, test_imag
     stack = (1_000_000).to_bytes(4, "little") + bytes(8 * 1_000_000)
     model.write_bytes(codec.MODEL_MAGIC + bytes([codec.MODEL_VERSION, wire.KIND_NEURAL]) + bytes(4) + stack + stack)
     out = tmp_path / "p.lsp"
-    rc = run([
-        "encrypt", str(test_image),
-        "--model", str(model),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--out", str(out),
-    ])
+    rc = run(chain("encrypt", test_image, model, keys, out))
     assert rc == EXIT_IO
     assert not out.exists()
     assert "1000000 layers" in capsys.readouterr().err
@@ -695,25 +599,21 @@ def test_parser_built_once_and_calls_repeat(tmp_path, keys, capsys):
 def test_oversized_key_file_exit_code(tmp_path, keys, dct_model_path, suffix, capsys):
     path = tmp_path / f"key.{suffix}"
     path.write_bytes(path.read_bytes() + b"\n" * (3 << 20))
-    rc = run([
-        "evaluate", str(tmp_path),
-        "--model", str(dct_model_path),
-        "--sym", str(keys) + ".sym",
-        "--pub", str(keys) + ".pub",
-        "--priv", str(keys) + ".priv",
-        "--out", str(tmp_path / "report.csv"),
-    ])
+    rc = run(chain("evaluate", tmp_path, dct_model_path, keys, tmp_path / "report.csv"))
     assert rc == EXIT_IO
     assert f"key.{suffix}" in capsys.readouterr().err
 
 
-def run_program(args):
-    """`python -m latentseal.cli args` in a new process, as a user runs it, importing latentseal from this checkout."""
+def program(args):
+    """Popen arguments of `python -m latentseal.cli args` in a new process, as a user runs it, importing
+    latentseal from this checkout."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "latentseal.cli", *args], env=env, capture_output=True, text=True, timeout=60
-    )
+    return {"args": [sys.executable, "-m", "latentseal.cli", *args], "env": env, "text": True}
+
+
+def run_program(args):
+    return subprocess.run(**program(args), capture_output=True, timeout=60)
 
 
 def test_program_writes_what_main_writes(tmp_path, dct_model_path, test_image, capsys):
@@ -724,10 +624,8 @@ def test_program_writes_what_main_writes(tmp_path, dct_model_path, test_image, c
         k = str(d / "key")
         steps = [
             (["keygen", k, "--seed", "42"], "wrote "),
-            (["encrypt", str(test_image), "--model", str(dct_model_path), "--sym", k + ".sym", "--pub", k + ".pub",
-              "--out", str(d / "img.lsp")], "encrypt_s="),
-            (["decrypt", str(d / "img.lsp"), "--model", str(dct_model_path), "--sym", k + ".sym", "--priv", k + ".priv",
-              "--out", str(d / "recon.pgm")], "decrypt_s="),
+            (chain("encrypt", test_image, dct_model_path, k, d / "img.lsp"), "encrypt_s="),
+            (chain("decrypt", d / "img.lsp", dct_model_path, k, d / "recon.pgm"), "decrypt_s="),
         ]
         for argv, printed in steps:
             if side == "program":
@@ -754,6 +652,28 @@ def test_program_exit_codes(tmp_path, keys, dct_model_path, test_image):
     assert "error: argument --m: want " in out_of_range.stderr
     assert "Traceback" not in missing.stderr + out_of_range.stderr
     assert not (tmp_path / "out.lsp").exists() and not (tmp_path / "m.lscm").exists()
+
+
+def test_an_interrupted_program_exits_130_with_one_line_and_no_output_file(tmp_path):
+    # Ctrl-C while recv waits on a connected sender that sends nothing
+    port = free_port()
+    with subprocess.Popen(**program(["recv", str(port), "--out", str(tmp_path / "in.lsp")]), stderr=subprocess.PIPE) as proc:
+        try:
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    sender = socket.create_connection(("127.0.0.1", port))
+                    break
+                except ConnectionRefusedError:  # until recv listens
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+            with sender:
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (130, "error: interrupted\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # every LatentSealError class and the exit code the CLI returns for it; a new class must be added here

@@ -6,7 +6,9 @@ import pytest
 from latentseal import codec
 from latentseal.errors import MTooLargeError, ShapeMismatchError
 from latentseal.images import quantize, smooth_gradient
-from latentseal.metrics import psnr
+from latentseal.metrics import mse, psnr
+
+from conftest import reference
 
 
 def test_dc_coefficient_all_white():
@@ -57,7 +59,7 @@ def test_mse_monotone_in_m():
     errors = []
     for m in range(1, 65):
         rec = _dct_decode_float(full[:m], 8, 8)
-        errors.append(float(np.mean((rec - img.astype(np.float64)) ** 2)))
+        errors.append(reference.mse(rec, img))
     assert all(a >= b - 1e-9 for a, b in zip(errors, errors[1:]))
 
 
@@ -100,7 +102,7 @@ def test_truncation_psnr_matches_parseval_prediction():
     zz = dct2(img)[rows, cols]
     predicted_mse = float((zz[100:] ** 2).sum()) * 255.0**2 / img.size
     predicted_psnr = 10.0 * np.log10(255.0**2 / predicted_mse)
-    assert psnr(img, rec) == pytest.approx(predicted_psnr, abs=0.1)
+    assert psnr(mse(img, rec)) == pytest.approx(predicted_psnr, abs=0.1)
 
 
 def test_model_wrapper_and_file(tmp_path):
@@ -116,29 +118,18 @@ def test_model_wrapper_and_file(tmp_path):
     assert loaded.kind == "dct" and loaded.m == 25
 
 
-def _zigzag_walk(height, width):
-    """Test-only oracle: every cell of the grid in zigzag order, one diagonal at a time."""
-    order = []
-    for s in range(height + width - 1):
-        diag = [(i, s - i) for i in range(max(0, s - width + 1), min(s, height - 1) + 1)]
-        if s % 2 == 0:
-            diag.reverse()  # even anti-diagonals run bottom-left to top-right
-        order.extend(diag)
-    return order
-
-
 def _dct_decode_float(v, width, height):
-    """Test-only oracle: the reconstruction x255 before quantization, from the walk's
-    first len(v) cells and the full DCT-II bases."""
+    """Test-only oracle: the reconstruction x255 before quantization, from the reference
+    zigzag order's first len(v) cells and the full DCT-II bases."""
     coeffs = np.zeros((height, width))
-    coeffs[tuple(np.array(_zigzag_walk(height, width)[: len(v)]).T)] = v
+    coeffs[tuple(np.array(reference.zigzag_first(height, width, len(v))).T)] = v
     return codec._dct_basis(height, height).T @ coeffs @ codec._dct_basis(width, width) * 255.0
 
 
 def test_zigzag_prefix_matches_walk_oracle():
     for h in range(1, 25):
         for w in range(1, 25):
-            walk_rows, walk_cols = map(list, zip(*_zigzag_walk(h, w)))
+            walk_rows, walk_cols = map(list, zip(*reference.zigzag_first(h, w, h * w)))
             for m in range(1, h * w + 1):
                 rows, cols = codec.zigzag_indices(h, w, m)
                 assert rows.tolist() == walk_rows[:m] and cols.tolist() == walk_cols[:m]
@@ -151,27 +142,14 @@ def dct2(img):
     return codec._dct_basis(h, h) @ (img / 255.0) @ codec._dct_basis(w, w).T
 
 
-def _dct_direct(img, cells):
-    """Test-only oracle: orthonormal DCT-II coefficients of img / 255 at the given
-    (row, col) cells, each by its defining double sum."""
-    h, w = img.shape
-    rows, cols = np.array(cells).T
-    cos_h = np.cos(np.pi * np.outer(rows, 2 * np.arange(h) + 1) / (2 * h))
-    cos_w = np.cos(np.pi * np.outer(cols, 2 * np.arange(w) + 1) / (2 * w))
-    sums = np.einsum("ki,ij,kj->k", cos_h, img / 255.0, cos_w)
-    return sums * np.sqrt(np.where(rows == 0, 1, 2) / h) * np.sqrt(np.where(cols == 0, 1, 2) / w)
-
-
 @pytest.mark.parametrize("shape", [(48, 80), (1, 37), (37, 1)])
 def test_dct_encode_matches_direct_formula(shape):
     h, w = shape
     img = np.random.default_rng(h * w).integers(0, 256, shape, dtype=np.uint8)
-    ref = _dct_direct(img, _zigzag_walk(h, w))
     for m in (1, h * w // 2, h * w):
         v = codec.dct_model(m).encode(img)
         assert v.shape == (m,)
-        ulp = np.spacing(np.abs(ref[:m]).astype(np.float32)).astype(np.float64)
-        assert np.all(np.abs(v - ref[:m]) <= ulp + 1e-12)
+        assert reference.latent_matches(v, img, range(m))  # each to one float32 ulp + 1e-12
 
 
 EDGE_PIXELS = [-300.0, -3.5, -1.5, -0.5, -0.0, 0.5, 1.5, 2.5, 127.5, 253.5, 254.5, 255.5, 256.5, 300.25, 1e9]

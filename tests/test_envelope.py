@@ -8,7 +8,6 @@ that spawned it, so under pytest it would measure the test runner.
 """
 
 import os
-import socket
 import struct
 import subprocess
 import sys
@@ -21,6 +20,8 @@ import pytest
 
 from latentseal import cli, codec, images, transfer, wire
 from latentseal.errors import IoError
+
+from test_transfer import free_port, payload_frame
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDE = 4096  # SIDE**2 == wire.MAX_PIXELS, so the P6 raster fills images.PNM_CAP
@@ -161,12 +162,9 @@ def test_recv_of_a_frame_at_the_cap_stays_within_its_envelope(tmp_path):
     # 2-vCPU Xeon under Linux: VmHWM 36 550-36 650 KiB, most of it the interpreter and numpy, and
     # 0.22-0.31 s for the whole child, interpreter start included, so the bounds below leave about 1.37x
     # on memory and 10x on time, since interpreter start, most of that time, varies most under load.
-    frame = wire.PAYLOAD_MAGIC + struct.pack("<BBHHH", wire.PAYLOAD_VERSION, wire.KIND_DCT, 0xFFFF, SIDE, SIDE)
-    frame += np.random.default_rng(0).bytes(wire.PAYLOAD_CAP - len(frame))
+    frame = payload_frame(0xFFFF, np.random.default_rng(0).bytes(4 * 0xFFFF + wire.OVERHEAD), width=SIDE, height=SIDE)
     assert len(frame) == wire.PAYLOAD_CAP
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
+    port = free_port()
 
     def send_once_listening():
         deadline = time.monotonic() + 30

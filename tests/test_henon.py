@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -166,6 +167,27 @@ def test_key_sensitivity():
             continue
         diffs.append(int(np.sum(p1 != p2)))
     assert np.mean(diffs) >= 90.0
+
+
+def test_key_resolution():
+    # the key's effective resolution (Alvarez & Li 2006): a 2**-44 change of any real field, or one burn-in
+    # step either way, moves at least 90% of an m = 100 permutation on each key (at least 93% on these 200)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        key = henon.random_sym_key(rng)
+        perm = henon.permutation_for_key(key, 100)
+        for field, step in (("x0", 2.0**-44), ("y0", 2.0**-44), ("a", 2.0**-44), ("b", 2.0**-44), ("burn_in", 1), ("burn_in", -1)):
+            near = dataclasses.replace(key, **{field: getattr(key, field) + step})
+            assert np.mean(henon.permutation_for_key(near, 100) != perm) >= 0.9, (key, field, step)
+
+
+def test_keys_one_ulp_apart_can_share_a_permutation():
+    # below that resolution the first step's rounding can absorb a change: 152 of the 200 keys above
+    # keep their permutation when x0 moves by one ulp, the first of them among them
+    key = henon.random_sym_key(np.random.default_rng(0))
+    near = dataclasses.replace(key, x0=float(np.nextafter(key.x0, np.inf)))
+    assert near != key
+    assert np.array_equal(henon.permutation_for_key(near, 100), henon.permutation_for_key(key, 100))
 
 
 def test_trajectory_bounds():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from latentseal import metrics
 from latentseal.errors import DimMismatchError, ShapeMismatchError, WindowTooLargeError
 
+from conftest import reference
+
 
 def checkerboard(n=4):
     board = np.indices((n, n)).sum(axis=0) % 2
@@ -31,19 +33,19 @@ def test_mse_dim_mismatch():
 
 def test_psnr_examples():
     a = np.zeros((4, 4), dtype=np.uint8)
-    assert metrics.psnr(a, a) == math.inf
-    assert metrics.psnr(a, a + 1) == pytest.approx(10 * math.log10(65025), abs=1e-9)
-    assert metrics.psnr(a, a + 1) == pytest.approx(48.1308, abs=1e-3)
+    assert metrics.psnr(metrics.mse(a, a)) == math.inf
+    assert metrics.psnr(metrics.mse(a, a + 1)) == pytest.approx(10 * math.log10(65025), abs=1e-9)
+    assert metrics.psnr(metrics.mse(a, a + 1)) == pytest.approx(48.1308, abs=1e-3)
     x = np.array([[0, 255], [0, 255]], dtype=np.uint8)
     y = np.array([[255, 0], [255, 0]], dtype=np.uint8)
-    assert metrics.psnr(x, y) == 0.0
+    assert metrics.psnr(metrics.mse(x, y)) == 0.0
 
 
 def test_psnr_monotone_in_mse():
     a = np.zeros((8, 8), dtype=np.uint8)
     prev = math.inf
     for delta in (1, 2, 5, 20, 80):
-        p = metrics.psnr(a, a + delta)
+        p = metrics.psnr(metrics.mse(a, a + delta))
         assert p < prev
         prev = p
 
@@ -61,19 +63,8 @@ def test_ssim_constant_images():
 def test_ssim_checkerboard_brute_force():
     a = checkerboard()
     b = (255 - a).astype(np.uint8)
-    # independent direct evaluation from raw moments
-    af, bf = a.astype(float), b.astype(float)
-    mu_a, mu_b = af.mean(), bf.mean()
-    var_a = ((af - mu_a) ** 2).mean()
-    var_b = ((bf - mu_b) ** 2).mean()
-    cov = ((af - mu_a) * (bf - mu_b)).mean()
-    c1, c2 = (0.01 * 255) ** 2, (0.03 * 255) ** 2
-    expected = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-        (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    )
-    assert mu_a == mu_b == 127.5
-    assert cov < 0
-    assert metrics.ssim(a, b) == pytest.approx(expected, abs=1e-12)
+    # on a square image the global SSIM is the mean over its one full-size window
+    assert metrics.ssim(a, b) == pytest.approx(reference.windowed_ssim(a, b, 4), abs=1e-12)
 
 
 def test_ssim_symmetry():
@@ -136,29 +127,6 @@ def test_windowed_ssim_large_image_matches_per_window_oracle():
     assert abs(got - _ssim_per_window(a, b, 7, metrics.C1, metrics.C2)) < 1e-12
 
 
-def _ssim_summed_area(a, b, w, c1, c2):
-    """Test-only oracle: windowed SSIM from zero-padded float64 summed-area
-    tables, the previous implementation.  For 8-bit images every table entry
-    is an exact integer, so its window sums, and its values, are exact."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-
-    def window_sums(x):
-        sat = np.zeros((x.shape[0] + 1, x.shape[1] + 1))
-        sat[1:, 1:] = x.cumsum(0).cumsum(1)
-        return sat[w:, w:] - sat[:-w, w:] - sat[w:, :-w] + sat[:-w, :-w]
-
-    inv = 1.0 / (w * w)
-    mu_a = window_sums(a) * inv
-    mu_b = window_sums(b) * inv
-    var_a = window_sums(a * a) * inv - mu_a * mu_a
-    var_b = window_sums(b * b) * inv - mu_b * mu_b
-    cov = window_sums(a * b) * inv - mu_a * mu_b
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
-
-
 # A 4 KiB budget makes bands of max(4096 // (60 * width), w - 1, 1) rows: 79 of the 139 cases of the
 # every-window test and 5 of the 6 windows on 128x96 run in several bands, most with a short last band.
 # The 200x200 images of the int32 test stay one band at any budget, since a band is at least w - 1 rows.
@@ -166,7 +134,7 @@ SMALL_BAND_BYTES = 4096
 
 
 def _assert_windowed_bitwise(a, b, w, monkeypatch):
-    want = _ssim_summed_area(a, b, w, metrics.C1, metrics.C2)
+    want = reference.windowed_ssim(a, b, w)
     for band_bytes in (metrics.BAND_BYTES, SMALL_BAND_BYTES):
         with monkeypatch.context() as m:
             m.setattr(metrics, "BAND_BYTES", band_bytes)
@@ -230,13 +198,13 @@ def test_mse_and_psnr_exact_for_8bit():
         b = rng.integers(0, 256, shape, dtype=np.uint8)
         sse = sum((int(x) - int(y)) ** 2 for x, y in zip(a.ravel(), b.ravel()))
         assert metrics.mse(a, b) == sse / a.size
-        assert metrics.psnr(a, b) == 10.0 * math.log10(255.0**2 / (sse / a.size))
-        assert metrics.psnr(a, a.copy()) == math.inf
+        assert metrics.psnr(metrics.mse(a, b)) == 10.0 * math.log10(255.0**2 / (sse / a.size))
+        assert metrics.psnr(metrics.mse(a, a.copy())) == math.inf
     # a sum of squares above 2**31 is still exact
     black = np.zeros((256, 256), dtype=np.uint8)
     white = np.full((256, 256), 255, dtype=np.uint8)
     assert metrics.mse(black, white) == 65025.0
-    assert metrics.psnr(black, white) == 0.0
+    assert metrics.psnr(metrics.mse(black, white)) == 0.0
 
 
 def test_global_ssim_matches_centred_float_oracle(monkeypatch):
@@ -284,9 +252,8 @@ def test_non_8bit_inputs_are_refused():
         for window in (None, 1, 7, 20):
             with pytest.raises(ShapeMismatchError):
                 metrics.ssim(x, y, window)
-        for metric in (metrics.mse, metrics.psnr):
-            with pytest.raises(ShapeMismatchError):
-                metric(x, y)
+        with pytest.raises(ShapeMismatchError):
+            metrics.mse(x, y)
 
 
 def test_window_too_large():

@@ -14,22 +14,29 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _third_party_imports() -> set[str]:
+def _imported(paths) -> set[str]:
+    """Top-level names of the modules the files at paths import, "." for any relative import."""
     found = set()
-    for path in (ROOT / "src" / "latentseal").glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 found.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                found.add(node.module.split(".")[0])
-    return found - set(sys.stdlib_module_names) - {"latentseal"}
+            elif isinstance(node, ast.ImportFrom):
+                found.add(node.module.split(".")[0] if node.level == 0 else ".")
+    return found
 
 
 def test_dependencies_match_imports():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.split(r"[\s\[<>=!~;]", dep)[0] for dep in project["dependencies"]}
-    assert declared == _third_party_imports()
+    package = (ROOT / "src" / "latentseal").glob("*.py")
+    assert declared == _imported(package) - set(sys.stdlib_module_names) - {"latentseal", "."}
+
+
+def test_the_reference_arithmetic_the_tests_check_against_shares_no_code_with_latentseal():
+    # tier-1 takes its zigzag, DCT, windowed SSIM, MSE and payload-size oracles from it
+    assert _imported([ROOT / "perfbench" / "reference.py"]) == {"math", "numpy"}
 
 
 def _callers(is_target) -> set[tuple[str, str]]:

@@ -1,22 +1,12 @@
 """The benchmark's tracer wraps library functions by name; a rename must fail here, not drop a span."""
 
-import importlib.util
-from pathlib import Path
-
+from conftest import perfbench_module
 from latentseal import codec, images, pipeline
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-
-
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+spans = perfbench_module("spans")
 
 
 def test_every_span_target_resolves(capsys):
-    spans = _spans_module()
     tracer = spans.Tracer()
     try:
         tracer.install()
@@ -28,7 +18,6 @@ def test_every_span_target_resolves(capsys):
 
 def test_a_round_trip_and_an_evaluate_record_every_span(tmp_path, public_key, private_key, sym_key):
     # a call site that stops looking a target up by its name would leave its span empty
-    spans = _spans_module()
     tracer = spans.Tracer()
     path = tmp_path / "in.pgm"
     images.write_image(images.smooth_gradient(32), path)

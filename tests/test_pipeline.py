@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import struct
 import warnings
 
 import numpy as np
@@ -10,6 +9,9 @@ from latentseal import codec, ecies, henon, pipeline, wire
 from latentseal.errors import AuthFailureError, BadHeaderError, MTooLargeError, NonFiniteLatentError, ShapeMismatchError
 from latentseal.images import smooth_gradient
 from latentseal.metrics import ssim
+
+from conftest import reference
+from test_transfer import payload_frame
 
 
 def test_crypto_layer_losslessness(public_key, private_key, sym_key):
@@ -29,7 +31,7 @@ def test_payload_size_law(public_key, sym_key):
     model = codec.dct_model(100)
     payload, _ = pipeline.compress_encrypt(img, model, sym_key, public_key)
     blob = payload.serialize()
-    assert len(blob) == wire.HEADER_LEN + 4 * 100 + 49
+    assert len(blob) == reference.payload_size(100)
     assert len(payload.ciphertext) == 449  # the 65536-pixel -> 100-element body
 
 
@@ -140,22 +142,16 @@ def test_evaluate_lossy_psnr_matches_direct(public_key, private_key, sym_key):
     model = codec.dct_model(30)
     report = pipeline.evaluate(img, model, sym_key, public_key, private_key)
     direct = model.decode(model.encode(img), 64, 64)
-    assert report.mse == pytest.approx(float(np.mean((direct.astype(float) - img) ** 2)))
-
-
-def _forged_blob(width, height, m=4, codec_id=0):
-    # packed by hand: _pack_header refuses the fields parse must be shown to refuse
-    header = wire.PAYLOAD_MAGIC + struct.pack("<BBHHH", wire.PAYLOAD_VERSION, codec_id, m, width, height)
-    return header + bytes(4 * m + wire.OVERHEAD)
+    assert report.mse == pytest.approx(reference.mse(direct, img))
 
 
 def test_parse_rejects_declared_size_over_cap():
     # parse only: decoding a 65535 x 65535 header would allocate about 32 GiB
     with pytest.raises(BadHeaderError):
-        pipeline.EncryptedPayload.parse(_forged_blob(65535, 65535))
+        pipeline.EncryptedPayload.parse(payload_frame(4, width=65535, height=65535))
     with pytest.raises(BadHeaderError):
-        pipeline.EncryptedPayload.parse(_forged_blob(4097, 4096))
-    assert pipeline.EncryptedPayload.parse(_forged_blob(4096, 4096)).width == 4096
+        pipeline.EncryptedPayload.parse(payload_frame(4, width=4097, height=4096))
+    assert pipeline.EncryptedPayload.parse(payload_frame(4, width=4096, height=4096)).width == 4096
 
 
 def test_compress_encrypt_refuses_oversized_image_before_encoding(public_key, sym_key, monkeypatch):
@@ -168,6 +164,7 @@ def test_compress_encrypt_refuses_oversized_image_before_encoding(public_key, sy
 HEADER_CASES = [  # (codec_id, m, width, height)
     (0, 0, 8, 8), (0, 1, 0, 8), (0, 1, 8, 0), (0, 65535, 8, 8), (0, 65535, 256, 256), (0, 1, 65535, 256),
     (0, 1, 4097, 4096), (0, 1, 4096, 4096), (0, 64, 8, 8), (0, 65, 8, 8), (1, 65, 8, 8), (2, 1, 8, 8), (255, 1, 8, 8),
+    (0, 1, 256, 65535), (0, 65535, 1, 65535),
 ]
 
 
@@ -185,7 +182,7 @@ def test_sender_and_receiver_share_the_header_rules(codec_id, m, width, height):
         return True
 
     packed = accepts(lambda: wire._pack_header(codec_id, m, width, height))
-    parsed = accepts(lambda: pipeline.EncryptedPayload.parse(_forged_blob(width, height, m, codec_id)))
+    parsed = accepts(lambda: pipeline.EncryptedPayload.parse(payload_frame(m, codec_id=codec_id, width=width, height=height)))
     dct_fits = codec_id == 1 or m <= width * height
     assert packed == parsed == (codec_id in (0, 1) and 1 <= m and 1 <= width and 1 <= height and width * height <= 1 << 24 and dct_fits)
 

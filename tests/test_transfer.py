@@ -12,10 +12,13 @@ from latentseal.errors import BadHeaderError, FrameTooLargeError, IoError
 from latentseal.wire import HEADER_LEN, OVERHEAD, PAYLOAD_CAP, PAYLOAD_MAGIC, PAYLOAD_VERSION
 
 
-def legal_frame(m, fill=b"\x01", version=PAYLOAD_VERSION, extra=0):
-    """A 256x256 DCT payload header for m latents and a body of 4m + 49 (+ extra) bytes of fill repeated."""
+def payload_frame(m, fill=b"\x01", version=PAYLOAD_VERSION, extra=0, codec_id=0, width=256, height=256):
+    """A payload header for m latents, of a 256x256 DCT image unless told otherwise, and a body of
+    4m + 49 (+ extra) bytes of fill repeated; packed by hand, since _pack_header refuses the fields
+    that parse must be shown to refuse."""
     n = 4 * m + OVERHEAD + extra
-    return PAYLOAD_MAGIC + struct.pack("<BBHHH", version, 0, m, 256, 256) + (fill * (n // len(fill) + 1))[:n]
+    header = PAYLOAD_MAGIC + struct.pack("<BBHHH", version, codec_id, m, width, height)
+    return header + (fill * (n // len(fill) + 1))[:n]
 
 
 def free_port():
@@ -45,13 +48,13 @@ def run_transfer(data, throttle=None):
 
 
 def test_loopback_round_trip():
-    payload = legal_frame(242, bytes(range(256)))  # 1029 bytes
+    payload = payload_frame(242, bytes(range(256)))  # 1029 bytes
     assert run_transfer(payload) == payload
 
 
 def test_loopback_file_round_trip(tmp_path):
     src = tmp_path / "payload.bin"
-    src.write_bytes(legal_frame(100))  # 461 bytes
+    src.write_bytes(payload_frame(100))  # 461 bytes
     port = free_port()
     out = tmp_path / "out.bin"
     t = threading.Thread(
@@ -66,7 +69,7 @@ def test_loopback_file_round_trip(tmp_path):
 
 def test_throttle_pacing():
     # 4589 bytes at 1000 B/s take 3.37-5.81 s in test_acceptance::test_transfer_acceptance
-    small = legal_frame(100, bytes(1))  # 461 bytes at 1000 B/s -> < 1 s
+    small = payload_frame(100, bytes(1))  # 461 bytes at 1000 B/s -> < 1 s
     start = time.monotonic()
     run_transfer(small, throttle=1000)
     assert time.monotonic() - start < 1.0
@@ -88,9 +91,9 @@ def test_send_file_refuses_oversized_file_unread(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "data,host,refused",
-    [(data, "127.0.0.1", None) for data in (b"", bytes(100), legal_frame(100)[:-1], legal_frame(100, version=PAYLOAD_VERSION + 1))]
-    + [(legal_frame(100), "127.0.0.1", "cannot send to 127.0.0.1:1: [Errno 111] Connection refused")]
-    + [(legal_frame(100), "::1", "cannot send to [::1]:1: [Errno 111] Connection refused")],
+    [(data, "127.0.0.1", None) for data in (b"", bytes(100), payload_frame(100)[:-1], payload_frame(100, version=PAYLOAD_VERSION + 1))]
+    + [(payload_frame(100), "127.0.0.1", "cannot send to 127.0.0.1:1: [Errno 111] Connection refused")]
+    + [(payload_frame(100), "::1", "cannot send to [::1]:1: [Errno 111] Connection refused")],
     ids=["empty", "no-magic", "short-body", "version", "refused", "refused-ipv6"],
 )
 def test_send_file_refuses_a_payload_decrypt_refuses_before_connecting(tmp_path, monkeypatch, data, host, refused):
@@ -157,7 +160,7 @@ def test_disconnect_mid_frame_writes_nothing(tmp_path):
     t = threading.Thread(target=receiver)
     t.start()
     time.sleep(0.05)
-    frame = legal_frame(100)
+    frame = payload_frame(100)
     with socket.create_connection(("127.0.0.1", port)) as sock:
         sock.sendall(len(frame).to_bytes(4, "big") + frame[:14])
         # close early: a legal header, then only 2 of the 449 body bytes
@@ -208,14 +211,14 @@ def test_trickling_sender_hits_one_frame_deadline():
 
 def test_frame_cap_is_the_largest_legal_payload():
     assert PAYLOAD_CAP == HEADER_LEN + 4 * 0xFFFF + OVERHEAD == 262_201
-    payload = legal_frame(0xFFFF, bytes(range(256)))
+    payload = payload_frame(0xFFFF, bytes(range(256)))
     assert len(payload) == PAYLOAD_CAP
     assert run_transfer(payload) == payload
 
 
 @pytest.mark.parametrize(
     "frame",
-    [legal_frame(100, version=PAYLOAD_VERSION + 1), legal_frame(100, extra=1), legal_frame(100, extra=-1)],
+    [payload_frame(100, version=PAYLOAD_VERSION + 1), payload_frame(100, extra=1), payload_frame(100, extra=-1)],
     ids=["wrong-version", "body-one-long", "body-one-short"],
 )
 def test_frame_that_decrypt_refuses_is_not_written(tmp_path, frame):
@@ -242,7 +245,7 @@ def test_frame_that_decrypt_refuses_is_not_written(tmp_path, frame):
 def test_send_paces_only_when_throttled(monkeypatch):
     sleeps = []
     monkeypatch.setattr(transfer, "time", SimpleNamespace(monotonic=time.monotonic, sleep=sleeps.append))
-    frame = legal_frame(3000)  # 12 061 bytes: two full chunks and a partial one
+    frame = payload_frame(3000)  # 12 061 bytes: two full chunks and a partial one
     assert run_transfer(frame) == frame
     assert sleeps == []
     assert run_transfer(frame, throttle=1e9) == frame
@@ -251,7 +254,7 @@ def test_send_paces_only_when_throttled(monkeypatch):
 
 @pytest.mark.parametrize(
     "announced, header",
-    [(PAYLOAD_CAP, legal_frame(100)[:12]), (11, b"")],
+    [(PAYLOAD_CAP, payload_frame(100)[:12]), (11, b"")],
     ids=["header-for-a-shorter-body", "shorter-than-a-header"],
 )
 def test_frame_length_the_header_refuses_is_refused_before_the_body(tmp_path, announced, header):
@@ -293,7 +296,7 @@ def test_send_to_a_receiver_that_stops_reading_times_out(monkeypatch):
         return sock
 
     monkeypatch.setattr(transfer.socket, "create_connection", small_send_buffer)
-    frame = legal_frame(0xFFFF)  # 262 201 bytes
+    frame = payload_frame(0xFFFF)  # 262 201 bytes
     result = {}
 
     def sender(port):
