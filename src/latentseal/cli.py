@@ -131,7 +131,9 @@ def cmd_send(args) -> int:
 
 def cmd_recv(args) -> int:
     from . import transfer
-    n = transfer.recv_file(args.port, args.out, timeout=args.timeout)
+    srv = transfer.listen(args.port)
+    print(f"listening on port {srv.getsockname()[1]}", flush=True)  # port 0 binds one the sender must learn
+    n = transfer.recv_file(srv, args.out, timeout=args.timeout)
     print(f"received {n} bytes to {args.out}")
     return EXIT_OK
 

@@ -167,6 +167,8 @@ def load_sym_key(path) -> SymKey:
     if not 1 <= len(lines) <= 3:
         raise IoError(f"sym key file {path} has {len(lines)} non-empty lines, not 1 to 3")
     try:
+        if any(b"_" in ln for ln in lines):  # float and int would read 0.1_2 as 0.12
+            raise ValueError("a number holds an underscore")
         x0, y0 = (float(t) for t in lines[0].split())
         a, b = (
             (float(t) for t in lines[1].split()) if len(lines) > 1 else (CLASSICAL_A, CLASSICAL_B)

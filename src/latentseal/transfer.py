@@ -63,25 +63,32 @@ def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
     return bytes(buf)
 
 
-def recv_bytes(port: int, host: str = "", timeout: float = TIMEOUT) -> bytes:
-    """Accept one connection and return its one frame, a legal payload.
+def listen(port: int, host: str = "") -> socket.socket:
+    """A socket listening on port, or for port 0 on one the kernel picks; host "" takes IPv6 and IPv4 where it can."""
+    family = socket.AF_INET6 if not host and socket.has_dualstack_ipv6() else socket.AF_INET
+    try:
+        return socket.create_server((host, port), family=family, backlog=1, dualstack_ipv6=family == socket.AF_INET6)
+    except OSError as e:
+        raise IoError(f"cannot listen on port {port}: {e}") from e
+
+
+def recv_bytes(srv: socket.socket, timeout: float = TIMEOUT) -> bytes:
+    """Accept one connection on srv, a listen() socket, close srv, and return the connection's one frame, a legal payload.
 
     timeout (seconds, > 0) bounds the wait for a connection, and then the
     whole frame: a sender that trickles bytes cannot hold the receiver
     longer (IoError).  A frame over PAYLOAD_CAP raises FrameTooLargeError, and
     one that EncryptedPayload.parse refuses raises its BadHeaderError, as
-    soon as the length prefix and the header show it.  Host "" listens on IPv6
-    and IPv4 where sockets can be dual-stack; a failed listen raises IoError.
+    soon as the length prefix and the header show it.  A failed accept raises IoError.
     """
-    family = socket.AF_INET6 if not host and socket.has_dualstack_ipv6() else socket.AF_INET
-    try:
-        with socket.create_server((host, port), family=family, backlog=1, dualstack_ipv6=family == socket.AF_INET6) as srv:
-            srv.settimeout(timeout)
+    with srv:
+        srv.settimeout(timeout)
+        try:
             conn, _ = srv.accept()
-    except TimeoutError as e:
-        raise IoError(f"no sender within {timeout} s") from e
-    except OSError as e:
-        raise IoError(f"cannot listen on port {port}: {e}") from e
+        except TimeoutError as e:
+            raise IoError(f"no sender within {timeout} s") from e
+        except OSError as e:
+            raise IoError(f"cannot accept on port {srv.getsockname()[1]}: {e}") from e
     with conn:
         deadline = time.monotonic() + timeout
         (length,) = struct.unpack(">I", _recv_exact(conn, 4, deadline))
@@ -100,7 +107,7 @@ def send_file(path, host: str, port: int, throttle: float | None = None) -> None
     send_bytes(data, host, port, throttle)
 
 
-def recv_file(port: int, out_path, host: str = "", timeout: float = TIMEOUT) -> int:
-    data = recv_bytes(port, host, timeout)
+def recv_file(srv: socket.socket, out_path, timeout: float = TIMEOUT) -> int:
+    data = recv_bytes(srv, timeout)
     atomic_write(out_path, data)
     return len(data)

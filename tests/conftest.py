@@ -1,4 +1,5 @@
 import importlib.util
+import socket
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,13 @@ def perfbench_module(name):
 # the benchmark's own arithmetic, which imports nothing from latentseal: the independent oracle
 # for the zigzag order, DCT coefficients, windowed SSIM, MSE and the payload size
 reference = perfbench_module("reference")
+
+
+def free_port():
+    """A loopback port that was free when asked, for a receiver in another thread or process to listen on."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
 
 
 @pytest.fixture(scope="session")

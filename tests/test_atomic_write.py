@@ -13,7 +13,7 @@ from latentseal.errors import IoError, atomic_write, read_file
 
 def _recv_file(path, monkeypatch):
     monkeypatch.setattr(transfer, "recv_bytes", lambda *args, **kwargs: b"LSP1" + bytes(60))
-    transfer.recv_file(0, path)
+    transfer.recv_file(None, path)
 
 
 WRITERS = {

@@ -1,4 +1,5 @@
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -15,7 +16,7 @@ from latentseal import cli, codec, ecies, errors, henon, images, pipeline, wire
 from latentseal.cli import EXIT_OK, EXIT_USAGE
 from latentseal.errors import EXIT_AUTH, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO
 
-from test_transfer import free_port
+from conftest import free_port
 
 
 def run(args):
@@ -353,8 +354,9 @@ def test_henon_plot_blocks_give_the_bytes_of_one_joined_csv(tmp_path, keys, bloc
 @pytest.mark.parametrize(
     "text,code",
     [("nan 0.1\n", EXIT_IO), ("0.1 0.1\n1.4 0.3\n-1\n", EXIT_IO), ("0.1 0.1\n1.4 0.3\n3000000\n", EXIT_IO),
-     ("0.1 0.1\n0.0 0.0\n1000\n", EXIT_IO), ("0.1 0.1\n1.4 0.3\n1000\n\n7\n", EXIT_IO), ("3.0 3.0\n1.4 0.3\n0\n", EXIT_DIVERGENCE)],
-    ids=["nan-point", "negative-burn-in", "burn-in-over-cap", "weak-key", "fourth-line", "diverging"],
+     ("0.1 0.1\n0.0 0.0\n1000\n", EXIT_IO), ("0.1 0.1\n1.4 0.3\n1000\n\n7\n", EXIT_IO), ("3.0 3.0\n1.4 0.3\n0\n", EXIT_DIVERGENCE),
+     ("0.1_2 0.05\n", EXIT_IO), ("0.1 0.1\n1.4 0.3\n1_000\n", EXIT_IO)],  # float and int would take 0.1_2 and 1_000
+    ids=["nan-point", "negative-burn-in", "burn-in-over-cap", "weak-key", "fourth-line", "diverging", "underscore-point", "underscore-burn-in"],
 )
 def test_henon_plot_bad_sym_key_exit_code(tmp_path, text, code, capsys):
     sym = tmp_path / "bad.sym"
@@ -419,21 +421,20 @@ def test_train_of_a_model_over_the_cap_exit_code(tmp_path, capsys):
 
 
 def test_send_recv_cli(tmp_path, keys, dct_model_path, test_image):
+    # recv on port 0 listens on a port the kernel picks, and names it on its first line before it waits
     payload = tmp_path / "p.lsp"
     run(chain("encrypt", test_image, dct_model_path, keys, payload))
-    port = free_port()
     out = tmp_path / "received.lsp"
-    codes = {}
-
-    def receiver():
-        codes["recv"] = run(["recv", str(port), "--out", str(out), "--timeout", "10"])
-
-    t = threading.Thread(target=receiver)
-    t.start()
-    time.sleep(0.1)
-    assert run(["send", str(payload), f"127.0.0.1:{port}"]) == EXIT_OK
-    t.join(timeout=10)
-    assert codes["recv"] == EXIT_OK
+    with subprocess.Popen(**program(["recv", "0", "--out", str(out), "--timeout", "10"]), stdout=subprocess.PIPE) as proc:
+        try:
+            first = proc.stdout.readline()
+            port = re.fullmatch(r"listening on port (\d+)\n", first)
+            assert port, first
+            assert run(["send", str(payload), f"127.0.0.1:{port[1]}"]) == EXIT_OK
+            rest, _ = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert (proc.returncode, rest) == (EXIT_OK, f"received {payload.stat().st_size} bytes to {out}\n")
     assert out.read_bytes() == payload.read_bytes()
 
 
@@ -656,18 +657,11 @@ def test_program_exit_codes(tmp_path, keys, dct_model_path, test_image):
 
 def test_an_interrupted_program_exits_130_with_one_line_and_no_output_file(tmp_path):
     # Ctrl-C while recv waits on a connected sender that sends nothing
-    port = free_port()
-    with subprocess.Popen(**program(["recv", str(port), "--out", str(tmp_path / "in.lsp")]), stderr=subprocess.PIPE) as proc:
+    recv = program(["recv", "0", "--out", str(tmp_path / "in.lsp")])
+    with subprocess.Popen(**recv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         try:
-            deadline = time.monotonic() + 30
-            while True:
-                try:
-                    sender = socket.create_connection(("127.0.0.1", port))
-                    break
-                except ConnectionRefusedError:  # until recv listens
-                    assert time.monotonic() < deadline
-                    time.sleep(0.05)
-            with sender:
+            port = int(proc.stdout.readline().removeprefix("listening on port "))
+            with socket.create_connection(("127.0.0.1", port)):
                 proc.send_signal(signal.SIGINT)
                 _, err = proc.communicate(timeout=30)
         finally:

@@ -25,6 +25,7 @@ def test_all_zero_image():
     assert np.all(model.decode(np.zeros(10), 5, 6) == 0)
 
 
+@pytest.mark.acceptance
 def test_parseval_random_images():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -34,6 +35,7 @@ def test_parseval_random_images():
         assert (coeffs**2).sum() == pytest.approx(pix_energy, rel=1e-9)
 
 
+@pytest.mark.acceptance
 def test_full_rank_round_trip_exact():
     rng = np.random.default_rng(11)
     model = codec.dct_model(64)
@@ -94,6 +96,7 @@ def test_zigzag_order_8x8_prefix():
     ]
 
 
+@pytest.mark.acceptance
 def test_truncation_psnr_matches_parseval_prediction():
     img = smooth_gradient(256)
     model = codec.dct_model(100)
@@ -136,8 +139,7 @@ def test_zigzag_prefix_matches_walk_oracle():
 
 
 def dct2(img):
-    """Test-only: full orthonormal 2-D DCT-II of img / 255, float64, from the
-    codec's DCT-II bases; test_acceptance.py imports it too."""
+    """Test-only: full orthonormal 2-D DCT-II of img / 255, float64, from the codec's DCT-II bases."""
     h, w = img.shape
     return codec._dct_basis(h, h) @ (img / 255.0) @ codec._dct_basis(w, w).T
 

@@ -21,7 +21,8 @@ import pytest
 from latentseal import cli, codec, images, transfer, wire
 from latentseal.errors import IoError
 
-from test_transfer import free_port, payload_frame
+from conftest import free_port
+from test_transfer import payload_frame
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDE = 4096  # SIDE**2 == wire.MAX_PIXELS, so the P6 raster fills images.PNM_CAP

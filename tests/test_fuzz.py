@@ -11,7 +11,6 @@ hostile latents sealed under legal headers, with RuntimeWarning an error.
 import io
 import socket
 import struct
-import threading
 import time
 import warnings
 
@@ -20,11 +19,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latentseal import codec, ecies, henon, images, pipeline, transfer, wire
+from latentseal import codec, ecies, henon, images, pipeline, wire
 from latentseal.codec import Layer
 from latentseal.errors import LatentSealError
 
-from test_transfer import free_port
+from test_transfer import receiving
 
 CASE_SECONDS = 2.0
 FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -244,27 +243,12 @@ def test_load_public_and_private_key(scratch, data):
 
 def _receive(wire: bytes):
     """recv_bytes of what a sender writes as wire (length prefix included) and then closes on."""
-    port = free_port()
-    result = {}
-
-    def receiver():
-        try:
-            result["data"] = transfer.recv_bytes(port, host="127.0.0.1", timeout=1.0)
-        except Exception as e:
-            result["error"] = e
-
-    t = threading.Thread(target=receiver)
-    t.start()
-    deadline = time.monotonic() + 1.0
-    while t.is_alive() and time.monotonic() < deadline:
-        try:
-            with socket.create_connection(("127.0.0.1", port)) as sock:
-                sock.sendall(wire)
-            break
-        except ConnectionRefusedError:  # not listening yet
-            time.sleep(0.005)
-        except OSError:  # the receiver refused the frame and closed
-            break
+    t, port, result = receiving(timeout=1.0)
+    try:
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(wire)
+    except OSError:  # the receiver refused the frame and closed
+        pass
     t.join(timeout=5)
     assert not t.is_alive()
     if "error" in result:

@@ -21,25 +21,29 @@ def payload_frame(m, fill=b"\x01", version=PAYLOAD_VERSION, extra=0, codec_id=0,
     return header + (fill * (n // len(fill) + 1))[:n]
 
 
-def free_port():
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+def receiving(timeout=10, out=None):
+    """A started thread that receives one frame on a loopback port already listening, into the file out
+    if given; that port; and a dict the thread fills with the frame ("data") or its error ("error"),
+    and the seconds the receive took ("elapsed")."""
+    srv = transfer.listen(0, "127.0.0.1")
+    result = {}
+
+    def receive():
+        start = time.monotonic()
+        try:
+            result["data"] = transfer.recv_bytes(srv, timeout) if out is None else transfer.recv_file(srv, out, timeout)
+        except Exception as e:  # surfaced by the caller
+            result["error"] = e
+        result["elapsed"] = time.monotonic() - start
+
+    port = srv.getsockname()[1]
+    t = threading.Thread(target=receive)
+    t.start()
+    return t, port, result
 
 
 def run_transfer(data, throttle=None):
-    port = free_port()
-    result = {}
-
-    def receiver():
-        try:
-            result["data"] = transfer.recv_bytes(port, host="127.0.0.1", timeout=10)
-        except Exception as e:  # surfaced by the caller
-            result["error"] = e
-
-    t = threading.Thread(target=receiver)
-    t.start()
-    time.sleep(0.05)  # let the listener bind
+    t, port, result = receiving()
     transfer.send_bytes(data, "127.0.0.1", port, throttle=throttle)
     t.join(timeout=15)
     if "error" in result:
@@ -55,24 +59,21 @@ def test_loopback_round_trip():
 def test_loopback_file_round_trip(tmp_path):
     src = tmp_path / "payload.bin"
     src.write_bytes(payload_frame(100))  # 461 bytes
-    port = free_port()
     out = tmp_path / "out.bin"
-    t = threading.Thread(
-        target=transfer.recv_file, args=(port, out), kwargs={"host": "127.0.0.1", "timeout": 10}
-    )
-    t.start()
-    time.sleep(0.05)
+    t, port, _ = receiving(out=out)
     transfer.send_file(src, "127.0.0.1", port)
     t.join(timeout=10)
     assert out.read_bytes() == src.read_bytes()
 
 
+@pytest.mark.acceptance
 def test_throttle_pacing():
-    # 4589 bytes at 1000 B/s take 3.37-5.81 s in test_acceptance::test_transfer_acceptance
-    small = payload_frame(100, bytes(1))  # 461 bytes at 1000 B/s -> < 1 s
+    # the transfer arrives byte-identical, and a throttled send takes its size over its rate, within
+    # 20% for the pacing and 0.3 s for the set-up
+    frame = payload_frame(1132, bytes(1))  # 4589 bytes
     start = time.monotonic()
-    run_transfer(small, throttle=1000)
-    assert time.monotonic() - start < 1.0
+    assert run_transfer(frame, throttle=1000) == frame
+    assert abs(time.monotonic() - start - len(frame) / 1000) <= 0.2 * len(frame) / 1000 + 0.3
 
 
 def test_frame_cap_on_send():
@@ -119,22 +120,11 @@ def test_recv_on_a_port_in_use_is_an_io_error_naming_the_port(host):
     with socket.create_server(("127.0.0.1", 0)) as taken:
         port = taken.getsockname()[1]
         with pytest.raises(IoError, match=f"^cannot listen on port {port}: .*Address already in use"):
-            transfer.recv_bytes(port, host=host, timeout=1)
+            transfer.listen(port, host)
 
 
 def test_frame_cap_on_recv():
-    port = free_port()
-    result = {}
-
-    def receiver():
-        try:
-            transfer.recv_bytes(port, host="127.0.0.1", timeout=5)
-        except Exception as e:
-            result["error"] = e
-
-    t = threading.Thread(target=receiver)
-    t.start()
-    time.sleep(0.05)
+    t, port, result = receiving(timeout=5)
     with socket.create_connection(("127.0.0.1", port)) as sock:
         sock.sendall((PAYLOAD_CAP + 1).to_bytes(4, "big"))
     t.join(timeout=10)
@@ -147,19 +137,8 @@ def test_bad_magic_rejected():
 
 
 def test_disconnect_mid_frame_writes_nothing(tmp_path):
-    port = free_port()
     out = tmp_path / "never.bin"
-    result = {}
-
-    def receiver():
-        try:
-            transfer.recv_file(port, out, host="127.0.0.1", timeout=5)
-        except Exception as e:
-            result["error"] = e
-
-    t = threading.Thread(target=receiver)
-    t.start()
-    time.sleep(0.05)
+    t, port, result = receiving(timeout=5, out=out)
     frame = payload_frame(100)
     with socket.create_connection(("127.0.0.1", port)) as sock:
         sock.sendall(len(frame).to_bytes(4, "big") + frame[:14])
@@ -171,28 +150,15 @@ def test_disconnect_mid_frame_writes_nothing(tmp_path):
 
 def test_no_sender_times_out_as_io_error():
     start = time.monotonic()
-    with pytest.raises(IoError):
-        transfer.recv_bytes(free_port(), host="127.0.0.1", timeout=0.2)
+    with pytest.raises(IoError, match="no sender within 0.2 s"):
+        transfer.recv_bytes(transfer.listen(0, "127.0.0.1"), timeout=0.2)
     assert time.monotonic() - start < 1.0
 
 
 def test_trickling_sender_hits_one_frame_deadline():
     # one byte every 0.1 s never trips a 0.5 s per-recv timeout, but the
     # frame as a whole must arrive within it
-    port = free_port()
-    result = {}
-
-    def receiver():
-        start = time.monotonic()
-        try:
-            transfer.recv_bytes(port, host="127.0.0.1", timeout=0.5)
-        except Exception as e:
-            result["error"] = e
-        result["elapsed"] = time.monotonic() - start
-
-    t = threading.Thread(target=receiver)
-    t.start()
-    time.sleep(0.05)
+    t, port, result = receiving(timeout=0.5)
     with socket.create_connection(("127.0.0.1", port)) as sock:
         try:
             sock.sendall((100).to_bytes(4, "big"))
@@ -222,19 +188,7 @@ def test_frame_cap_is_the_largest_legal_payload():
     ids=["wrong-version", "body-one-long", "body-one-short"],
 )
 def test_frame_that_decrypt_refuses_is_not_written(tmp_path, frame):
-    port = free_port()
-    out = tmp_path / "never.lsp"
-    result = {}
-
-    def receiver():
-        try:
-            transfer.recv_file(port, out, host="127.0.0.1", timeout=10)
-        except Exception as e:
-            result["error"] = e
-
-    t = threading.Thread(target=receiver)
-    t.start()
-    time.sleep(0.05)
+    t, port, result = receiving(out=tmp_path / "never.lsp")
     transfer.send_bytes(frame, "127.0.0.1", port)
     t.join(timeout=15)
     assert not t.is_alive()
@@ -260,21 +214,7 @@ def test_send_paces_only_when_throttled(monkeypatch):
 def test_frame_length_the_header_refuses_is_refused_before_the_body(tmp_path, announced, header):
     # the sender announces a frame it never sends: the receiver must refuse
     # on the length and the header, not wait out its timeout for the body
-    port = free_port()
-    out = tmp_path / "never.lsp"
-    result = {}
-
-    def receiver():
-        start = time.monotonic()
-        try:
-            transfer.recv_file(port, out, host="127.0.0.1", timeout=3)
-        except Exception as e:
-            result["error"] = e
-        result["elapsed"] = time.monotonic() - start
-
-    t = threading.Thread(target=receiver)
-    t.start()
-    time.sleep(0.05)
+    t, port, result = receiving(timeout=3, out=tmp_path / "never.lsp")
     with socket.create_connection(("127.0.0.1", port)) as sock:
         sock.sendall(announced.to_bytes(4, "big") + header)
         t.join(timeout=10)
