@@ -25,7 +25,6 @@ def test_all_zero_image():
     assert np.all(model.decode(np.zeros(10), 5, 6) == 0)
 
 
-@pytest.mark.acceptance
 def test_parseval_random_images():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -35,7 +34,6 @@ def test_parseval_random_images():
         assert (coeffs**2).sum() == pytest.approx(pix_energy, rel=1e-9)
 
 
-@pytest.mark.acceptance
 def test_full_rank_round_trip_exact():
     rng = np.random.default_rng(11)
     model = codec.dct_model(64)
@@ -96,7 +94,6 @@ def test_zigzag_order_8x8_prefix():
     ]
 
 
-@pytest.mark.acceptance
 def test_truncation_psnr_matches_parseval_prediction():
     img = smooth_gradient(256)
     model = codec.dct_model(100)

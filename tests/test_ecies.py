@@ -88,7 +88,6 @@ def test_invalid_public_key():
         ecies._load_point(b"\x05" + bytes(32))  # bad prefix
 
 
-@pytest.mark.acceptance
 def test_single_bit_tamper(public_key, private_key):
     rng = np.random.default_rng(99)
     pt = bytes(rng.integers(0, 256, 40, dtype=np.uint8))
@@ -110,7 +109,6 @@ def test_every_prefix_and_an_extra_byte_fail_closed(public_key, private_key):
     assert ecies.ecies_decrypt(ct, private_key) == b"prefix"
 
 
-@pytest.mark.acceptance
 def test_round_trip_property(public_key, private_key):
     # 1000 plaintexts of 1..4096 bytes open to themselves, each sealed to its length plus the overhead
     rng = np.random.default_rng(7)

@@ -22,12 +22,10 @@ def _first_points(x0, y0, params, n):
     return henon.henon_trajectory(henon.SymKey(x0, y0, *params, burn_in=0), n)
 
 
-@pytest.mark.acceptance
 def test_step_from_origin():
     assert tuple(_first_points(0.0, 0.0, CLASSICAL, 1)[0]) == (1.0, 0.0)
 
 
-@pytest.mark.acceptance
 def test_second_step_written_order():
     s2 = _first_points(0.0, 0.0, CLASSICAL, 2)[1]
     # exactly the prescribed arithmetic: (1 - a*x*x + y, b*x)
@@ -147,7 +145,6 @@ def test_shuffle_length_mismatch():
         henon.deshuffle(np.zeros(4), np.arange(3))
 
 
-@pytest.mark.acceptance
 def test_shuffle_round_trip_bitwise():
     # 10 000 bijections from sequences of n = 1..128 values, and a bitwise round trip through each
     rng = np.random.default_rng(2024)
@@ -159,7 +156,6 @@ def test_shuffle_round_trip_bitwise():
         assert np.array_equal(henon.deshuffle(henon.shuffle(v, p), p), v)
 
 
-@pytest.mark.acceptance
 def test_key_sensitivity():
     rng = np.random.default_rng(123)
     diffs = []
@@ -196,7 +192,6 @@ def test_keys_one_ulp_apart_can_share_a_permutation():
     assert np.array_equal(henon.permutation_for_key(near, 100), henon.permutation_for_key(key, 100))
 
 
-@pytest.mark.acceptance
 def test_trajectory_bounds():
     tr = henon.henon_trajectory(henon.SymKey(0.1, 0.1), 10_000)
     assert tr.shape == (10_000, 2)

@@ -31,7 +31,6 @@ def test_mse_dim_mismatch():
         metrics.mse(np.zeros((2, 2)), np.zeros((3, 3)))
 
 
-@pytest.mark.acceptance
 def test_psnr_examples():
     a = np.zeros((4, 4), dtype=np.uint8)
     assert metrics.psnr(metrics.mse(a, a)) == math.inf
@@ -51,7 +50,6 @@ def test_psnr_monotone_in_mse():
         prev = p
 
 
-@pytest.mark.acceptance
 def test_ssim_self_is_one():
     img = np.random.default_rng(0).integers(0, 256, (8, 8), dtype=np.uint8)
     assert metrics.ssim(img, img) == pytest.approx(1.0, abs=1e-12)
@@ -62,7 +60,6 @@ def test_ssim_constant_images():
     assert metrics.ssim(a, a.copy()) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.acceptance
 def test_ssim_checkerboard_brute_force():
     a = checkerboard()
     b = (255 - a).astype(np.uint8)

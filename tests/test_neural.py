@@ -56,7 +56,6 @@ def test_shape_mismatches():
         model.decode(np.zeros(4), 3, 3)
 
 
-@pytest.mark.acceptance
 def test_gradients_match_finite_differences():
     cfg = train.TrainConfig(m=3, hidden=(5,), seed=1)
     model = train.init_model(36, cfg, np.random.default_rng(1))
@@ -80,7 +79,6 @@ def test_gradients_match_finite_differences():
     assert worst < 1e-4
 
 
-@pytest.mark.acceptance
 def test_single_image_overfit():
     img = np.random.default_rng(3).integers(0, 256, (8, 8), dtype=np.uint8)
     cfg = train.TrainConfig(m=8, hidden=(32,), lr=0.05, epochs=200, seed=7, batch_size=1)
@@ -103,7 +101,6 @@ def test_zero_epochs_returns_init():
         assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
 
 
-@pytest.mark.acceptance
 def test_trainer_deterministic():
     imgs = [np.random.default_rng(i).integers(0, 256, (8, 8), dtype=np.uint8) for i in range(4)]
     cfg = train.TrainConfig(m=6, hidden=(16,), epochs=30, seed=9, batch_size=2)
@@ -124,7 +121,6 @@ def test_non_finite_loss_detected():
         train._autoencoder_step(model, X, cfg, [])
 
 
-@pytest.mark.acceptance
 def test_gan_objective_values():
     assert train.gan_objective([0.5], [0.5]) == pytest.approx(-2 * np.log(2), abs=1e-12)
     eps = 1e-9

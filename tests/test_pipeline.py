@@ -14,7 +14,6 @@ from conftest import reference
 from test_transfer import payload_frame
 
 
-@pytest.mark.acceptance
 def test_crypto_layer_losslessness(public_key, private_key, sym_key):
     rng = np.random.default_rng(0)
     model = codec.dct_model(20)
@@ -27,7 +26,6 @@ def test_crypto_layer_losslessness(public_key, private_key, sym_key):
         assert np.array_equal(rec, direct)
 
 
-@pytest.mark.acceptance
 def test_payload_size_law(public_key, sym_key):
     img = smooth_gradient(256)
     model = codec.dct_model(100)
@@ -37,7 +35,6 @@ def test_payload_size_law(public_key, sym_key):
     assert len(payload.ciphertext) == 449  # the 65536-pixel -> 100-element body
 
 
-@pytest.mark.acceptance
 def test_timing_report(public_key, private_key, sym_key):
     # the paper's timing table: one CSV row of 5 fields per image, and a 256x256 encryption within 2 s
     model = codec.dct_model(100)
