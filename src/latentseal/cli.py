@@ -105,17 +105,15 @@ def cmd_evaluate(args) -> int:
     return EXIT_IO if failures else EXIT_OK
 
 
-_PLOT_BLOCK = 65536  # henon-plot rows formatted per block
-
-
 def cmd_henon_plot(args) -> int:
-    from . import henon
+    from . import henon, images
     sym = henon.load_sym_key(args.sym)
     points = henon.henon_trajectory(sym, args.n)
-    # formatted _PLOT_BLOCK rows at a time, so the CSV is never held whole
+    # formatted as many rows at a time as one band holds float64 points, so the CSV is never held whole
+    block = images.BAND_BYTES // 16
     blocks = (
-        "".join(f"{x!r},{y!r}\n" for x, y in points[top : top + _PLOT_BLOCK].tolist()).encode()
-        for top in range(0, len(points), _PLOT_BLOCK)
+        "".join(f"{x!r},{y!r}\n" for x, y in points[top : top + block].tolist()).encode()
+        for top in range(0, len(points), block)
     )
     atomic_write(args.out, itertools.chain([b"x,y\n"], blocks))
     print(f"wrote {len(points)} points to {args.out}")

@@ -3,10 +3,11 @@
 I/O and synthetic dataset generation.
 
 Images are binary P5 files (maxval 255).  Color P6 input is converted to
-luma on ingest with the BT.601 weights, P6_BLOCK_ROWS rows at a time, so a
-P6 costs about what a P5 of the same size costs.  The header, _HEADER, is
-the magic, then width, height and maxval, each after ASCII whitespace or
-"#" comments, then one whitespace byte; it ends within PNM_HEADER_CAP bytes.
+luma on ingest with the BT.601 weights, BAND_BYTES // 24 pixels of the flat
+raster at a time, so a P6 of any shape costs about what a P5 of its size
+costs.  The header, _HEADER, is the magic, then width, height and maxval,
+each after ASCII whitespace or "#" comments, then one whitespace byte; it
+ends within PNM_HEADER_CAP bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .wire import MAX_PIXELS
 
 PNM_HEADER_CAP = 4096  # bytes: the header and its comments, through the whitespace byte before the raster
 PNM_CAP = 3 * MAX_PIXELS + PNM_HEADER_CAP  # bytes: a P6 raster of MAX_PIXELS pixels and its header
-P6_BLOCK_ROWS = 256  # rows of a P6 raster converted to float at once: 24 MiB of float64 at 4096 columns
+BAND_BYTES = 1 << 20  # working memory of one step of every blocked pass: metrics, P6 luma, henon-plot
 
 
 def check_image(img: np.ndarray) -> np.ndarray:
@@ -83,12 +84,11 @@ def read_image(path) -> np.ndarray:
     pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=header.end())
     if channels == 1:
         return pixels.reshape(height, width).copy()
-    raster = pixels.reshape(height, width, 3)
-    luma = np.empty((height, width), dtype=np.uint8)
-    for top in range(0, height, P6_BLOCK_ROWS):
-        rgb = raster[top : top + P6_BLOCK_ROWS].astype(np.float64)
-        luma[top : top + P6_BLOCK_ROWS] = quantize(0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2])
-    return luma
+    raster, luma, step = pixels.reshape(-1, 3), np.empty(width * height, dtype=np.uint8), BAND_BYTES // 24
+    for start in range(0, luma.size, step):
+        rgb = raster[start : start + step].astype(np.float64)
+        luma[start : start + step] = quantize(0.299 * rgb[:, 0] + 0.587 * rgb[:, 1] + 0.114 * rgb[:, 2])
+    return luma.reshape(height, width)
 
 
 def write_image(img: np.ndarray, path) -> None:

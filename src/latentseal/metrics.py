@@ -13,17 +13,17 @@ the exact sum of squared differences over the pixel count, correctly
 rounded, and PSNR follows from it.  Windowed SSIM takes each window's sums
 of a, b, a², b² and ab in int32 (int64 for windows over 181) and applies
 the per-window formula to them, so every window's value equals that of a
-direct loop over the window.  Global SSIM sums the exact integer moments
-over chunks whose float copies take one BAND_BYTES buffer, and takes its
-variances and covariance from them, each rounded once.
+direct loop over the window.  Global SSIM takes its variances and
+covariance from the exact integer moments, each rounded once.
 
-Window sums cost O(log w) array additions per axis: runs of 1, 2, 4, ...
-consecutive entries are built by adding shifted copies, and the runs
-named by the bits of w are added end to end.  Windowed SSIM works through
-the output rows in bands whose integer buffers take about BAND_BYTES, 1 MiB,
-so that a band's passes stay in a 2 MiB L2 cache, and lays each band's float
-stage over those buffers once they are spent, so it needs 8 bytes per window
-for the map of values and one band beside it.
+Memory: every blocked pass here reads images.BAND_BYTES, 1 MiB, at call
+time.  MSE and global SSIM sum over chunks whose float64 copies fill one
+such buffer.  Windowed SSIM takes the output rows in bands, split into
+column tiles where a band is too wide, whose integer buffers take about
+BAND_BYTES, so a tile's passes stay in a 2 MiB L2 cache; each tile's float
+stage lies over those buffers once spent, so it needs 8 bytes per window
+for the map of values and one tile beside it.  Window sums cost O(log w)
+array additions per axis (binary doubling, see _window_sums).
 """
 
 import math
@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import images
 from .errors import DimMismatchError, WindowTooLargeError
-from .images import check_image
 
 C1 = (0.01 * 255.0) ** 2
 C2 = (0.03 * 255.0) ** 2
-BAND_BYTES = 1 << 20  # integer buffers of one band of windowed SSIM
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,14 +44,26 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimMismatchError(f"image shapes differ: {a.shape} vs {b.shape}")
-    return check_image(a), check_image(b)
+    return images.check_image(a), images.check_image(b)
+
+
+def _float_chunks(a, b):
+    """Float64 copies of flat a and b, BAND_BYTES // 16 pixels at a time in one buffer: a chunk's sums are exact."""
+    a, b = a.ravel(), b.ravel()
+    n, f = a.size, np.empty((2, min(a.size, images.BAND_BYTES // 16)))
+    for start in range(0, n, f.shape[1]):
+        fa, fb = f[:, : n - start]
+        fa[...], fb[...] = a[start : start + fa.size], b[start : start + fa.size]
+        yield fa, fb
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _check_pair(a, b)
-    d = np.subtract(a, b, dtype=np.int32)
-    d *= d
-    return float(d.sum() / d.size)  # int64 sum of squares, one rounding
+    sse = 0
+    for fa, fb in _float_chunks(a, b):
+        fa -= fb
+        sse += int(fa @ fa)
+    return sse / a.size  # the exact sum of squares, one rounding
 
 
 def psnr(err: float) -> float:
@@ -72,16 +83,10 @@ def ssim(a: np.ndarray, b: np.ndarray, window: int | None = None) -> float:
 
 
 def _ssim_global(a, b) -> float:
-    # The moments are summed over chunks of BAND_BYTES // 16 pixels copied to float64 in one buffer:
-    # each chunk's float64 sums and dot products are integers below 2**53, so exact, and are added
-    # as Python ints.  The centred moments are then exact integers over n**2, each rounded once by
-    # Python's int division.
-    a, b = a.ravel(), b.ravel()
-    n, f = a.size, np.empty((2, min(a.size, BAND_BYTES // 16)))
-    sums = [0] * 5
-    for start in range(0, n, f.shape[1]):
-        fa, fb = f[:, : n - start]
-        fa[...], fb[...] = a[start : start + fa.size], b[start : start + fa.size]
+    # The exact chunk moments are added as Python ints.  The centred moments are then exact integers
+    # over n**2, each rounded once by Python's int division.
+    n, sums = a.size, [0] * 5
+    for fa, fb in _float_chunks(a, b):
         sums = [s + int(v) for s, v in zip(sums, (fa.sum(), fb.sum(), fa @ fa, fb @ fb, fa @ fb))]
     sa, sb, saa, sbb, sab = sums
     mu_a, mu_b = sa / n, sb / n
@@ -124,44 +129,49 @@ def _ssim_windows(a, b, w) -> float:
 
     Output rows are taken in bands of at least w - 1 rows, as many as keep a
     band's three integer buffers of 5 planes near BAND_BYTES, so the rows a
-    band shares with the next at most double its row pass.  Per band, one
-    stack holds the planes a, b, a*a, b*b and a*b.  It is summed over w
-    rows into the row-sum buffer, with the spare buffer for the doubling
-    runs, then over w columns into the spare buffer with the row sums read
-    as one long row: a sum that runs past the end of a row lands in an entry
-    that is dropped, and a zero tail keeps the last ones inside the array.
+    band shares with the next at most double its row pass.  Where w - 1 rows
+    overrun BAND_BYTES, a band is split into column tiles of at least 2w - 1
+    columns that overlap by w - 1.  Per tile, one stack holds the planes a,
+    b, a*a, b*b and a*b.  It is summed over w rows into the row-sum buffer,
+    with the spare buffer for the doubling runs, then over w columns into the
+    spare buffer with the row sums read as one long row: a sum that runs past
+    the end of a row lands in an entry that is dropped, and a zero tail keeps
+    the last ones inside the array.
     The float stage then lies over integer buffers no longer needed: the
     five moments over the stack and row sums, and mu_a*mu_b over the spare
-    buffer.  Each band's values go into one (hh, ww) map, and the mean is
-    taken once, over the whole map.  The formula follows a direct loop's
-    order of floating-point operations.
+    buffer.  Each tile's values go into its slice of one (hh, ww) map, and
+    the mean is taken once, over the whole map.  The formula follows a
+    direct loop's order of floating-point operations.
     """
     h, wd = a.shape
     hh, ww = h - w + 1, wd - w + 1
     acc = np.dtype(np.int32 if (255 * w) ** 2 < 2**31 else np.int64)
-    band = min(hh, max(BAND_BYTES // (15 * acc.itemsize * wd), w - 1, 1))
-    big = 5 * (band + w - 1) * wd  # entries in the pixel stack and in the spare buffer
-    front = ((big + 5 * band * wd + w - 1) * acc.itemsize + 7) // 8  # float64 slots over the stack and row sums
+    budget = images.BAND_BYTES // (15 * acc.itemsize)  # pixels of a band: 3 buffers of 5 planes
+    tw = min(wd, max(budget // max(w - 1, 1), 2 * w - 1))  # input columns of a tile
+    band = min(hh, max(budget // tw, w - 1, 1))
+    big = 5 * (band + w - 1) * tw  # entries in the pixel stack and in the spare buffer
+    front = ((big + 5 * band * tw + w - 1) * acc.itemsize + 7) // 8  # float64 slots over the stack and row sums
     arena = np.empty(front + (big * acc.itemsize + 7) // 8)
     ints, spare = arena[:front].view(acc), arena[front:].view(acc)
     ssim_map = np.empty((hh, ww))
-    for top in range(0, hh, band):
-        n = min(band, hh - top)  # output rows of this band
-        stack = ints[: 5 * (n + w - 1) * wd].reshape(5, n + w - 1, wd)
-        stack[0], stack[1] = a[top : top + n + w - 1], b[top : top + n + w - 1]
+    for top, left in ((top, left) for top in range(0, hh, band) for left in range(0, ww, tw - w + 1)):
+        n, k = min(band, hh - top), min(tw - w + 1, ww - left)  # output rows and columns of this tile
+        c = k + w - 1  # its input columns
+        stack = ints[: 5 * (n + w - 1) * c].reshape(5, n + w - 1, c)
+        stack[0], stack[1] = a[top : top + n + w - 1, left : left + c], b[top : top + n + w - 1, left : left + c]
         np.multiply(stack[0], stack[0], out=stack[2])
         np.multiply(stack[1], stack[1], out=stack[3])
         np.multiply(stack[0], stack[1], out=stack[4])
-        rows = ints[big : big + 5 * n * wd + w - 1]
-        rows[5 * n * wd :] = 0  # the float stage of the band before wrote over the zero tail
-        _window_sums(stack, spare[: stack.size].reshape(stack.shape), w, rows[: 5 * n * wd].reshape(5, n, wd))
+        rows = ints[big : big + 5 * n * c + w - 1]
+        rows[5 * n * c :] = 0  # the float stage of the tile before wrote over the zero tail
+        _window_sums(stack, spare[: stack.size].reshape(stack.shape), w, rows[: 5 * n * c].reshape(5, n, c))
         flat = (1, -1, 1)
-        sums = _window_sums(rows.reshape(flat), ints[: rows.size].reshape(flat), w, spare[: 5 * n * wd].reshape(flat))
+        sums = _window_sums(rows.reshape(flat), ints[: rows.size].reshape(flat), w, spare[: 5 * n * c].reshape(flat))
 
-        moments = arena[: 5 * n * ww].reshape(5, n, ww)
-        np.multiply(sums.reshape(5, n, wd)[:, :, :ww], 1.0 / (w * w), out=moments)
+        moments = arena[: 5 * n * k].reshape(5, n, k)
+        np.multiply(sums.reshape(5, n, c)[:, :, :k], 1.0 / (w * w), out=moments)
         mu_a, mu_b, var_a, var_b, cov = moments  # var_a, var_b, cov hold E[a*a], E[b*b], E[a*b]
-        num = np.multiply(mu_a, mu_b, out=arena[front : front + n * ww].reshape(n, ww))
+        num = np.multiply(mu_a, mu_b, out=arena[front : front + n * k].reshape(n, k))
         cov -= num
         num *= 2.0  # exact, so this is (2 mu_a) mu_b: num = (2 mu_a mu_b + C1) (2 cov + C2)
         num += C1
@@ -178,7 +188,7 @@ def _ssim_windows(a, b, w) -> float:
         var_a += var_b
         var_a += C2
         den *= var_a
-        np.divide(num, den, out=ssim_map[top : top + n])
+        np.divide(num, den, out=ssim_map[top : top + n, left : left + k])
     return float(np.mean(ssim_map))
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from latentseal import ecies, henon
+from latentseal import ecies, henon, images
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,6 +27,24 @@ def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+@pytest.fixture
+def at_both_budgets(monkeypatch):
+    """run() at the default images.BAND_BYTES and at 4 KiB: the two results, which a blocked pass must not tell apart.
+
+    At 4 KiB a windowed-SSIM tile is max(68 // (w - 1), 2w - 1) columns wide with int32 sums, a metric chunk
+    256 pixels, a P6 chunk 170 pixels and a henon-plot block 256 rows.
+    """
+    def run_both(run):
+        results = []
+        for band_bytes in (images.BAND_BYTES, 4096):
+            with monkeypatch.context() as m:
+                m.setattr(images, "BAND_BYTES", band_bytes)
+                results.append(run())
+        return results
+
+    return run_both
 
 
 @pytest.fixture(scope="session")

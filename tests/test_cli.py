@@ -340,15 +340,18 @@ def test_henon_plot_zero_points(tmp_path, keys):
     assert out.read_text() == "x,y\n"
 
 
-@pytest.mark.parametrize("block", [7, cli._PLOT_BLOCK])
-def test_henon_plot_blocks_give_the_bytes_of_one_joined_csv(tmp_path, keys, block, monkeypatch):
-    # the CSV is formatted in blocks of rows; a block of 7 splits 1000 rows unevenly
-    monkeypatch.setattr(cli, "_PLOT_BLOCK", block)
+def test_henon_plot_blocks_give_the_bytes_of_one_joined_csv(tmp_path, keys, at_both_budgets):
+    # the CSV is formatted in blocks of rows: one block of 1000 rows at the default budget, and at 4 KiB
+    # blocks of 256, which split 1000 rows unevenly
     out = tmp_path / "traj.csv"
-    assert run(["henon-plot", "--sym", str(keys) + ".sym", "--n", "1000", "--out", str(out)]) == EXIT_OK
+
+    def plot():
+        assert run(["henon-plot", "--sym", str(keys) + ".sym", "--n", "1000", "--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
     points = henon.henon_trajectory(henon.load_sym_key(str(keys) + ".sym"), 1000)
     lines = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in points]
-    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert at_both_budgets(plot) == [("\n".join(lines) + "\n").encode()] * 2
 
 
 @pytest.mark.parametrize(

@@ -61,16 +61,20 @@ def _peak_kib(args: list[str]) -> int:
     return _run_child(args)[1]
 
 
-def test_p6_at_the_cap_peaks_within_one_and_a_half_times_the_p5_of_its_size(tmp_path):
-    assert SIDE * SIDE == wire.MAX_PIXELS
+@pytest.mark.parametrize("width,height", [(SIDE, SIDE), (0xFFFF, 256)], ids=["4096x4096", "65535x256"])
+def test_p6_at_the_cap_peaks_within_one_and_a_half_times_the_p5_of_its_size(tmp_path, width, height):
+    # the P6 luma conversion takes images.BAND_BYTES of float64 RGB at a time, at any shape.  Measured on a
+    # 2-vCPU Xeon under Linux, VmHWM of P6 / P5: 188 548 / 188 304 KiB at 4096², and 200 860-201 000 /
+    # 201 924-202 008 KiB at 65535x256, where blocks of 256 full rows took the wide P6 to 741 136-741 200 KiB.
+    assert SIDE * SIDE == wire.MAX_PIXELS >= width * height
     prefix, model = tmp_path / "key", tmp_path / "dct.lscm"
     assert cli.main(["keygen", str(prefix), "--seed", "1"]) == 0
     assert cli.main(["make-model", str(model), "--m", "100"]) == 0
-    raster = (np.arange(3 * SIDE * SIDE, dtype=np.uint32) % 251).astype(np.uint8)
+    raster = (np.arange(3 * width * height, dtype=np.uint32) % 251).astype(np.uint8)
     peaks = {}
     for magic, channels in ((b"P5", 1), (b"P6", 3)):
         img = tmp_path / f"in.{magic.decode()}"
-        img.write_bytes(b"%s\n%d %d\n255\n" % (magic, SIDE, SIDE) + raster[: channels * SIDE * SIDE].tobytes())
+        img.write_bytes(b"%s\n%d %d\n255\n" % (magic, width, height) + raster[: channels * width * height].tobytes())
         assert img.stat().st_size <= images.PNM_CAP
         peaks[magic] = _peak_kib([
             "encrypt", str(img),
@@ -104,27 +108,35 @@ def test_decrypt_of_the_largest_legal_payload_stays_within_its_envelope(tmp_path
     assert seconds <= 2.0, seconds
 
 
-@pytest.mark.parametrize("window", [[], ["--window", "7"]], ids=["global", "window7"])
-def test_evaluate_of_a_p5_at_the_cap_stays_within_its_envelope(tmp_path, window):
-    # windowed SSIM over 4096² takes its map of 8 bytes per window and one band of metrics.BAND_BYTES.
+@pytest.mark.parametrize(
+    "window,height,bound",
+    [([], SIDE, 300_000), (["--window", "7"], SIDE, 300_000), (["--window", "200"], 400, 100_000)],
+    ids=["global", "window7", "window200-4096x400"],
+)
+def test_evaluate_of_a_p5_at_the_cap_stays_within_its_envelope(tmp_path, window, height, bound):
+    # windowed SSIM over 4096² takes its map of 8 bytes per window and one band of images.BAND_BYTES.
     # Measured on a 2-vCPU Xeon under Linux with 1 MiB bands: VmHWM 208 312-208 440 KiB and 1.28-1.45 s for
     # the whole child, interpreter start included, so the bounds below leave about 1.44x on memory and 2.8x
     # on time.  16 MiB bands peaked at 222 460-223 444 KiB, and one arena for the whole image at
     # 2 102 588-2 103 404 KiB.  Global SSIM sums its moments over chunks of one band: VmHWM 205 872-206 200 KiB
-    # and 0.44-1.6 s, where float64 copies of both whole images peaked at 337 160-337 336 KiB.
+    # and 0.44-1.6 s, where float64 copies of both whole images peaked at 337 160-337 336 KiB.  At w = 200 a
+    # band is at least 199 rows; 199 rows of 4096 columns overrun the budget, so a band is split into column
+    # tiles of 399 columns, about 16 MB of int64 buffers.  The 4096x400 image shows that at a tenth of the
+    # 4096² cost: VmHWM 72 928-73 228 KiB and 0.38-0.86 s, so its bound leaves about 1.37x on memory, where
+    # whole-width bands peaked at 216 600-216 772 KiB (at 4096², 353 032-353 044 against 209 048-209 200 KiB).
     prefix, model, img_dir = tmp_path / "key", tmp_path / "dct.lscm", tmp_path / "images"
     assert cli.main(["keygen", str(prefix), "--seed", "1"]) == 0
     assert cli.main(["make-model", str(model), "--m", "100"]) == 0
     img_dir.mkdir()
-    raster = (np.arange(SIDE * SIDE, dtype=np.uint32) % 251).astype(np.uint8)
-    (img_dir / "in.pgm").write_bytes(b"P5\n%d %d\n255\n" % (SIDE, SIDE) + raster.tobytes())
+    raster = (np.arange(SIDE * height, dtype=np.uint32) % 251).astype(np.uint8)
+    (img_dir / "in.pgm").write_bytes(b"P5\n%d %d\n255\n" % (SIDE, height) + raster.tobytes())
     out = tmp_path / "report.csv"
     start = time.perf_counter()
     _, peak = _run_child(["evaluate", str(img_dir), "--model", str(model), "--sym", f"{prefix}.sym", "--pub",
                           f"{prefix}.pub", "--priv", f"{prefix}.priv", "--out", str(out), *window])
     seconds = time.perf_counter() - start
     assert len(out.read_text().splitlines()) == 2  # the header and the image's row
-    assert peak <= 300_000, peak  # KiB
+    assert peak <= bound, peak  # KiB
     assert seconds <= 4.0, seconds
 
 
@@ -190,7 +202,7 @@ def test_recv_of_a_frame_at_the_cap_stays_within_its_envelope(tmp_path):
 
 
 def test_henon_plot_of_a_million_points_stays_within_its_envelope(tmp_path):
-    # the largest --n; the CSV is formatted in blocks of cli._PLOT_BLOCK rows, not held whole.  Measured on
+    # the largest --n; the CSV is formatted in blocks of images.BAND_BYTES // 16 rows, not held whole.  Measured on
     # a 2-vCPU Xeon under Linux: VmHWM 73 600-73 700 KiB and 2.4-3.1 s for the whole child, interpreter
     # start included, for a 39 467 486-byte CSV, so the bounds below leave about 1.36x on memory and 3.9x
     # on time.  Joined into one string, the CSV peaked at 231 272 KiB.

@@ -33,14 +33,16 @@ def test_p6_luma_conversion(tmp_path):
     assert img[0, 1] == round(0.587 * 255)
 
 
-def test_p6_luma_across_row_blocks_equals_the_whole_raster_expression(tmp_path):
-    rows = 2 * images.P6_BLOCK_ROWS + 88  # two full blocks and a partial one
-    rgb = np.random.default_rng(3).integers(0, 256, (rows, 3, 3), dtype=np.uint8)
+def test_p6_luma_across_row_blocks_equals_the_whole_raster_expression(tmp_path, at_both_budgets):
+    # at 4 KiB a chunk is 170 pixels, which 3 columns do not divide, so chunks split rows: 3x600 is 10 full
+    # chunks and a partial one; at the default budget it is one chunk
+    rgb = np.random.default_rng(3).integers(0, 256, (600, 3, 3), dtype=np.uint8)
     path = tmp_path / "tall.ppm"
-    path.write_bytes(b"P6\n3 %d\n255\n" % rows + rgb.tobytes())
+    path.write_bytes(b"P6\n3 600\n255\n" + rgb.tobytes())
     f = rgb.astype(np.float64)
     whole = np.clip(np.rint(0.299 * f[..., 0] + 0.587 * f[..., 1] + 0.114 * f[..., 2]), 0, 255).astype(np.uint8)
-    assert np.array_equal(images.read_image(path), whole)
+    for luma in at_both_budgets(lambda: images.read_image(path)):
+        assert np.array_equal(luma, whole)
 
 
 def test_rejects_wrong_maxval(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentseal import metrics
+from latentseal import images, metrics
 from latentseal.errors import DimMismatchError, ShapeMismatchError, WindowTooLargeError
 
 from conftest import reference
@@ -127,22 +127,19 @@ def test_windowed_ssim_large_image_matches_per_window_oracle():
     assert abs(got - _ssim_per_window(a, b, 7, metrics.C1, metrics.C2)) < 1e-12
 
 
-# A 4 KiB budget makes bands of max(4096 // (60 * width), w - 1, 1) rows: 79 of the 139 cases of the
-# every-window test and 5 of the 6 windows on 128x96 run in several bands, most with a short last band.
-# The 200x200 images of the int32 test stay one band at any budget, since a band is at least w - 1 rows.
-SMALL_BAND_BYTES = 4096
+# At the 4 KiB budget a tile is max(68 // (w - 1), 2w - 1) columns wide with int32 sums, and a band as many rows as
+# fill 68 pixels of it, at least w - 1: 87 of the 139 cases of the every-window test run in several bands or tiles,
+# 19 of them in tiles, and so do 5 of the 6 windows on 128x96, 4 of them in tiles.  The 200x200 images of the int32
+# test stay one band and one tile at any budget, since a tile is at least 2w - 1 columns and a band w - 1 rows.
 
 
-def _assert_windowed_bitwise(a, b, w, monkeypatch):
+def _assert_windowed_bitwise(a, b, w, at_both_budgets):
     want = reference.windowed_ssim(a, b, w)
-    for band_bytes in (metrics.BAND_BYTES, SMALL_BAND_BYTES):
-        with monkeypatch.context() as m:
-            m.setattr(metrics, "BAND_BYTES", band_bytes)
-            got = metrics.ssim(a, b, w)
-        assert got.hex() == want.hex(), (a.shape, w, band_bytes, got, want)
+    for got in at_both_budgets(lambda: metrics.ssim(a, b, w)):
+        assert got.hex() == want.hex(), (a.shape, w, got, want)
 
 
-def test_windowed_ssim_bitwise_equals_summed_area_oracle_every_window(monkeypatch):
+def test_windowed_ssim_bitwise_equals_summed_area_oracle_every_window(at_both_budgets):
     rng = np.random.default_rng(5)
     for _ in range(16):
         h, w = (int(v) for v in rng.integers(1, 24, 2))
@@ -150,10 +147,10 @@ def test_windowed_ssim_bitwise_equals_summed_area_oracle_every_window(monkeypatc
         noise = rng.integers(-12, 13, (h, w))
         for b in (rng.integers(0, 256, (h, w), dtype=np.uint8), np.clip(a + noise, 0, 255).astype(np.uint8)):
             for window in range(1, min(h, w) + 1):
-                _assert_windowed_bitwise(a, b, window, monkeypatch)
+                _assert_windowed_bitwise(a, b, window, at_both_budgets)
 
 
-def test_windowed_ssim_bitwise_at_the_int32_boundary(monkeypatch):
+def test_windowed_ssim_bitwise_at_the_int32_boundary(at_both_budgets):
     # 255**2 * w**2 fits in int32 up to w = 181; from w = 182 on, the
     # all-255 image's sum of squares does not, so the sums must widen.
     a = np.full((200, 200), 255, dtype=np.uint8)
@@ -161,16 +158,22 @@ def test_windowed_ssim_bitwise_at_the_int32_boundary(monkeypatch):
     b[::3, ::2] = 7
     assert 255**2 * 181**2 < 2**31 <= 255**2 * 182**2
     for window in (181, 182, 200):
-        _assert_windowed_bitwise(a, b, window, monkeypatch)
-        _assert_windowed_bitwise(a, a, window, monkeypatch)
+        _assert_windowed_bitwise(a, b, window, at_both_budgets)
+        _assert_windowed_bitwise(a, a, window, at_both_budgets)
 
 
-def test_windowed_ssim_bitwise_on_larger_images(monkeypatch):
+def test_windowed_ssim_bitwise_on_larger_images(at_both_budgets):
     rng = np.random.default_rng(6)
     a = rng.integers(0, 256, (128, 96), dtype=np.uint8)
     b = np.clip(a + rng.integers(-30, 31, a.shape), 0, 255).astype(np.uint8)
     for window in (7, 11, 16, 31, 64, 96):
-        _assert_windowed_bitwise(a, b, window, monkeypatch)
+        _assert_windowed_bitwise(a, b, window, at_both_budgets)
+    # 6 rows of 3000 columns at w = 7 take 1 080 000 bytes of int32 buffers, over the 1 MiB budget, so the
+    # default budget splits each band into 2 tiles, and the 4 KiB one into 428
+    a = rng.integers(0, 256, (12, 3000), dtype=np.uint8)
+    b = np.clip(a + rng.integers(-30, 31, a.shape), 0, 255).astype(np.uint8)
+    assert 15 * 4 * 6 * 3000 > images.BAND_BYTES
+    _assert_windowed_bitwise(a, b, 7, at_both_budgets)
 
 
 def test_windowed_ssim_peaks_at_its_map_plus_one_band():
@@ -188,7 +191,7 @@ def test_windowed_ssim_peaks_at_its_map_plus_one_band():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 1018 * 1018 + metrics.BAND_BYTES + 2 * 5 * 6 * 1024 * 4 + (128 << 10), peak
+    assert peak <= 8 * 1018 * 1018 + images.BAND_BYTES + 2 * 5 * 6 * 1024 * 4 + (128 << 10), peak
 
 
 def test_mse_and_psnr_exact_for_8bit():
@@ -207,8 +210,35 @@ def test_mse_and_psnr_exact_for_8bit():
     assert metrics.psnr(metrics.mse(black, white)) == 0.0
 
 
-def test_global_ssim_matches_centred_float_oracle(monkeypatch):
-    # at SMALL_BAND_BYTES the moments are summed in chunks of 256 pixels, so 5x9 is one short
+def test_mse_is_the_same_in_chunks(at_both_budgets):
+    # at 4 KiB the squared differences are summed in chunks of 256 pixels: 17x3000 is 199 chunks and
+    # a short one; at 1024² all-255 against all-0 the total, 255**2 * 2**20, is above 2**31
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, 256, (17, 3000), dtype=np.uint8)
+    b = rng.integers(0, 256, a.shape, dtype=np.uint8)
+    sse = int(((a.astype(np.int64) - b) ** 2).sum())
+    assert at_both_budgets(lambda: metrics.mse(a, b)) == [sse / a.size] * 2
+    black, white = np.zeros((1024, 1024), dtype=np.uint8), np.full((1024, 1024), 255, dtype=np.uint8)
+    assert at_both_budgets(lambda: metrics.mse(black, white)) == [65025.0] * 2
+
+
+def test_mse_peaks_at_one_band():
+    # both images' float64 copies take 16 bytes per pixel of a chunk of BAND_BYTES // 16 pixels, and 64 KiB
+    # covers the rest of the call.  Measured: 1 050 105 bytes, where an int32 difference image took 4 261 040
+    rng = np.random.default_rng(12)
+    a = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
+    b = np.clip(a + rng.integers(-20, 21, a.shape), 0, 255).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        metrics.mse(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= images.BAND_BYTES + (64 << 10), peak
+
+
+def test_global_ssim_matches_centred_float_oracle(at_both_budgets):
+    # at 4 KiB the moments are summed in chunks of 256 pixels, so 5x9 is one short
     # chunk and 256x256 is 256 chunks; the chunked sums are exact, so the result is bitwise the same
     rng = np.random.default_rng(8)
     c1, c2 = metrics.C1, metrics.C2
@@ -221,11 +251,9 @@ def test_global_ssim_matches_centred_float_oracle(monkeypatch):
         want = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
             (mu_a**2 + mu_b**2 + c1) * (af.var() + bf.var() + c2)
         )
-        got = metrics.ssim(a, b)
+        got, small = at_both_budgets(lambda: metrics.ssim(a, b))
         assert abs(got - want) < 1e-12
-        with monkeypatch.context() as m:
-            m.setattr(metrics, "BAND_BYTES", SMALL_BAND_BYTES)
-            assert metrics.ssim(a, b).hex() == got.hex()
+        assert small.hex() == got.hex()
 
 
 def test_global_ssim_peaks_at_one_band():
@@ -241,7 +269,7 @@ def test_global_ssim_peaks_at_one_band():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= metrics.BAND_BYTES + (64 << 10), peak
+    assert peak <= images.BAND_BYTES + (64 << 10), peak
 
 
 def test_non_8bit_inputs_are_refused():
