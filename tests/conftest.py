@@ -34,7 +34,7 @@ def at_both_budgets(monkeypatch):
     """run() at the default images.BAND_BYTES and at 4 KiB: the two results, which a blocked pass must not tell apart.
 
     At 4 KiB a windowed-SSIM tile is max(68 // (w - 1), 2w - 1) columns wide with int32 sums, a metric chunk
-    256 pixels, a P6 chunk 170 pixels and a henon-plot block 256 rows.
+    256 pixels and a P6 chunk 170 pixels.
     """
     def run_both(run):
         results = []

@@ -340,18 +340,16 @@ def test_henon_plot_zero_points(tmp_path, keys):
     assert out.read_text() == "x,y\n"
 
 
-def test_henon_plot_blocks_give_the_bytes_of_one_joined_csv(tmp_path, keys, at_both_budgets):
-    # the CSV is formatted in blocks of rows: one block of 1000 rows at the default budget, and at 4 KiB
-    # blocks of 256, which split 1000 rows unevenly
+@pytest.mark.parametrize("block", [7, images.BAND_BYTES // 16])
+def test_henon_plot_blocks_give_the_bytes_of_one_joined_csv(tmp_path, keys, block, monkeypatch):
+    # the CSV is formatted in blocks of images.BAND_BYTES // 16 rows; a block of 7 splits 1000 rows unevenly,
+    # and the default budget takes them in one block
+    monkeypatch.setattr(images, "BAND_BYTES", 16 * block)
     out = tmp_path / "traj.csv"
-
-    def plot():
-        assert run(["henon-plot", "--sym", str(keys) + ".sym", "--n", "1000", "--out", str(out)]) == EXIT_OK
-        return out.read_bytes()
-
+    assert run(["henon-plot", "--sym", str(keys) + ".sym", "--n", "1000", "--out", str(out)]) == EXIT_OK
     points = henon.henon_trajectory(henon.load_sym_key(str(keys) + ".sym"), 1000)
     lines = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in points]
-    assert at_both_budgets(plot) == [("\n".join(lines) + "\n").encode()] * 2
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize(
