@@ -63,11 +63,11 @@ def _recv_exact(sock: socket.socket, n: int, deadline: float) -> bytes:
     return bytes(buf)
 
 
-def listen(port: int, host: str = "") -> socket.socket:
-    """A socket listening on port, or for port 0 on one the kernel picks; host "" takes IPv6 and IPv4 where it can."""
-    family = socket.AF_INET6 if not host and socket.has_dualstack_ipv6() else socket.AF_INET
+def listen(port: int) -> socket.socket:
+    """A socket listening on port, or for port 0 on one the kernel picks, for IPv6 and IPv4 where it can."""
+    family = socket.AF_INET6 if socket.has_dualstack_ipv6() else socket.AF_INET
     try:
-        return socket.create_server((host, port), family=family, backlog=1, dualstack_ipv6=family == socket.AF_INET6)
+        return socket.create_server(("", port), family=family, backlog=1, dualstack_ipv6=family == socket.AF_INET6)
     except OSError as e:
         raise IoError(f"cannot listen on port {port}: {e}") from e
 

@@ -1,12 +1,26 @@
+"""Shared test tooling.
+
+- python(*argv): the one child launcher, the Popen keyword arguments of `python *argv` in a new
+  interpreter that imports latentseal from this checkout's src.
+- listening_port(proc): the port a `recv` child listens on, from the `listening on port N` line it
+  prints first; a test that talks to a receiver learns its port from the receiver, never picks one.
+- chain(), keys and dct_model_path: the argument list of encrypt, decrypt or evaluate, and the seeded
+  key files and m = 100 DCT model it reads.
+- reference, at_both_budgets and the session's ECIES and Henon keys.
+"""
+
 import importlib.util
-import socket
+import os
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from latentseal import ecies, henon, images
+from latentseal import cli, ecies, henon, images
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def perfbench_module(name):
@@ -22,11 +36,45 @@ def perfbench_module(name):
 reference = perfbench_module("reference")
 
 
-def free_port():
-    """A loopback port that was free when asked, for a receiver in another thread or process to listen on."""
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+def python(*argv):
+    """Popen keyword arguments of `python *argv` in a new interpreter, in text mode, importing latentseal
+    from this checkout's src."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {"args": [sys.executable, *argv], "env": {**os.environ, "PYTHONPATH": path}, "text": True}
+
+
+def listening_port(proc) -> int:
+    """The port a recv child started with stdout=PIPE listens on, from the first line it prints."""
+    line = proc.stdout.readline()
+    match = re.fullmatch(r"listening on port (\d+)\n", line)
+    assert match, line
+    return int(match[1])
+
+
+KEY_FILES = {"encrypt": ("sym", "pub"), "decrypt": ("sym", "priv"), "evaluate": ("sym", "pub", "priv")}
+
+
+def chain(command, source, model, keys, out):
+    """Arguments of encrypt, decrypt or evaluate on source and model, with the key files of prefix
+    keys that the command reads, writing out."""
+    args = [command, str(source), "--model", str(model)]
+    for suffix in KEY_FILES[command]:
+        args += [f"--{suffix}", f"{keys}.{suffix}"]
+    return args + ["--out", str(out)]
+
+
+@pytest.fixture()
+def keys(tmp_path):
+    prefix = tmp_path / "key"
+    assert cli.main(["keygen", str(prefix), "--seed", "42"]) == cli.EXIT_OK
+    return prefix
+
+
+@pytest.fixture()
+def dct_model_path(tmp_path):
+    path = tmp_path / "dct.lscm"
+    assert cli.main(["make-model", str(path), "--m", "100"]) == cli.EXIT_OK
+    return path
 
 
 @pytest.fixture

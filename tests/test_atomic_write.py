@@ -1,14 +1,14 @@
 import os
 import stat
 import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latentseal import codec, henon, images, transfer
 from latentseal.errors import IoError, atomic_write, read_file
+
+from conftest import python
 
 
 def _recv_file(path, monkeypatch):
@@ -83,9 +83,7 @@ def test_outputs_get_the_umask_mode_and_secret_keys_0600(tmp_path):
         "import sys; from latentseal import cli\n"
         f"sys.exit(cli.main(['keygen', {str(tmp_path / 'k')!r}]) or cli.main(['make-model', {str(tmp_path / 'm.lscm')!r}]))"
     )
-    src = str(Path(codec.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, umask=0o022, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(**python("-c", code), umask=0o022, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
     assert modes == {"k.priv": 0o600, "k.sym": 0o600, "k.pub": 0o644, "m.lscm": 0o644}

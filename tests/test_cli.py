@@ -1,52 +1,23 @@
-import os
-import re
+import queue
 import signal
 import socket
 import subprocess
-import sys
 import threading
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latentseal import cli, codec, ecies, errors, henon, images, pipeline, wire
+from latentseal import cli, codec, ecies, errors, henon, images, pipeline, transfer, wire
 from latentseal.cli import EXIT_OK, EXIT_USAGE
 from latentseal.errors import EXIT_AUTH, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO
 
-from conftest import free_port
+from conftest import chain, listening_port, python
 
 
 def run(args):
     return cli.main(args)
-
-
-KEY_FILES = {"encrypt": ("sym", "pub"), "decrypt": ("sym", "priv"), "evaluate": ("sym", "pub", "priv")}
-
-
-def chain(command, source, model, keys, out):
-    """Arguments of encrypt, decrypt or evaluate on source and model, with the key files of prefix
-    keys that the command reads, writing out."""
-    args = [command, str(source), "--model", str(model)]
-    for suffix in KEY_FILES[command]:
-        args += [f"--{suffix}", f"{keys}.{suffix}"]
-    return args + ["--out", str(out)]
-
-
-@pytest.fixture()
-def keys(tmp_path):
-    prefix = tmp_path / "key"
-    assert run(["keygen", str(prefix), "--seed", "42"]) == EXIT_OK
-    return prefix
-
-
-@pytest.fixture()
-def dct_model_path(tmp_path):
-    path = tmp_path / "dct.lscm"
-    assert run(["make-model", str(path), "--m", "100"]) == EXIT_OK
-    return path
 
 
 @pytest.fixture()
@@ -426,12 +397,10 @@ def test_send_recv_cli(tmp_path, keys, dct_model_path, test_image):
     payload = tmp_path / "p.lsp"
     run(chain("encrypt", test_image, dct_model_path, keys, payload))
     out = tmp_path / "received.lsp"
-    with subprocess.Popen(**program(["recv", "0", "--out", str(out), "--timeout", "10"]), stdout=subprocess.PIPE) as proc:
+    recv = python("-m", "latentseal.cli", "recv", "0", "--out", str(out), "--timeout", "10")
+    with subprocess.Popen(**recv, stdout=subprocess.PIPE) as proc:
         try:
-            first = proc.stdout.readline()
-            port = re.fullmatch(r"listening on port (\d+)\n", first)
-            assert port, first
-            assert run(["send", str(payload), f"127.0.0.1:{port[1]}"]) == EXIT_OK
+            assert run(["send", str(payload), f"127.0.0.1:{listening_port(proc)}"]) == EXIT_OK
             rest, _ = proc.communicate(timeout=30)
         finally:
             proc.kill()
@@ -439,20 +408,38 @@ def test_send_recv_cli(tmp_path, keys, dct_model_path, test_image):
     assert out.read_bytes() == payload.read_bytes()
 
 
+@pytest.fixture()
+def recv_in_thread(monkeypatch):
+    """start(*args): a started thread that runs `recv 0 *args` through cli.main, the port that recv
+    listens on, from the socket transfer.listen returns, and a dict that holds recv's exit code once
+    the thread ends."""
+    ports = queue.Queue()
+    listen = transfer.listen
+
+    def listen_and_report(port):
+        srv = listen(port)
+        ports.put(srv.getsockname()[1])
+        return srv
+
+    monkeypatch.setattr(transfer, "listen", listen_and_report)
+
+    def start(*args):
+        codes = {}
+        t = threading.Thread(target=lambda: codes.update(recv=run(["recv", "0", *args])))
+        t.start()
+        return t, ports.get(timeout=10), codes
+
+    return start
+
+
 @pytest.mark.skipif(not socket.has_dualstack_ipv6(), reason="no dual-stack sockets")
-def test_recv_takes_ipv6_and_ipv4_senders(tmp_path):
+def test_recv_takes_ipv6_and_ipv4_senders(tmp_path, recv_in_thread):
     payload = tmp_path / "p.lsp"
     payload.write_bytes(wire._pack_header(0, 1, 1, 1) + bytes(4 + wire.OVERHEAD))
     for host in ("[::1]", "127.0.0.1"):
-        with socket.create_server(("", 0), family=socket.AF_INET6, dualstack_ipv6=True) as s:
-            port = s.getsockname()[1]
         out = tmp_path / "received.lsp"
-        codes = {}
-        t = threading.Thread(target=lambda: codes.update(recv=run(["recv", str(port), "--out", str(out), "--timeout", "10"])))
-        t.start()
-        deadline = time.monotonic() + 5
-        while run(["send", str(payload), f"{host}:{port}"]) != EXIT_OK and time.monotonic() < deadline:
-            time.sleep(0.05)  # refused until recv listens
+        t, port, codes = recv_in_thread("--out", str(out), "--timeout", "10")
+        assert run(["send", str(payload), f"{host}:{port}"]) == EXIT_OK
         t.join(timeout=10)
         assert codes.get("recv") == EXIT_OK, host
         assert out.read_bytes() == payload.read_bytes()
@@ -460,7 +447,7 @@ def test_recv_takes_ipv6_and_ipv4_senders(tmp_path):
 
 
 @pytest.mark.parametrize("fault", ["version", "codec", "length"])
-def test_recv_of_a_frame_decrypt_refuses_exit_code(tmp_path, keys, dct_model_path, test_image, fault, capsys):
+def test_recv_of_a_frame_decrypt_refuses_exit_code(tmp_path, keys, dct_model_path, test_image, fault, recv_in_thread, capsys):
     payload = tmp_path / "p.lsp"
     run(chain("encrypt", test_image, dct_model_path, keys, payload))
     data = bytearray(payload.read_bytes())
@@ -470,12 +457,8 @@ def test_recv_of_a_frame_decrypt_refuses_exit_code(tmp_path, keys, dct_model_pat
         data[5] = 2  # neither DCT (0) nor neural (1)
     else:
         data += b"\0"
-    port = free_port()
     out = tmp_path / "received.lsp"
-    codes = {}
-    t = threading.Thread(target=lambda: codes.update(recv=run(["recv", str(port), "--out", str(out), "--timeout", "10"])))
-    t.start()
-    time.sleep(0.1)
+    t, port, codes = recv_in_thread("--out", str(out), "--timeout", "10")
     with socket.create_connection(("127.0.0.1", port)) as sock:
         sock.sendall(len(data).to_bytes(4, "big") + data)
     t.join(timeout=10)
@@ -606,16 +589,9 @@ def test_oversized_key_file_exit_code(tmp_path, keys, dct_model_path, suffix, ca
     assert f"key.{suffix}" in capsys.readouterr().err
 
 
-def program(args):
-    """Popen arguments of `python -m latentseal.cli args` in a new process, as a user runs it, importing
-    latentseal from this checkout."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return {"args": [sys.executable, "-m", "latentseal.cli", *args], "env": env, "text": True}
-
-
 def run_program(args):
-    return subprocess.run(**program(args), capture_output=True, timeout=60)
+    """`python -m latentseal.cli args` run to its end in a new process, as a user runs it."""
+    return subprocess.run(**python("-m", "latentseal.cli", *args), capture_output=True, timeout=60)
 
 
 def test_program_writes_what_main_writes(tmp_path, dct_model_path, test_image, capsys):
@@ -658,11 +634,10 @@ def test_program_exit_codes(tmp_path, keys, dct_model_path, test_image):
 
 def test_an_interrupted_program_exits_130_with_one_line_and_no_output_file(tmp_path):
     # Ctrl-C while recv waits on a connected sender that sends nothing
-    recv = program(["recv", "0", "--out", str(tmp_path / "in.lsp")])
+    recv = python("-m", "latentseal.cli", "recv", "0", "--out", str(tmp_path / "in.lsp"))
     with subprocess.Popen(**recv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         try:
-            port = int(proc.stdout.readline().removeprefix("listening on port "))
-            with socket.create_connection(("127.0.0.1", port)):
+            with socket.create_connection(("127.0.0.1", listening_port(proc))):
                 proc.send_signal(signal.SIGINT)
                 _, err = proc.communicate(timeout=30)
         finally:

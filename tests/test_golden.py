@@ -39,6 +39,7 @@ GOLDEN = {
     "keygen_42.priv": "bc8a2ea1f836edb148bf1931a6ace04b05d354e4bef4bc5d4771ef42c9499df9",
     "keygen_42.pub": "bfee47596de259269b10691ebc3187806fa2a978f8d7c57ab68cc98015d8e16a",
     "keygen_42.sym": "df9b9c62bd13cfb0a15aefdb315b3a269e28fc9ff6630dafa997c13bb46d73ac",
+    "make_dataset": "be8f496f8ea098ebf1c8da335e39bbd2ca11d4faae2082fe78c3eba7c7b83419",
 }
 
 
@@ -98,6 +99,12 @@ def _saved_model(tmp_path):
     return path.read_bytes()
 
 
+def _dataset_files(tmp_path):
+    """Names and bytes of the files make_dataset writes: after the smooth gradient, seed 0 draws stripes,
+    blobs, stripes and a tilted gradient, so every kind of _synthetic_image is pinned."""
+    return b"".join(p.name.encode() + p.read_bytes() for p in images.make_dataset(tmp_path / "data", 5, 16, 0))
+
+
 def _keygen_file(tmp_path, suffix):
     prefix = tmp_path / "keys"
     assert cli.main(["keygen", str(prefix), "--seed", "42"]) == cli.EXIT_OK
@@ -119,6 +126,7 @@ CASES = {
     "neural.ae_trace": lambda tmp: np.array(train.train_autoencoder(_neural_dataset(), NEURAL_CONFIG).ae_losses),
     "neural.adversarial_trace": lambda tmp: _adversarial_trace(),
     "neural.lscm": _saved_model,
+    "make_dataset": _dataset_files,
     "keygen_42.priv": lambda tmp: _keygen_file(tmp, ".priv"),
     "keygen_42.pub": lambda tmp: _keygen_file(tmp, ".pub"),
     "keygen_42.sym": lambda tmp: _keygen_file(tmp, ".sym"),

@@ -1,7 +1,6 @@
 import ast
 import gc
 import importlib
-import os
 import re
 import socket
 import subprocess
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, chain, python
 
 
 def _imported(paths) -> set[str]:
@@ -153,14 +152,7 @@ def test_every_numeric_cli_argument_is_range_checked():
 
 def _fresh_python(code: str) -> str:
     """stdout of `code` run in a new interpreter that imports latentseal from src."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = subprocess.run(**python("-c", code), capture_output=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
 
@@ -188,46 +180,48 @@ def test_main_in_process_leaves_the_heap_unfrozen(tmp_path):
     assert gc.get_freeze_count() == 0
 
 
-def _after_encrypt_and_decrypt(tmp_path, code: str) -> str:
-    """The last line `code` prints in a new interpreter that first runs a real encrypt and decrypt through cli.main."""
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """The modules one new interpreter has loaded after a real encrypt and decrypt through cli.main, and
+    after a keygen and load_sym_key as well: keygen loads numpy.random, so it runs second."""
     from latentseal import cli, images
 
-    k, model, img, sealed = (str(tmp_path / name) for name in ("k", "m.lscm", "in.pgm", "p.lsp"))
-    assert cli.main(["keygen", k, "--seed", "1"]) == 0
-    assert cli.main(["make-model", model, "--m", "16"]) == 0
+    tmp = tmp_path_factory.mktemp("loaded")
+    keys, model, img, sealed = tmp / "key", tmp / "dct.lscm", tmp / "in.pgm", tmp / "p.lsp"
+    assert cli.main(["keygen", str(keys), "--seed", "42"]) == 0
+    assert cli.main(["make-model", str(model), "--m", "16"]) == 0
     images.write_image(images.smooth_gradient(16), img)
-    commands = [
-        ["encrypt", img, "--model", model, "--sym", k + ".sym", "--pub", k + ".pub", "--out", sealed],
-        ["decrypt", sealed, "--model", model, "--sym", k + ".sym", "--priv", k + ".priv", "--out", img],
-    ]
-    runs = "".join(f"assert cli.main({argv!r}) == 0\n" for argv in commands)
-    return _fresh_python("import sys\nfrom latentseal import cli\n" + runs + code).splitlines()[-1]
-
-
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    assert _after_encrypt_and_decrypt(tmp_path, "print('scipy' in sys.modules)") == "False"
-
-
-def test_key_checks_leave_numpy_ma_unloaded(tmp_path):
-    # numpy.ma is imported lazily, on first use, at a cost every cold CLI run would pay
-    prefix = str(tmp_path / "k")
+    runs = [chain("encrypt", img, model, keys, sealed), chain("decrypt", sealed, model, keys, img)]
     code = (
         "import sys\n"
-        "from latentseal import cli, henon\n"
-        f"assert cli.main(['keygen', {prefix!r}, '--seed', '1']) == 0\n"
-        f"henon.load_sym_key({prefix!r} + '.sym')\n"
-        "print('numpy.ma' in sys.modules)"
+        "from latentseal import cli\n"
+        + "".join(f"assert cli.main({argv!r}) == 0\n" for argv in runs)
+        + "print('loaded', *sys.modules)\n"
+        "from latentseal import henon\n"
+        f"assert cli.main(['keygen', {str(tmp / 'k')!r}, '--seed', '1']) == 0\n"
+        f"henon.load_sym_key({str(tmp / 'k.sym')!r})\n"
+        "print('loaded', *sys.modules)\n"
     )
-    assert _fresh_python(code).endswith("False")
+    after_chain, after_keys = (set(line.split()[1:]) for line in _fresh_python(code).splitlines() if line.startswith("loaded "))
+    return after_chain, after_keys
 
 
-def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
+def test_cli_import_leaves_scipy_unloaded(loaded):
+    assert "scipy" not in loaded[0]
+
+
+def test_key_checks_leave_numpy_ma_unloaded(loaded):
+    # numpy.ma is imported lazily, on first use, at a cost every cold CLI run would pay
+    assert "numpy.ma" not in loaded[1]
+
+
+def test_cli_import_leaves_numpy_random_unloaded(loaded):
     # numpy loads numpy.random on first attribute access, which an evaluated
     # `np.random.Generator` annotation would make every cold CLI run pay
-    assert _after_encrypt_and_decrypt(tmp_path, "print('numpy.random' in sys.modules)") == "False"
+    assert "numpy.random" not in loaded[0]
 
 
-def test_cli_import_loads_only_what_encrypt_and_decrypt_run(tmp_path):
+def test_cli_import_loads_only_what_encrypt_and_decrypt_run(loaded):
     # cryptography's serialization package pulls in its SSH module, and
     # transfer pulls in socket; encrypt and decrypt use neither, nor train
     unused = [
@@ -237,20 +231,12 @@ def test_cli_import_loads_only_what_encrypt_and_decrypt_run(tmp_path):
         "latentseal.train",
         "latentseal.transfer",
     ]
-    code = f"print([m for m in {unused!r} if m in sys.modules])"
-    assert _after_encrypt_and_decrypt(tmp_path, code) == "[]"
+    assert [m for m in unused if m in loaded[0]] == []
 
 
 def _program(args: list[str]) -> tuple[int, list[str], set[str]]:
     """Exit code, stderr lines and every module imported, of a new `python -X importtime -m latentseal.cli args`."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "latentseal.cli", *args],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = subprocess.run(**python("-X", "importtime", "-m", "latentseal.cli", *args), capture_output=True, timeout=60)
     lines = result.stderr.splitlines()
     imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
     return result.returncode, [line for line in lines if not line.startswith("import time:")], imported
