@@ -18,7 +18,6 @@ from .errors import EXIT_IO, IoError, LatentSealError, atomic_write, read_file
 from .wire import MAX_PIXELS, PAYLOAD_CAP
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_INTERRUPT = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 

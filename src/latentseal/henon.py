@@ -14,8 +14,7 @@ reproducible.
 There is one cache and one weak-key rule, both in permutation_for_key: it
 memoises the permutation of each (key, m) pair, least recently used first
 out, and a miss refuses a weak key with WeakKeyError.  A miss, like every
-henon_sequence and henon_trajectory call, iterates the orbit from the key
-point.  load_sym_key and random_sym_key check a key by building its
+henon_trajectory call, iterates the orbit from the key point.  load_sym_key and random_sym_key check a key by building its
 length-WEAK_KEY_SPAN permutation, the entry a DCT m = 100 seal then uses.
 """
 
@@ -81,17 +80,6 @@ def _orbit(key: SymKey, n: int) -> tuple[np.ndarray, np.ndarray]:
             xs[i - burn_in] = x
             ys[i - burn_in] = y
     return xs, ys
-
-
-def henon_sequence(key: SymKey, n: int) -> np.ndarray:
-    """x-components of n orbit points after the key's burn-in.
-
-    Bitwise deterministic for a fixed key; the key point itself is
-    never emitted (step 0 already applies the map once).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _orbit(key, n)[0]
 
 
 def henon_trajectory(key: SymKey, n: int) -> np.ndarray:

@@ -135,16 +135,6 @@ def _autoencoder_grads(model: CodecModel, acts: list[np.ndarray], d_out: np.ndar
     return _backward(model.encoder + model.decoder, acts, dz, len(model.encoder) - 1)[0]
 
 
-def loss_and_gradients(model: CodecModel, X: np.ndarray):
-    """Reconstruction loss and its analytic gradients."""
-    acts, loss, d_out = _reconstruction(model, X)
-    return loss, _autoencoder_grads(model, acts, d_out)
-
-
-def reconstruction_loss(model: CodecModel, dataset: list[np.ndarray]) -> float:
-    return _reconstruction(model, _dataset_matrix(_checked(dataset)))[1]
-
-
 def _apply_sgd(chain: list[Layer], grads, lr: float) -> None:
     for layer, (dW, db) in zip(chain, grads):
         layer.W -= lr * dW

@@ -1,7 +1,10 @@
+import argparse
+import math
 import queue
 import signal
 import socket
 import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 from latentseal import cli, codec, ecies, errors, henon, images, pipeline, transfer, wire
-from latentseal.cli import EXIT_OK, EXIT_USAGE
+from latentseal.cli import EXIT_OK
 from latentseal.errors import EXIT_AUTH, EXIT_DIVERGENCE, EXIT_FORMAT, EXIT_IO
 
 from conftest import chain, listening_port, python
@@ -547,18 +550,38 @@ def test_out_of_range_number_is_usage_error(tmp_path, monkeypatch, command, opti
     assert not list(tmp_path.iterdir())
 
 
-def test_argument_bounds_at_their_limits(capsys):
-    # parsed only: at the old bounds, recv would wait a day for a sender
-    parse = cli.build_parser().parse_args
-    assert parse(["send", "p.lsp", "::1:65535", "--throttle", "1"]).dest == ("::1", 65535)
-    assert parse(["send", "p.lsp", "[::1]:65535"]).dest == ("::1", 65535)  # RFC 3986's bracketed IPv6 host
-    assert parse(["recv", "0", "--out", "out", "--timeout", "86400"]).timeout == 86400
-    assert parse(["make-dataset", "out", "--size", "4096"]).size == 4096
-    for argv in (["send", "p.lsp", "::1:65536"], ["send", "p.lsp", "[]:9"],
-                 ["send", "p.lsp", "h:9", "--throttle", "0.99"], ["recv", "0", "--out", "out", "--timeout", "86401"]):
-        with pytest.raises(SystemExit):
-            parse(argv)
-    assert "Traceback" not in capsys.readouterr().err
+_LARGEST = repr(sys.float_info.max)
+_SMALLEST = repr(math.ulp(0.0))  # 5e-324, the least float above 0
+
+# (range type, lowest legal, highest legal, just below, just above), as typed; None where the range has no end
+ARGUMENT_EDGES = [
+    (cli._POSITIVE, "1", None, "0", None),
+    (cli._NON_NEGATIVE, "0", None, "-1", None),
+    (cli._PORT, "0", "65535", "-1", "65536"),
+    (cli._POSITIVE_FINITE, _SMALLEST, _LARGEST, "0", "inf"),
+    (cli._NON_NEGATIVE_FINITE, "0", _LARGEST, "-" + _SMALLEST, "inf"),
+    (cli._SECONDS, _SMALLEST, "86400", "0", repr(math.nextafter(86400, math.inf))),
+    (cli._RATE, "1", _LARGEST, repr(math.nextafter(1, 0)), "inf"),
+    (cli._SIDE, "1", "4096", "0", "4097"),  # 4096 x 4096 is MAX_PIXELS
+    (cli._M, "1", "65535", "0", "65536"),
+    (cli._POINTS, "0", "1000000", "-1", "1000001"),
+    (cli._DEST, "h:0", "::1:65535", "h:-1", "::1:65536"),
+]
+
+
+def test_argument_bounds_at_their_limits():
+    # every range type has a row; _PREFIX checks a path, not a range
+    ranges = {value for value in vars(cli).values() if getattr(value, "__qualname__", "") == "_checked.<locals>.parse"}
+    assert ranges - {cli._PREFIX} == {row[0] for row in ARGUMENT_EDGES}
+    for parse, lowest, highest, below, above in ARGUMENT_EDGES:
+        for text in filter(None, (lowest, highest)):
+            parse(text)
+        for text in filter(None, (below, above)):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse(text)
+    assert cli._DEST("::1:65535") == cli._DEST("[::1]:65535") == ("::1", 65535)  # RFC 3986's bracketed IPv6 host
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._DEST("[]:9")
 
 
 def test_parser_built_once_and_calls_repeat(tmp_path, keys, capsys):
@@ -625,7 +648,7 @@ def test_program_exit_codes(tmp_path, keys, dct_model_path, test_image):
     missing = run_program(["encrypt", str(test_image), "--model", str(dct_model_path), "--sym", str(tmp_path / "none.sym"),
                            "--pub", str(keys) + ".pub", "--out", str(tmp_path / "out.lsp")])
     out_of_range = run_program(["make-model", str(tmp_path / "m.lscm"), "--m", "0"])
-    assert (missing.returncode, out_of_range.returncode) == (EXIT_IO, EXIT_USAGE)
+    assert (missing.returncode, out_of_range.returncode) == (EXIT_IO, 2)
     assert "error: cannot read" in missing.stderr and "none.sym" in missing.stderr
     assert "error: argument --m: want " in out_of_range.stderr
     assert "Traceback" not in missing.stderr + out_of_range.stderr

@@ -235,6 +235,19 @@ def test_basis_over_max_pixels_refused_before_it_is_built(width, height):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("shape,longer", [((1, 4096), (1, 4097)), ((4096, 1), (4097, 1))], ids=["1x4096", "4096x1"])
+def test_a_basis_of_exactly_max_pixels_entries_is_planned_and_one_more_is_refused(monkeypatch, shape, longer):
+    # a 1 x 4096 plan at m = 4096 takes a 4096 x 4096 basis, 128 MiB: its bases are recorded here, not built
+    built = []
+    monkeypatch.setattr(codec, "_dct_basis", lambda n, k: built.append((n, k)) or np.empty((k, 0)))
+    rows, _, _, _ = codec._zigzag_plan(*shape, 4096)
+    assert len(rows) == 4096 and sorted(built) == [(1, 1), (4096, 4096)]
+    built.clear()
+    with pytest.raises(MTooLargeError, match="DCT basis"):
+        codec._zigzag_plan(*longer, 4097)
+    assert built == []
+
+
 def test_square_grid_at_the_largest_m_still_decodes():
     img = np.random.default_rng(21).integers(0, 256, (256, 256), dtype=np.uint8)
     model = codec.dct_model(65535)

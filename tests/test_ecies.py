@@ -101,12 +101,13 @@ def test_single_bit_tamper(public_key, private_key):
 
 
 def test_every_prefix_and_an_extra_byte_fail_closed(public_key, private_key):
-    ct = ecies.ecies_encrypt(b"prefix", public_key)
-    for cut in [*range(len(ct)), None]:
-        data = ct + b"\x00" if cut is None else ct[:cut]
-        with pytest.raises((AuthFailureError, InvalidPointError)):
-            ecies.ecies_decrypt(data, private_key)
-    assert ecies.ecies_decrypt(ct, private_key) == b"prefix"
+    for plaintext in (b"x", b"prefix"):  # b"x" seals to the shortest ciphertext, OVERHEAD + 1 bytes
+        ct = ecies.ecies_encrypt(plaintext, public_key)
+        for cut in [*range(len(ct)), None]:
+            data = ct + b"\x00" if cut is None else ct[:cut]
+            with pytest.raises((AuthFailureError, InvalidPointError)):
+                ecies.ecies_decrypt(data, private_key)
+        assert ecies.ecies_decrypt(ct, private_key) == plaintext
 
 
 def test_round_trip_property(public_key, private_key):
@@ -272,6 +273,21 @@ def test_new_key_rejection_path_matches_sha256_oracle():
         candidate = hashlib.sha256(candidate).digest()
     assert candidate != seed
     assert ecies._new_key(seed).private_numbers().private_value == int.from_bytes(candidate, "big")
+
+
+def test_scalar_edges_of_a_seed_and_a_private_key_file(tmp_path):
+    # a seed or a .priv holds a scalar in 1..CURVE_ORDER - 1; a seed outside it is rehashed, a .priv refused
+    path = tmp_path / "k.priv"
+    for scalar, legal in ((0, False), (1, True), (ecies.CURVE_ORDER - 1, True), (ecies.CURVE_ORDER, False)):
+        seed = scalar.to_bytes(32, "big")
+        rehashed = int.from_bytes(hashlib.sha256(seed).digest(), "big")
+        assert ecies._new_key(seed).private_numbers().private_value == (scalar if legal else rehashed)
+        path.write_text(seed.hex() + "\n")
+        if legal:
+            assert ecies.load_private_key(path).private_numbers().private_value == scalar
+        else:
+            with pytest.raises(IoError, match="out of range"):
+                ecies.load_private_key(path)
 
 
 def _hkdf_sha256(ikm: bytes, info: bytes, length: int) -> bytes:

@@ -112,7 +112,7 @@ def _keygen_file(tmp_path, suffix):
 
 
 CASES = {
-    "henon_sequence": lambda tmp: henon.henon_sequence(KEY, 500),
+    "henon_sequence": lambda tmp: henon.henon_trajectory(KEY, 500)[:, 0],
     "henon_trajectory": lambda tmp: henon.henon_trajectory(henon.SymKey(0.1, 0.1), 10000),
     "permutation_400": lambda tmp: henon.permutation_for_key(KEY, 400).astype("<i8"),
     "dct_gradient_m100.latent": lambda tmp: _gradient(100)[0],

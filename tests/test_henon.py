@@ -40,26 +40,26 @@ def test_step_degenerate_params():
 
 def test_sequence_no_burn_in():
     key = henon.SymKey(0.0, 0.0, burn_in=0)
-    seq = henon.henon_sequence(key, 2)
+    seq = henon.henon_trajectory(key, 2)[:, 0]
     assert seq[0] == 1.0
     assert seq[1] == 1.0 - 1.4 * 1.0 * 1.0 + 0.0
 
 
 def test_sequence_burn_in_skips_first():
     key = henon.SymKey(0.0, 0.0, burn_in=1)
-    assert henon.henon_sequence(key, 1)[0] == 1.0 - 1.4 * 1.0 * 1.0 + 0.0
+    assert henon.henon_trajectory(key, 1)[0, 0] == 1.0 - 1.4 * 1.0 * 1.0 + 0.0
 
 
 def test_sequence_trapping_region():
     key = henon.SymKey(0.1, 0.1, burn_in=1000)
-    seq = henon.henon_sequence(key, 100)
+    seq = henon.henon_trajectory(key, 100)[:, 0]
     assert np.all(np.abs(seq) <= 1.5)
 
 
 def test_sequence_deterministic():
     key = henon.SymKey(0.2, -0.1)
-    a = henon.henon_sequence(key, 500)
-    b = henon.henon_sequence(key, 500)
+    a = henon.henon_trajectory(key, 500)[:, 0]
+    b = henon.henon_trajectory(key, 500)[:, 0]
     assert np.array_equal(a, b)
 
 
@@ -67,13 +67,11 @@ def test_divergence_guard():
     with pytest.raises(DivergenceError):
         _first_points(50.0, 0.0, CLASSICAL, 1)
     with pytest.raises(DivergenceError):
-        henon.henon_sequence(henon.SymKey(3.0, 3.0, burn_in=0), 10)
+        henon.henon_trajectory(henon.SymKey(3.0, 3.0, burn_in=0), 10)
 
 
 def test_divergence_index_reported():
     # (3, 3) -> (-8.6, 0.9) -> x = 1 - 1.4 * 8.6**2 + 0.9 < -100: trips at step 1
-    with pytest.raises(DivergenceError, match=r"at step 1$"):
-        henon.henon_sequence(henon.SymKey(3.0, 3.0, burn_in=0), 10)
     with pytest.raises(DivergenceError, match=r"at step 1$"):
         henon.henon_trajectory(henon.SymKey(3.0, 3.0, burn_in=0), 10)
 
@@ -88,7 +86,6 @@ def test_trajectory_matches_step_oracle():
             points.append(state)
     traj = henon.henon_trajectory(key, 2000)
     assert np.array_equal(traj, np.array(points))
-    assert np.array_equal(henon.henon_sequence(key, 2000), traj[:, 0])
 
 
 def test_key_point_bounds():
@@ -122,7 +119,7 @@ def test_permutation_for_key_memoised_read_only():
     key = henon.SymKey(0.2, -0.1)
     perm = henon.permutation_for_key(key, 64)
     assert henon.permutation_for_key(henon.SymKey(0.2, -0.1), 64) is perm
-    assert np.array_equal(perm, henon.permutation_from_sequence(henon.henon_sequence(key, 64)))
+    assert np.array_equal(perm, henon.permutation_from_sequence(henon.henon_trajectory(key, 64)[:, 0]))
     with pytest.raises(ValueError):
         perm[0] = perm[1]
 
@@ -271,24 +268,22 @@ def test_permutation_for_key_over_shuffled_lengths():
     for m in lengths:
         for key in keys:
             perm = henon.permutation_for_key(key, int(m))
-            assert perm.tobytes() == henon.permutation_from_sequence(henon.henon_sequence(key, int(m))).tobytes()
             assert perm.tobytes() == _uncached_permutation(key, int(m)).tobytes()
 
 
 def test_divergence_past_a_cached_prefix_is_raised_every_call():
     # x' = 1 + y, y' = x: x grows by one every two steps and leaves the guard near step 200
     key = henon.SymKey(0.0, 0.0, 0.0, 1.0, burn_in=0)
-    short = henon.henon_sequence(key, 100).copy()
-    with pytest.raises(DivergenceError) as uncached:
+    short = henon.henon_trajectory(key, 100).copy()
+    with pytest.raises(DivergenceError) as first:
         henon.henon_trajectory(key, 300)
     for _ in range(3):
-        with pytest.raises(DivergenceError) as cached:
-            henon.henon_sequence(key, 300)
-        assert str(cached.value) == str(uncached.value)  # same step index on every call
+        with pytest.raises(DivergenceError) as again:
+            henon.henon_trajectory(key, 300)
+        assert str(again.value) == str(first.value)  # same step index on every call
         with pytest.raises(DivergenceError):
             henon.permutation_for_key(key, 300)
-    assert np.array_equal(henon.henon_sequence(key, 100), short)
-    assert np.array_equal(short, henon.henon_trajectory(key, 100)[:, 0])
+    assert np.array_equal(henon.henon_trajectory(key, 100), short)
 
 
 def test_permutation_memo_holds_the_tenants_working_set():
@@ -336,7 +331,7 @@ def test_a_key_that_settles_on_a_cycle_is_refused_past_the_span_validate_checks(
     # chaotic near the key point, so it passes at the span a load checks; then its orbit repeats with period 7
     key = henon.SymKey(0.1, 0.1, 1.23, 0.3, 0)
     henon.permutation_for_key(key, henon.WEAK_KEY_SPAN)
-    assert len(set(henon.henon_sequence(key, 400).tolist())) == 181
+    assert len(set(henon.henon_trajectory(key, 400)[:, 0].tolist())) == 181
     for m in (400, 4096, 0xFFFF):
         with pytest.raises(WeakKeyError, match="not chaotic"):
             henon.permutation_for_key(key, m)

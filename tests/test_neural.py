@@ -60,7 +60,8 @@ def test_gradients_match_finite_differences():
     cfg = train.TrainConfig(m=3, hidden=(5,), seed=1)
     model = train.init_model(36, cfg, np.random.default_rng(1))
     X = np.random.default_rng(2).random((2, 36))
-    _, grads = train.loss_and_gradients(model, X)
+    acts, _, d_out = train._reconstruction(model, X)
+    grads = train._autoencoder_grads(model, acts, d_out)
     h = 1e-5
     worst = 0.0
     for li, layer in enumerate(model.encoder + model.decoder):
@@ -70,9 +71,9 @@ def test_gradients_match_finite_differences():
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp, _ = train.loss_and_gradients(model, X)
+                lp = train._reconstruction(model, X)[1]
                 arr[idx] = orig - h
-                lm, _ = train.loss_and_gradients(model, X)
+                lm = train._reconstruction(model, X)[1]
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 worst = max(worst, abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8))
@@ -86,7 +87,7 @@ def test_single_image_overfit():
     model, trace = result.model, result.ae_losses
     init = train.init_model(64, cfg, np.random.default_rng(7))
     assert len(trace) == 200
-    assert trace[-1] < 0.25 * train.reconstruction_loss(init, [img])
+    assert trace[-1] < 0.25 * train._reconstruction(init, train._dataset_matrix([img]))[1]
     rec = model.decode(model.encode(img), 8, 8)
     assert np.abs(rec.astype(float) - img).mean() < 16.0
 

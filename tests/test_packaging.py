@@ -275,6 +275,28 @@ def test_every_module_level_import_is_used_in_its_module():
     assert unused == []
 
 
+def test_every_public_name_is_loaded_by_the_program_or_the_benchmark():
+    # a public def, class or constant that only tests read is API the program never runs
+    benchmark = [path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_")]
+    programs = [*(ROOT / "src" / "latentseal").glob("*.py"), *benchmark]
+    loaded = set()
+    for path in programs:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    unread = [
+        f"{path.stem}.{name}"
+        for path in sorted((ROOT / "src" / "latentseal").glob("*.py"))
+        for name in sorted(_defined_at_top_level(path))
+        if not name.startswith("_") and name not in loaded
+    ]
+    assert unread == []
+
+
 def test_package_root_is_empty():
     # each name has one import path, its module's: the root binds none, not even on first use, and loads no module
     code = (
