@@ -28,10 +28,6 @@ class WeakKeyError(LatentSealError):
     permutation, or its map is not chaotic at the start or end of the span a permutation emits."""
 
 
-class LengthMismatchError(LatentSealError):
-    """Vector and permutation lengths disagree."""
-
-
 class InvalidPointError(LatentSealError):
     """An encoded ephemeral public key is not a valid curve point."""
     exit_code = EXIT_AUTH
@@ -54,10 +50,6 @@ class ShapeMismatchError(LatentSealError):
 
 class NonFiniteLossError(LatentSealError):
     """Training loss became NaN or infinite."""
-
-
-class EmptyBatchError(LatentSealError):
-    """A batch-statistic operation received an empty batch."""
 
 
 class DimMismatchError(LatentSealError):

@@ -14,8 +14,9 @@ reproducible.
 There is one cache and one weak-key rule, both in permutation_for_key: it
 memoises the permutation of each (key, m) pair, least recently used first
 out, and a miss refuses a weak key with WeakKeyError.  A miss, like every
-henon_trajectory call, iterates the orbit from the key point.  load_sym_key and random_sym_key check a key by building its
-length-WEAK_KEY_SPAN permutation, the entry a DCT m = 100 seal then uses.
+henon_trajectory call, iterates the orbit from the key point.  load_sym_key
+and random_sym_key check a key by building its length-WEAK_KEY_SPAN
+permutation, the entry a DCT m = 100 seal then uses.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import KEY_FILE_CAP, DivergenceError, IoError, LengthMismatchError, WeakKeyError, atomic_write, read_file
+from .errors import KEY_FILE_CAP, DivergenceError, IoError, WeakKeyError, atomic_write, read_file
 
 CLASSICAL_A = 1.4
 CLASSICAL_B = 0.3
@@ -88,18 +89,13 @@ def henon_trajectory(key: SymKey, n: int) -> np.ndarray:
 
 
 def permutation_from_sequence(seq: np.ndarray) -> np.ndarray:
-    """Stable argsort indices: position i holds where the i-th smallest sat."""
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.size < 1:
-        raise ValueError("sequence must be non-empty")
-    if not np.all(np.isfinite(seq)):
-        raise ValueError("sequence values must be finite")
-    return np.argsort(seq, kind="stable")
+    """Stable argsort of seq, non-empty and finite as an orbit is: position i holds where the i-th smallest sat."""
+    return np.argsort(np.asarray(seq, dtype=np.float64), kind="stable")
 
 
 @lru_cache(maxsize=256)  # 64 tenants x 3 lengths in use; at most 256 x 512 KiB for m <= 65535
 def permutation_for_key(key: SymKey, m: int) -> np.ndarray:
-    """Keyed permutation of length m, memoised per (key, m); the array is read-only.
+    """Keyed permutation of length m >= 1, memoised per (key, m); the array is read-only.
 
     The one place the weak-key rule runs: a miss iterates the key's orbit once,
     for max(m, n + 1) points with n = WEAK_KEY_SPAN, and raises WeakKeyError if
@@ -108,8 +104,6 @@ def permutation_for_key(key: SymKey, m: int) -> np.ndarray:
     n + 1 points before the end (an orbit settled on a cycle is not).  Otherwise
     it stably argsorts the first m values.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     n = WEAK_KEY_SPAN
     xs, ys = _orbit(key, max(m, n + 1))
     # not np.unique: its first call imports numpy.ma, a cost every cold CLI run would pay
@@ -127,18 +121,13 @@ def permutation_for_key(key: SymKey, m: int) -> np.ndarray:
 
 
 def shuffle(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """out[k] = v[p[k]]."""
-    v = np.asarray(v)
-    if len(v) != len(p):
-        raise LengthMismatchError(f"vector length {len(v)} != permutation {len(p)}")
-    return v[p]
+    """out[k] = v[p[k]], for v and p of one length, as the chain gives them."""
+    return np.asarray(v)[p]
 
 
 def deshuffle(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Exact inverse of shuffle: out[p[k]] = v[k]."""
+    """Exact inverse of shuffle: out[p[k]] = v[k], for v and p of one length, as the chain gives them."""
     v = np.asarray(v)
-    if len(v) != len(p):
-        raise LengthMismatchError(f"vector length {len(v)} != permutation {len(p)}")
     out = np.empty_like(v)
     out[p] = v
     return out

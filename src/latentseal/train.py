@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import MAX_LAYERS, MODEL_CAP, CodecModel, Layer, forward, model_size, sigmoid
-from .errors import EmptyBatchError, IoError, NonFiniteLossError, ShapeMismatchError
+from .errors import IoError, NonFiniteLossError, ShapeMismatchError
 from .images import check_image
 
 PROB_CLAMP = 1e-12
@@ -21,16 +21,12 @@ DISC_HIDDEN = (32,)  # discriminator hidden layer widths
 
 
 def gan_objective(d_real: np.ndarray, d_fake: np.ndarray) -> float:
-    """mean log D(real) + mean log(1 - D(fake)), natural log.
+    """mean log D(real) + mean log(1 - D(fake)), natural log, over non-empty batches, as _epoch makes them.
 
     The empirical minimax value; -2 ln 2 when every probability is 0.5.
     """
-    d_real = np.asarray(d_real, dtype=np.float64)
-    d_fake = np.asarray(d_fake, dtype=np.float64)
-    if d_real.size == 0 or d_fake.size == 0:
-        raise EmptyBatchError("gan_objective needs non-empty batches")
-    d_real = np.clip(d_real, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    d_fake = np.clip(d_fake, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    d_real = np.clip(np.asarray(d_real, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    d_fake = np.clip(np.asarray(d_fake, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
     return float(np.mean(np.log(d_real)) + np.mean(np.log1p(-d_fake)))
 
 

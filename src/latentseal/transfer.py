@@ -22,13 +22,12 @@ TIMEOUT = 30.0  # seconds: send's bound on the connect and on each chunk, recv's
 
 def send_bytes(data: bytes, host: str, port: int, throttle: float | None = None) -> None:
     """Connect and send one frame in CHUNK-byte pieces; throttle is bytes per second.
+    data is not checked: send_file passes only a payload recv would accept.
 
     TIMEOUT bounds the connect and each chunk, so a receiver that stops reading
     raises IoError instead of holding the sender forever, as a refused, unreachable
     or unresolved destination does; each names it as host:port, or [host]:port for IPv6.
     """
-    if len(data) > PAYLOAD_CAP:
-        raise FrameTooLargeError(f"{len(data)} bytes exceeds {PAYLOAD_CAP}")
     dest = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
     sent = 0
     try:

@@ -280,17 +280,21 @@ def test_evaluate_empty_dir(tmp_path, keys, dct_model_path):
     assert report.read_text() == "ssim,psnr_db,mse,encrypt_s,decrypt_s\n"
 
 
-@pytest.mark.parametrize("command", ["evaluate", "train"])
-def test_a_missing_image_directory_exit_code(tmp_path, keys, dct_model_path, command, capsys):
-    missing = tmp_path / "nosuchdir"
+# the last case: an existing directory with no .pgm in it, which train refuses (evaluate writes an empty report)
+@pytest.mark.parametrize("command,made", [("evaluate", False), ("train", False), ("train", True)], ids=["evaluate", "train", "train-empty"])
+def test_a_missing_image_directory_exit_code(tmp_path, keys, dct_model_path, command, made, capsys):
+    image_dir = tmp_path / "images"
+    if made:
+        image_dir.mkdir()
+        (image_dir / "notes.txt").write_text("not an image")
     out = tmp_path / "out"
     args = {
-        "evaluate": chain("evaluate", missing, dct_model_path, keys, out),
-        "train": ["train", str(missing), str(out), "--epochs", "1"],
+        "evaluate": chain("evaluate", image_dir, dct_model_path, keys, out),
+        "train": ["train", str(image_dir), str(out), "--epochs", "1"],
     }[command]
     assert run(args) == EXIT_IO
     err = capsys.readouterr().err
-    assert f"not a directory: {missing}" in err and "Traceback" not in err
+    assert err == f"error: {'no .pgm images in' if made else 'not a directory:'} {image_dir}\n"
     assert not out.exists()
 
 
@@ -681,9 +685,7 @@ EXIT_CODES = {
     errors.ShapeMismatchError: EXIT_FORMAT,
     errors.DivergenceError: EXIT_DIVERGENCE,
     errors.DimMismatchError: EXIT_IO,
-    errors.EmptyBatchError: EXIT_IO,
     errors.IoError: EXIT_IO,
-    errors.LengthMismatchError: EXIT_IO,
     errors.NonFiniteLossError: EXIT_IO,
     errors.WeakKeyError: EXIT_IO,
     errors.WindowTooLargeError: EXIT_IO,

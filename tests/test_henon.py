@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latentseal import codec, henon, images, pipeline
-from latentseal.errors import DivergenceError, IoError, LengthMismatchError, WeakKeyError
+from latentseal.errors import DivergenceError, IoError, WeakKeyError
 
 CLASSICAL = (henon.CLASSICAL_A, henon.CLASSICAL_B)
 
@@ -102,13 +102,6 @@ def test_permutation_hand_examples():
     assert list(henon.permutation_from_sequence(np.array([2.0, 2.0, 1.0]))) == [2, 0, 1]
 
 
-def test_permutation_rejects_bad_input():
-    with pytest.raises(ValueError):
-        henon.permutation_from_sequence(np.array([]))
-    with pytest.raises(ValueError):
-        henon.permutation_from_sequence(np.array([1.0, np.nan]))
-
-
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
 def test_permutation_is_bijection(values):
     p = henon.permutation_from_sequence(np.array(values))
@@ -135,13 +128,6 @@ def test_shuffle_examples():
     assert list(henon.shuffle(np.array([7.0]), np.array([0]))) == [7.0]
 
 
-def test_shuffle_length_mismatch():
-    with pytest.raises(LengthMismatchError):
-        henon.shuffle(np.zeros(3), np.arange(4))
-    with pytest.raises(LengthMismatchError):
-        henon.deshuffle(np.zeros(4), np.arange(3))
-
-
 def test_shuffle_round_trip_bitwise():
     # 10 000 bijections from sequences of n = 1..128 values, and a bitwise round trip through each
     rng = np.random.default_rng(2024)
@@ -151,6 +137,19 @@ def test_shuffle_round_trip_bitwise():
         assert np.array_equal(np.sort(p), np.arange(n))
         v = rng.standard_normal(n)
         assert np.array_equal(henon.deshuffle(henon.shuffle(v, p), p), v)
+
+
+def test_one_known_latent_reveals_its_permutation(tmp_path):
+    # the shuffle is a permutation-only layer: whoever opens the ECIES layer and knows one image learns
+    # the permutation of that key and m at every latent value that occurs once (README "Notes")
+    rng = np.random.default_rng(3)
+    model = codec.dct_model(100)
+    for path in images.make_dataset(tmp_path, count=20, size=128, seed=3):
+        latent = model.encode(images.read_image(path))
+        perm = henon.permutation_for_key(henon.random_sym_key(rng), 100)
+        s = henon.shuffle(latent, perm)
+        recovered = sum(np.flatnonzero(latent == s[k]).tolist() == [perm[k]] for k in range(100))
+        assert recovered >= 95, path.name
 
 
 def test_key_sensitivity():

@@ -74,11 +74,6 @@ def test_throttle_pacing():
     assert time.monotonic() - start < 1.0
 
 
-def test_frame_cap_on_send():
-    with pytest.raises(FrameTooLargeError):
-        transfer.send_bytes(bytes(PAYLOAD_CAP + 1), "127.0.0.1", 1)
-
-
 def test_send_file_refuses_oversized_file_unread(tmp_path, monkeypatch):
     path = tmp_path / "big.lsp"
     with open(path, "wb") as f:
