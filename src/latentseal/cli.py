@@ -50,11 +50,12 @@ def cmd_train(args) -> int:
     if not paths:
         raise IoError(f"no .pgm images in {args.dataset_dir}")
     dataset = [images.read_image(p) for p in paths]
-    config = train.TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(train.TrainConfig)})
+    # an option left out keeps TrainConfig's default: the parser states none
+    config = train.TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(train.TrainConfig) if f.name in args})
     result = train.train_autoencoder(dataset, config)
     codec.save_model(result.model, args.out)
     final = result.ae_losses[-1] if result.ae_losses else float("nan")
-    print(f"trained {args.epochs} epochs, final loss {final:.6g}, wrote {args.out}")
+    print(f"trained {config.epochs} epochs, final loss {final:.6g}, wrote {args.out}")
     return EXIT_OK
 
 
@@ -130,7 +131,7 @@ def cmd_recv(args) -> int:
     from . import transfer
     srv = transfer.listen(args.port)
     print(f"listening on port {srv.getsockname()[1]}", flush=True)  # port 0 binds one the sender must learn
-    n = transfer.recv_file(srv, args.out, timeout=args.timeout)
+    n = transfer.recv_file(srv, args.out, timeout=getattr(args, "timeout", transfer.TIMEOUT))
     print(f"received {n} bytes to {args.out}")
     return EXIT_OK
 
@@ -198,16 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_M, default=100)
     p.set_defaults(func=cmd_make_model)
 
-    p = sub.add_parser("train", help="train a neural codec on a .pgm directory")
+    p = sub.add_parser("train", help="train a neural codec on a .pgm directory", argument_default=argparse.SUPPRESS)
     p.add_argument("dataset_dir")
     p.add_argument("out")
-    p.add_argument("--m", type=_M, default=100)
-    p.add_argument("--hidden", type=_POSITIVE, nargs="+", default=[128])
-    p.add_argument("--lr", type=_POSITIVE_FINITE, default=0.05)
-    p.add_argument("--epochs", type=_NON_NEGATIVE, default=100)
-    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
-    p.add_argument("--batch-size", type=_POSITIVE, default=8)
-    p.add_argument("--lam", type=_NON_NEGATIVE_FINITE, default=0.0, help="adversarial loss weight")
+    p.add_argument("--m", type=_M)
+    p.add_argument("--hidden", type=_POSITIVE, nargs="+")
+    p.add_argument("--lr", type=_POSITIVE_FINITE)
+    p.add_argument("--epochs", type=_NON_NEGATIVE)
+    p.add_argument("--seed", type=_NON_NEGATIVE)
+    p.add_argument("--batch-size", type=_POSITIVE)
+    p.add_argument("--lam", type=_NON_NEGATIVE_FINITE, help="adversarial loss weight")
     p.set_defaults(func=cmd_train)
 
     def chain_command(name: str, summary: str, func, source: str, *keys: str) -> argparse.ArgumentParser:
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recv", help="receive one payload over TCP")
     p.add_argument("port", type=_PORT)
     p.add_argument("--out", required=True)
-    p.add_argument("--timeout", type=_SECONDS, default=30.0)
+    p.add_argument("--timeout", type=_SECONDS, default=argparse.SUPPRESS)  # transfer.TIMEOUT when not given
     p.set_defaults(func=cmd_recv)
 
     p = sub.add_parser("make-dataset", help="generate synthetic training images")

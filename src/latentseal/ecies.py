@@ -71,17 +71,17 @@ def _derive_key_nonce(shared: bytes, eph_pub: bytes) -> tuple[bytes, bytes]:
     return okm[:32], okm[32:]
 
 
-def ecies_encrypt(
-    plaintext: bytes, pub: ec.EllipticCurvePublicKey, eph_seed: bytes | None = None, aad: bytes = b""
-) -> bytes:
-    """Seal to K || C || T under the recipient's public key.
+def ecies_encrypt(plaintext: bytes, pub: ec.EllipticCurvePublicKey, aad: bytes = b"") -> bytes:
+    """Seal to K || C || T under the recipient's public key and a fresh ephemeral key.
 
-    Optional associated data is authenticated but not encrypted; the
-    pipeline uses it to bind its payload header to the tag.
+    Each call draws its own ephemeral key: one reused for one recipient
+    would repeat the GCM key and nonce.  Optional associated data is
+    authenticated but not encrypted; the pipeline uses it to bind its
+    payload header to the tag.
     """
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
-    eph = keygen(eph_seed)
+    eph = keygen()
     eph_pub = _compress(eph.public_key())
     shared = eph.exchange(ec.ECDH(), pub)
     key, nonce = _derive_key_nonce(shared, eph_pub)

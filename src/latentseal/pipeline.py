@@ -50,11 +50,7 @@ class EncryptedPayload:
 
 
 def compress_encrypt(
-    img: np.ndarray,
-    codec: CodecModel,
-    sym: SymKey,
-    pub: ec.EllipticCurvePublicKey,
-    eph_seed: bytes | None = None,
+    img: np.ndarray, codec: CodecModel, sym: SymKey, pub: ec.EllipticCurvePublicKey
 ) -> tuple[EncryptedPayload, float]:
     """Encode, shuffle, seal; returns the payload and elapsed seconds."""
     start = time.perf_counter()
@@ -65,7 +61,7 @@ def compress_encrypt(
     header = _pack_header(codec.codec_id, codec.m, w, h)
     latent = _finite(codec.encode(img))
     shuffled = shuffle(latent, permutation_for_key(sym, codec.m))
-    ct = ecies_encrypt(shuffled.astype("<f4").tobytes(), pub, eph_seed, aad=header)
+    ct = ecies_encrypt(shuffled.astype("<f4").tobytes(), pub, aad=header)
     return EncryptedPayload(codec.codec_id, codec.m, w, h, ct), time.perf_counter() - start
 
 

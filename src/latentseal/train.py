@@ -32,8 +32,8 @@ def gan_objective(d_real: np.ndarray, d_fake: np.ndarray) -> float:
 
 @dataclass
 class TrainConfig:
-    m: int = 16
-    hidden: tuple[int, ...] = (64,)
+    m: int = 100
+    hidden: tuple[int, ...] = (128,)
     lr: float = 0.05
     epochs: int = 100
     seed: int = 0

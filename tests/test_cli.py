@@ -399,6 +399,34 @@ def test_train_of_a_model_over_the_cap_exit_code(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_train_states_no_default_of_its_own(tmp_path, capsys):
+    # the parser keeps only the options given, so `train DIR OUT` runs TrainConfig's defaults: m 100, one hidden layer of 128
+    assert set(vars(cli.build_parser().parse_args(["train", "d", "o"]))) == {"command", "dataset_dir", "out", "func"}
+    data_dir = tmp_path / "data"
+    images.make_dataset(data_dir, 2, 8, 0)
+    out = tmp_path / "nn.lscm"
+    assert run(["train", str(data_dir), str(out), "--epochs", "0"]) == EXIT_OK
+    model = codec.load_model(out)
+    assert [layer.W.shape for layer in model.encoder + model.decoder] == [(128, 64), (100, 128), (128, 100), (64, 128)]
+    assert capsys.readouterr().out.startswith("trained 0 epochs, ")
+
+
+def test_recv_without_timeout_takes_transfers(tmp_path, monkeypatch):
+    # recv states no timeout of its own: it hands recv_file transfer.TIMEOUT, read when the command runs
+    seen = []
+
+    def recv_file(srv, out_path, timeout):
+        srv.close()
+        seen.append(timeout)
+        return 0
+
+    monkeypatch.setattr(transfer, "recv_file", recv_file)
+    monkeypatch.setattr(transfer, "TIMEOUT", 12.5)
+    assert run(["recv", "0", "--out", str(tmp_path / "in.lsp")]) == EXIT_OK
+    assert run(["recv", "0", "--out", str(tmp_path / "in.lsp"), "--timeout", "3"]) == EXIT_OK
+    assert seen == [12.5, 3.0]
+
+
 def test_send_recv_cli(tmp_path, keys, dct_model_path, test_image):
     # recv on port 0 listens on a port the kernel picks, and names it on its first line before it waits
     payload = tmp_path / "p.lsp"

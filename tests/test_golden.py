@@ -8,6 +8,7 @@ precision or in layout fails the case.
 Print the current digests with `PYTHONPATH=src python tests/test_golden.py`.
 """
 
+import functools
 import hashlib
 from unittest import mock
 
@@ -54,7 +55,8 @@ def _dct_round_trip(img, m):
     model = codec.dct_model(m)
     priv = ecies.keygen(bytes(range(32)))
     pub = priv.public_key()
-    payload, _ = pipeline.compress_encrypt(img, model, KEY, pub, eph_seed=EPH_SEED)
+    with mock.patch.object(ecies, "keygen", functools.partial(ecies.keygen, EPH_SEED)):  # fixes the seal's one ephemeral draw
+        payload, _ = pipeline.compress_encrypt(img, model, KEY, pub)
     pixels, _ = pipeline.decrypt_reconstruct(payload, model, KEY, priv)
     return model.encode(img), payload.serialize(), pixels
 

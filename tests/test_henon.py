@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latentseal import codec, henon, images, pipeline
+from latentseal import codec, henon, images, metrics, pipeline
 from latentseal.errors import DivergenceError, IoError, WeakKeyError
 
 CLASSICAL = (henon.CLASSICAL_A, henon.CLASSICAL_B)
@@ -74,6 +75,12 @@ def test_divergence_index_reported():
     # (3, 3) -> (-8.6, 0.9) -> x = 1 - 1.4 * 8.6**2 + 0.9 < -100: trips at step 1
     with pytest.raises(DivergenceError, match=r"at step 1$"):
         henon.henon_trajectory(henon.SymKey(3.0, 3.0, burn_in=0), 10)
+    # a point on the guard is inside it: (0, 99) -> (100, 0), then x = 1 - 1.4e4; with a = 0 and b = 1,
+    # (100, 0) -> (1, 100), then x = 101
+    for key, first in ((henon.SymKey(0.0, 99.0, burn_in=0), [100.0, 0.0]), (henon.SymKey(100.0, 0.0, a=0.0, b=1.0, burn_in=0), [1.0, 100.0])):
+        assert henon.henon_trajectory(key, 1).tolist() == [first]
+        with pytest.raises(DivergenceError, match=r"at step 1$"):
+            henon.henon_trajectory(key, 2)
 
 
 def test_trajectory_matches_step_oracle():
@@ -89,8 +96,10 @@ def test_trajectory_matches_step_oracle():
 
 
 def test_key_point_bounds():
-    with pytest.raises(ValueError):
-        henon.SymKey(200.0, 0.0)
+    henon.SymKey(100.0, -100.0)  # the guard's edges are inside it
+    for x0, y0 in ((200.0, 0.0), (math.nextafter(100.0, math.inf), 0.0), (0.0, -math.nextafter(100.0, math.inf))):
+        with pytest.raises(ValueError):
+            henon.SymKey(x0, y0)
     with pytest.raises(ValueError):
         henon.SymKey(0.0, 0.0, burn_in=-1)
 
@@ -150,6 +159,24 @@ def test_one_known_latent_reveals_its_permutation(tmp_path):
         s = henon.shuffle(latent, perm)
         recovered = sum(np.flatnonzero(latent == s[k]).tolist() == [perm[k]] for k in range(100))
         assert recovered >= 95, path.name
+
+
+def test_magnitude_order_guesses_a_rough_image_without_the_key(tmp_path):
+    # DCT energy falls along the zigzag and a shuffle keeps the values, so placing the shuffled latent in
+    # zigzag order by descending magnitude gives a rough image with no key at all; deshuffling under
+    # a wrong key scores far lower (README "Notes")
+    rng = np.random.default_rng(3)
+    model = codec.dct_model(100)
+    guessed, wrong = [], []
+    for path in images.make_dataset(tmp_path, count=20, size=128, seed=3):
+        latent = model.encode(images.read_image(path))
+        true = model.decode(latent, 128, 128)
+        s = henon.shuffle(latent, henon.permutation_for_key(henon.random_sym_key(rng), 100))
+        guess = s[np.argsort(-np.abs(s), kind="stable")]
+        other = henon.deshuffle(s, henon.permutation_for_key(henon.random_sym_key(rng), 100))
+        guessed.append(metrics.ssim(model.decode(guess, 128, 128), true, 7))
+        wrong.append(metrics.ssim(model.decode(other, 128, 128), true, 7))
+    assert np.median(guessed) >= 0.6 and np.median(wrong) < 0.1, (np.median(guessed), np.median(wrong))
 
 
 def test_key_sensitivity():

@@ -169,6 +169,11 @@ def test_discriminator_widths_are_a_constant():
     assert "disc_hidden" not in vars(train.TrainConfig())
 
 
+def test_train_config_defaults_are_what_latentseal_train_runs():
+    # the CLI restates none of these, so they are the program's defaults too
+    assert vars(train.TrainConfig()) == {"m": 100, "hidden": (128,), "lr": 0.05, "epochs": 100, "seed": 0, "batch_size": 8, "lam": 0.0}
+
+
 def test_init_model_refuses_what_save_model_would_refuse_before_drawing_weights(tmp_path, monkeypatch):
     config = train.TrainConfig(m=3, hidden=(5, 4))
     path = tmp_path / "model.lscm"

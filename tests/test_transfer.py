@@ -202,11 +202,15 @@ def test_send_paces_only_when_throttled(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "announced, header",
-    [(PAYLOAD_CAP, payload_frame(100)[:12]), (11, b"")],
-    ids=["header-for-a-shorter-body", "shorter-than-a-header"],
+    "announced, header, message",
+    [
+        (PAYLOAD_CAP, payload_frame(100)[:12], f"body length {PAYLOAD_CAP - 12} inconsistent with m=100"),
+        (11, b"", "announced frame of 11 bytes is shorter than a payload header"),
+        (12, payload_frame(100)[:12], "body length 0 inconsistent with m=100"),  # a whole header is not too short
+    ],
+    ids=["header-for-a-shorter-body", "shorter-than-a-header", "header-and-no-body"],
 )
-def test_frame_length_the_header_refuses_is_refused_before_the_body(tmp_path, announced, header):
+def test_frame_length_the_header_refuses_is_refused_before_the_body(tmp_path, announced, header, message):
     # the sender announces a frame it never sends: the receiver must refuse
     # on the length and the header, not wait out its timeout for the body
     t, port, result = receiving(timeout=3, out=tmp_path / "never.lsp")
@@ -214,7 +218,7 @@ def test_frame_length_the_header_refuses_is_refused_before_the_body(tmp_path, an
         sock.sendall(announced.to_bytes(4, "big") + header)
         t.join(timeout=10)
     assert not t.is_alive()
-    assert isinstance(result["error"], BadHeaderError)
+    assert isinstance(result["error"], BadHeaderError) and str(result["error"]) == message
     assert result["elapsed"] < 1.0
     assert list(tmp_path.iterdir()) == []
 
